@@ -38,7 +38,7 @@ for k in range(d + 1):
 F = TripleCertificate.from_matrices(4, d, H, 0.0)
 h = GegenbauerExpansion(4, [0.3, 0.2, 0.1])
 bound1 = float(np.sum(np.abs(h.coeffs))) + 1.0 + float(np.sum(np.abs(F.diag_restriction())))
-bound2 = float(sum(abs(c) for c in F.poly().values()))
+bound2 = float(np.abs(F.poly()).sum())
 g = GegenbauerExpansion(4, [max(bound1 / 2, bound2 / 3) + 0.1])
 
 print("\nPSD validity:", certificate_valid(F).valid)

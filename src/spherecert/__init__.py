@@ -26,7 +26,6 @@ from .codes import (
     builtin_code,
     distance_distribution,
     energy,
-    interval_mass,
     make_24cell,
     make_cross_polytope,
     make_simplex,
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .gegenbauer import (
     GegenbauerExpansion,
-    expansion_eval,
     gegenbauer_eval,
     monomial_oracle,
     orthogonality_oracle,
@@ -57,7 +55,6 @@ from .threepoint import (
     bv_matrix,
     certificate_valid,
     psd_check,
-    triple_eval,
     triple_sum,
     triple_sum_parts,
 )

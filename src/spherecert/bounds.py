@@ -67,6 +67,10 @@ class DDCertificate:
                 self.F0 = float(self.F.F0)
         else:
             raise ParameterError(f"unknown certificate mode {self.mode!r}")
+        for name in ("M", "h0", "F0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
 
     def m_constant(self) -> float:
         """M = F(1,1,1) + 3 h(1); stored in scalar mode, derived in full."""
@@ -90,10 +94,11 @@ class DDCertificate:
     @classmethod
     def from_dict(cls, obj: dict) -> "DDCertificate":
         try:
-            g = GegenbauerExpansion.from_dict(obj["g"])
+            g_obj = obj["g"]
             T = (float(obj["T"][0]), float(obj["T"][1]))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ParameterError(f"certificate object needs 'g' and 'T': {exc}")
+        g = GegenbauerExpansion.from_dict(g_obj)
         if "M" in obj:
             return cls(
                 g, T, mode="scalar-M", M=float(obj["M"]),

@@ -26,7 +26,6 @@ __all__ = [
     "builtin_code",
     "BUILTIN_NAMES",
     "distance_distribution",
-    "interval_mass",
     "moment",
     "energy",
     "s_sum",
@@ -59,6 +58,8 @@ class SphericalCode:
             raise ParameterError("a code needs at least one point")
         if self.n < 2:
             raise ParameterError("code dimension must be >= 2")
+        if not np.all(np.isfinite(pts)):
+            raise ParameterError("point coordinates must be finite")
         norms = np.sum(pts * pts, axis=1)
         bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
         if bad.size:
@@ -175,22 +176,16 @@ def distance_distribution(
                 f"clusters at {a} and {b} are closer than 2*tol; rerun with tol < {(b - a) / 2:g}"
             )
     entries = {rep: len(c) / N for rep, c in zip(reps, clusters)}
-    per_point = []
-    edges = [(c[0] - tol, c[-1] + tol) for c in clusters]
-    for i in range(N):
-        row: dict[float, int] = {}
-        vals = np.delete(g[i], i)
-        for rep, (lo, hi) in zip(reps, edges):
-            cnt = int(np.count_nonzero((vals >= lo) & (vals <= hi)))
-            if cnt:
-                row[rep] = cnt
-        per_point.append(row)
+    # gaps between clusters exceed tol, so each product lies in exactly one
+    # cluster: the last one starting at or below it
+    labels = np.searchsorted([c[0] for c in clusters], off, side="right") - 1
+    rows = np.repeat(np.arange(N), N - 1)
+    keys, counts = np.unique(rows * len(reps) + labels, return_counts=True)
+    per_point: list[dict] = [{} for _ in range(N)]
+    for key, cnt in zip(keys.tolist(), counts.tolist()):
+        row, label = divmod(key, len(reps))
+        per_point[row][reps[label]] = cnt
     return DistanceDistribution(entries, N, exact=False, per_point=per_point)
-
-
-def interval_mass(dist: DistanceDistribution, a: float, b: float):
-    """A(S) for S = [a, b]: total distribution mass on the interval."""
-    return dist.interval_mass(a, b)
 
 
 def moment(code: SphericalCode, k: int) -> float:

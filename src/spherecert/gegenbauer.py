@@ -17,7 +17,6 @@ from .errors import CapabilityError, DomainError, ParameterError
 __all__ = [
     "GegenbauerExpansion",
     "gegenbauer_eval",
-    "expansion_eval",
     "orthogonality_oracle",
     "monomial_oracle",
     "monomial_coeffs",
@@ -80,6 +79,8 @@ class GegenbauerExpansion:
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise ParameterError("coefficients must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ParameterError("coefficients must be finite")
 
     @property
     def degree(self) -> int:
@@ -144,11 +145,6 @@ class GegenbauerExpansion:
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"expansion object needs 'n' and 'coeffs': {exc}")
         return cls(n, coeffs, provenance=str(obj.get("provenance", "")))
-
-
-def expansion_eval(e: GegenbauerExpansion, t):
-    """Evaluate an expansion at t; see GegenbauerExpansion.eval."""
-    return e.eval(t)
 
 
 def orthogonality_oracle(n: int, j: int, k: int) -> float:

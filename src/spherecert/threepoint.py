@@ -1,21 +1,26 @@
 """Symmetric triple functions F(t, u, v) and their certificate machinery.
 
+Every triple function is stored as one symmetric dense coefficient tensor
+C, with C[i, j, k] the coefficient of t^i u^j v^k.
+
 Matrix-form certificates expand F as sum_k <H_k, S_k(t, u, v)> against the
 matrix kernels S_k used in three-point bounds for sphere codes. The entry
-(i, j) of the un-symmetrized kernel is
+(i, j) of the un-symmetrized kernel is u^i v^j Q_k(t, u, v), where
 
-    u^i v^j ((1-u^2)(1-v^2))^(k/2) G_k(s),   s = (t-uv)/sqrt((1-u^2)(1-v^2)),
+    Q_k(t, u, v) = ((1-u^2)(1-v^2))^(k/2) G_k(s),   s = (t-uv)/sqrt((1-u^2)(1-v^2)),
 
 with G_k the normalized degree-k Gegenbauer polynomial in dimension n-1;
-S_k averages that over the six role assignments of (t, u, v). Entries are
-stored as genuine polynomials in (t, u, v): clearing the square root degree
-by degree removes the 0/0 at |u| = 1 or |v| = 1.
+S_k averages that over the six role assignments of (t, u, v). Q_k is a
+genuine polynomial (clearing the square root degree by degree removes the
+0/0 at |u| = 1 or |v| = 1); its coefficients are summed exactly and
+rounded to float once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -26,7 +31,6 @@ from .gegenbauer import monomial_coeffs
 __all__ = [
     "TripleCertificate",
     "bv_matrix",
-    "triple_eval",
     "triple_sum",
     "triple_sum_parts",
     "TripleSumParts",
@@ -38,137 +42,46 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Trivariate polynomials as {(i, j, k): coefficient} dictionaries.
+# Coefficient tensors.
 
-def _p_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
+def _kernel_tensor(n: int, k: int) -> np.ndarray:
+    """Q_k(t, u, v) as a (k+1)^3 coefficient tensor.
 
-
-def _p_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _p_scale(a: dict, s) -> dict:
-    return {e: c * s for e, c in a.items()} if s != 0 else {}
-
-
-def _p_pow(a: dict, m: int) -> dict:
-    out = {(0, 0, 0): Fraction(1)}
-    for _ in range(m):
-        out = _p_mul(out, a)
-    return out
-
-
-def _p_permute(a: dict, perm: tuple[int, int, int]) -> dict:
-    """Relabel variables: new exponent tuple e' with e'[perm[i]] = e[i]."""
-    out: dict = {}
-    for e, c in a.items():
-        ne = [0, 0, 0]
-        for pos, ex in zip(perm, e):
-            ne[pos] = ex
-        key = tuple(ne)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _p_eval(a: dict, t, u, v):
-    """Evaluate on scalars or broadcast arrays via precomputed power tables."""
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(t.shape, u.shape, v.shape)
-    if not a:
-        return np.zeros(shape)
-    dmax = [max(e[i] for e in a) for i in range(3)]
-    pows = []
-    for var, dm in zip((t, u, v), dmax):
-        table = [np.ones(shape)]
-        for _ in range(dm):
-            table.append(table[-1] * var)
-        pows.append(table)
-    out = np.zeros(shape)
-    for (i, j, k), c in a.items():
-        out += float(c) * pows[0][i] * pows[1][j] * pows[2][k]
-    return out
-
-
-def _p_partial_bound(a: dict, axis: int) -> float:
-    """Bound on |d/dx_axis| over [-1, 1]^3: sum of |coeff| * exponent."""
-    return float(sum(abs(float(c)) * e[axis] for e, c in a.items()))
-
-
-def _p_restrict_diag(a: dict) -> np.ndarray:
-    """Coefficients of p(1, s, s) as a univariate polynomial in s."""
-    if not a:
-        return np.zeros(1)
-    deg = max(e[1] + e[2] for e in a)
-    out = np.zeros(deg + 1)
-    for (i, j, k), c in a.items():
-        out[j + k] += float(c)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Kernel matrices S_k.
-
-_SK_CACHE: dict = {}
-
-
-def _kernel_poly(n: int, k: int) -> dict:
-    """((1-u^2)(1-v^2))^(k/2) G_k((t-uv)/sqrt(...)) as an exact polynomial."""
-    mono = monomial_coeffs(n - 1, k)
-    t_minus_uv = {(1, 0, 0): Fraction(1), (0, 1, 1): Fraction(-1)}
-    one_m_u2 = {(0, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)}
-    one_m_v2 = {(0, 0, 0): Fraction(1), (0, 0, 2): Fraction(-1)}
-    radical = _p_mul(one_m_u2, one_m_v2)
-    out: dict = {}
-    for m, am in enumerate(mono):
+    Expands sum_m a_m (t - uv)^m ((1-u^2)(1-v^2))^((k-m)/2) by the binomial
+    theorem in exact arithmetic; parity of G_k makes k - m even whenever
+    a_m != 0.
+    """
+    exact = np.zeros((k + 1,) * 3, dtype=object)
+    for m, am in enumerate(monomial_coeffs(n - 1, k)):
         if am == 0:
             continue
-        # parity of G_k makes (k - m) even whenever am != 0
-        term = _p_mul(_p_pow(t_minus_uv, m), _p_pow(radical, (k - m) // 2))
-        out = _p_add(out, _p_scale(term, am))
-    return out
+        r = (k - m) // 2
+        for p, q, s in itertools.product(range(m + 1), range(r + 1), range(r + 1)):
+            term = (-1) ** (p + q + s) * comb(m, p) * comb(r, q) * comb(r, s)
+            exact[m - p, p + 2 * q, p + 2 * s] += am * term
+    return exact.astype(float)
 
 
-def _sk_entries(n: int, k: int, d: int) -> list[list[dict]]:
-    """Exact entry polynomials of the symmetrized kernel matrix S_k."""
-    key = (n, k, d)
-    if key in _SK_CACHE:
-        return _SK_CACHE[key]
-    size = d + 1 - k
-    q_t = _kernel_poly(n, k)           # opposite variable t, sides (u, v)
-    q_u = _p_permute(q_t, (1, 0, 2))   # opposite u, sides (t, v)
-    q_v = _p_permute(q_t, (2, 1, 0))   # opposite v, sides (t, u)
-    sixth = Fraction(1, 6)
-    entries: list[list[dict]] = [[{} for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            total: dict = {}
-            for q, (ei, ej) in (
-                (q_t, ((0, i, 0), (0, 0, j))),  # u^i v^j
-                (q_t, ((0, j, 0), (0, 0, i))),  # u^j v^i
-                (q_u, ((i, 0, 0), (0, 0, j))),  # t^i v^j
-                (q_u, ((j, 0, 0), (0, 0, i))),  # t^j v^i
-                (q_v, ((i, 0, 0), (0, j, 0))),  # t^i u^j
-                (q_v, ((j, 0, 0), (0, i, 0))),  # t^j u^i
-            ):
-                mono = {(ei[0] + ej[0], ei[1] + ej[1], ei[2] + ej[2]): sixth}
-                total = _p_add(total, _p_mul(mono, q))
-            entries[i][j] = total
-            entries[j][i] = total
-    _SK_CACHE[key] = entries
-    return entries
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Average of a cubic tensor over the six orders of its axes."""
+    return sum(a.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+
+
+def _eval_tensor(c: np.ndarray, t, u, v) -> np.ndarray:
+    """sum c[i, j, k] t^i u^j v^k at broadcast points.
+
+    Horner in t over one (P, j) @ (j, k) product per power of t, so memory
+    stays O(P * degree) for P points.
+    """
+    t, u, v = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, u, v)))
+    shape = t.shape
+    t = t.ravel()
+    upow = np.vander(u.ravel(), c.shape[1], increasing=True)
+    vpow = np.vander(v.ravel(), c.shape[2], increasing=True)
+    out = np.zeros(t.shape)
+    for ci in c[::-1]:
+        out = out * t + np.einsum("pj,pj->p", upow @ ci, vpow)
+    return out.reshape(shape)
 
 
 def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarray:
@@ -180,15 +93,16 @@ def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarra
     for name, x in (("t", t), ("u", u), ("v", v)):
         if abs(x) > 1 + 1e-12:
             raise ParameterError(f"{name}={x} outside [-1, 1]")
-    entries = _sk_entries(n, k, d)
-    size = d + 1 - k
-    out = np.empty((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            val = float(_p_eval(entries[i][j], t, u, v))
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    # Q_k with t, u and v in turn as the opposite variable
+    q_t, q_u, q_v = _eval_tensor(_kernel_tensor(n, k), [t, u, v], [u, t, t], [v, v, u])
+    tp, up, vp = (float(x) ** np.arange(d + 1 - k) for x in (t, u, v))
+    m = q_t * np.outer(up, vp) + q_u * np.outer(tp, vp) + q_v * np.outer(tp, up)
+    return (m + m.T) / 6.0
+
+
+def _require_finite(what: str, x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +125,10 @@ class TripleCertificate:
     H: list[np.ndarray] | None = None
     # explicit form
     terms: list[tuple[int, int, int, float]] | None = None
-    _poly: dict | None = field(default=None, repr=False)
+    _poly: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        _require_finite("F0", self.F0)
         if self.form == "matrix":
             if self.n is None or self.d is None or self.H is None:
                 raise ParameterError("matrix certificate needs n, d and H")
@@ -227,6 +142,7 @@ class TripleCertificate:
                     raise ParameterError(
                         f"H[{k}] must be {size}x{size}, got {h.shape}"
                     )
+                _require_finite(f"H[{k}]", h)
                 if not np.allclose(h, h.T, atol=1e-12, rtol=0.0):
                     raise ParameterError(f"H[{k}] is not symmetric")
                 mats.append(h)
@@ -235,6 +151,9 @@ class TripleCertificate:
             if self.terms is None:
                 raise ParameterError("explicit certificate needs terms")
             self.terms = [(int(i), int(j), int(k), float(a)) for i, j, k, a in self.terms]
+            if any(min(e[:3]) < 0 for e in self.terms):
+                raise ParameterError("term exponents must be >= 0")
+            _require_finite("term coefficients", [a for *_, a in self.terms])
         else:
             raise ParameterError(f"unknown certificate form {self.form!r}")
 
@@ -246,46 +165,47 @@ class TripleCertificate:
     def from_terms(cls, terms, F0: float = 0.0) -> "TripleCertificate":
         return cls(form="explicit", terms=list(terms), F0=F0)
 
-    def poly(self) -> dict:
-        """F pre-expanded to a monomial dictionary (cached)."""
+    def poly(self) -> np.ndarray:
+        """F as its symmetric coefficient tensor C[i, j, k] (cached)."""
         if self._poly is None:
             if self.form == "matrix":
-                total: dict = {}
+                # sum_k P_k(u, v) Q_k(t, u, v) with P_k(u, v) = sum_ij (H_k)_ij u^i v^j,
+                # built as shifted copies of Q_k
+                a = np.zeros((self.d + 1,) * 3)
                 for k, h in enumerate(self.H):
-                    entries = _sk_entries(self.n, k, self.d)
-                    size = self.d + 1 - k
-                    for i in range(size):
-                        for j in range(size):
-                            if h[i, j] != 0.0:
-                                total = _p_add(total, _p_scale(entries[i][j], h[i, j]))
-                self._poly = {e: float(c) for e, c in total.items()}
+                    q = _kernel_tensor(self.n, k)
+                    for (i, j), hij in np.ndenumerate(h):
+                        a[: k + 1, i : i + k + 1, j : j + k + 1] += hij * q
             else:
-                total = {}
-                perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-                for i, j, k, a in self.terms:
-                    for p in perms:
-                        e = tuple((i, j, k)[p.index(axis)] for axis in range(3))
-                        total[e] = total.get(e, 0.0) + a / 6.0
-                self._poly = {e: c for e, c in total.items() if c != 0.0}
+                deg = max((max(i, j, k) for i, j, k, _ in self.terms), default=0)
+                a = np.zeros((deg + 1,) * 3)
+                for i, j, k, coeff in self.terms:
+                    a[i, j, k] += coeff
+            self._poly = _symmetrize(a)
         return self._poly
 
     def eval(self, t, u, v):
         """Evaluate F; accepts scalars or broadcastable arrays."""
-        out = _p_eval(self.poly(), t, u, v)
+        out = _eval_tensor(self.poly(), t, u, v)
         return float(out) if out.ndim == 0 else out
 
     def at_diagonal_one(self) -> float:
-        """F(1, 1, 1)."""
+        """F(1, 1, 1), the sum of the coefficient tensor."""
+        # through eval, so that perfbench's spans count it as an F evaluation
         return self.eval(1.0, 1.0, 1.0)
 
     def diag_restriction(self) -> np.ndarray:
         """Univariate coefficients of s -> F(1, s, s)."""
-        return _p_restrict_diag(self.poly())
+        c = self.poly()
+        r = np.arange(c.shape[1])
+        return np.bincount(np.add.outer(r, r).ravel(), weights=c.sum(axis=0).ravel())
 
     def gradient_bounds(self) -> tuple[float, float, float]:
-        """Per-variable Lipschitz bounds of F over [-1, 1]^3."""
-        p = self.poly()
-        return tuple(_p_partial_bound(p, axis) for axis in range(3))
+        """Per-variable Lipschitz bounds of F over [-1, 1]^3: the sum of
+        |coefficient| * exponent of that variable."""
+        c = np.abs(self.poly())
+        r = np.arange(c.shape[0])
+        return tuple(float(r @ np.moveaxis(c, axis, 0).sum(axis=(1, 2))) for axis in range(3))
 
     def to_dict(self) -> dict:
         if self.form == "matrix":
@@ -316,11 +236,6 @@ class TripleCertificate:
                 raise ParameterError(f"bad explicit certificate: {exc}")
             return cls.from_terms(terms, float(obj.get("F0", 0.0)))
         raise ParameterError("certificate object needs either 'H' or 'terms'")
-
-
-def triple_eval(F: TripleCertificate, t, u, v):
-    """Value of the symmetric triple function F at (t, u, v)."""
-    return F.eval(t, u, v)
 
 
 @dataclass

@@ -213,9 +213,11 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
 
     Sweeps the wedge t <= u <= v (F and the right side are symmetric) on a
     grid, keeps points passing the determinant filter, then refines around
-    the maximizer by coordinate-wise golden section. In certified mode the
-    filter is relaxed to det >= -6*step so that every point of D3(T) has an
-    accepted grid neighbor, which the Lipschitz pad then covers.
+    the maximizer by coordinate-wise golden section; the reported location
+    and sample maximum come from points of D3(T) only. In certified mode the
+    pad is added to the grid maximum over a filter relaxed to
+    det >= -6*step, so that every point of D3(T) has an accepted grid
+    neighbor, which the Lipschitz pad then covers.
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
@@ -225,24 +227,23 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     det_tol = 6.0 * step if spec.certified else D3_MEMBERSHIP_TOL
 
     gvals = g.eval(ts)
-    best = -np.inf
+    best = relaxed_best = -np.inf
     best_loc = None
     for i, t in enumerate(ts):
         u = ts[i:][:, None]
         v = ts[i:][None, :]
-        mask = np.triu(np.ones((ts.size - i, ts.size - i), dtype=bool))
-        mask &= d3_determinant(t, u, v) >= -det_tol
-        if not mask.any():
+        wedge = np.triu(np.ones((ts.size - i, ts.size - i), dtype=bool))
+        det = np.where(wedge, d3_determinant(t, u, v), -np.inf)
+        relaxed = det >= -det_tol
+        if not relaxed.any():
             continue
         phi = F.eval(t, u, v) - (gvals[i] + gvals[i:][:, None] + gvals[i:][None, :])
-        phi = np.where(mask, phi, -np.inf)
+        relaxed_best = max(relaxed_best, float(np.max(phi[relaxed])))
+        phi = np.where(det >= -D3_MEMBERSHIP_TOL, phi, -np.inf)
         j, k = np.unravel_index(int(np.argmax(phi)), phi.shape)
         if phi[j, k] > best:
             best = float(phi[j, k])
             best_loc = (float(t), float(ts[i + j]), float(ts[i + k]))
-    if best_loc is None:
-        return ViolationReport("triple:F<=g+g+g", spec.mode, -np.inf, None,
-                               spec.grid_step, spec.certified, -np.inf)
 
     def point_val(p):
         t, u, v = p
@@ -250,11 +251,10 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
             return -np.inf
         return float(F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)))
 
-    refined_loc = list(best_loc)
-    refined = point_val(refined_loc)
-    if not np.isfinite(refined):
-        refined, refined_loc = -np.inf, None
-    else:
+    sample_max, loc = best, best_loc
+    if best_loc is not None:
+        refined_loc = list(best_loc)
+        refined = point_val(refined_loc)
         for _ in range(max(1, spec.refinement_depth // 10)):
             for axis in range(3):
                 lo = max(a, refined_loc[axis] - step)
@@ -269,12 +269,12 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
                 if val > refined:
                     refined = val
                     refined_loc[axis] = float(x)
-    sample_max = max(best, refined) if np.isfinite(refined) else best
-    loc = tuple(refined_loc) if refined_loc is not None and refined >= best else best_loc
+        if refined >= best:
+            sample_max, loc = refined, tuple(refined_loc)
     if spec.certified:
         bt, bu, bv = F.gradient_bounds()
         lip = bt + bu + bv + 3.0 * g.derivative_bound()
-        worst = max(best + lip * step / 2.0, sample_max)
+        worst = max(relaxed_best + lip * step / 2.0, sample_max)
     else:
         worst = sample_max
     return ViolationReport("triple:F<=g+g+g", spec.mode, worst, loc,

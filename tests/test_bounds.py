@@ -170,7 +170,7 @@ def _constructed_full_cert(rng, n=4, d=3):
     h = GegenbauerExpansion(n, rng.uniform(0, 0.5, size=5))  # S_h >= 0
     h0 = 1.0
     diag_bound = float(np.sum(np.abs(F.diag_restriction())))
-    abs_bound = float(sum(abs(c) for c in F.poly().values()))
+    abs_bound = float(np.abs(F.poly()).sum())
     c = max((float(np.sum(np.abs(h.coeffs))) + h0 + diag_bound) / 2.0, abs_bound / 3.0) + 0.1
     g = GegenbauerExpansion(n, [c])
     return DDCertificate(g, (-1.0, 0.5), mode="full", h=h, h0=h0, F=F, F0=0.0)

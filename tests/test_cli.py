@@ -138,6 +138,21 @@ def test_bound_m_equals_n(tmp_path, capsys):
     assert rep["sdp_bound"] == 0.0
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    cert = json.loads(Path(f"{DATA}/g1_cert.json").read_text())
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps({**cert, "M": float("nan")}))
+    code, rep = run(capsys, "bound", str(f), "--N", "25")
+    assert code == 2
+    assert "M must be finite" in rep["error"]
+    cert["g"]["coeffs"][3] = float("nan")
+    f.write_text(json.dumps(cert))
+    code, rep = run(capsys, "kissing-check", str(f), "--t0", str(-np.sqrt(2) / 2),
+                    "--mu", "1", "--N", "25", "--starts", "4")
+    assert code == 2
+    assert "finite" in rep["error"]
+
+
 def test_kissing_check_contradiction(capsys):
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,7 +10,6 @@ from spherecert.codes import (
     builtin_code,
     distance_distribution,
     energy,
-    interval_mass,
     make_24cell,
     make_cross_polytope,
     make_simplex,
@@ -76,7 +76,7 @@ def test_interval_masses_24cell():
         ((-1, -0.45), 9), ((-1, 0.05), 15), ((-0.55, 0.05), 14),
         ((-0.05, 0.5), 14), ((-1, -0.73), 1), ((0.35, 0.5), 8),
     ]:
-        assert interval_mass(d, a, b) == expect
+        assert d.interval_mass(a, b) == expect
     assert d.interval_mass(0.3, 0.1) == 0  # empty interval
 
 
@@ -155,6 +155,23 @@ def test_float_code_clustering():
     assert not d.exact
     assert sorted(d.entries) == pytest.approx([-1.0, -0.5, 0.0, 0.5], abs=1e-12)
     assert sorted(d.entries.values()) == pytest.approx([1.0, 6.0, 8.0, 8.0])
+    # a rotated copy has no exact products; every point still sees the
+    # 24-cell pattern
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))
+    d = distance_distribution(SphericalCode(4, pts @ q), tol=1e-9)
+    assert len(d.per_point) == 24
+    for row in d.per_point:
+        assert list(row) == pytest.approx([-1.0, -0.5, 0.0, 0.5], abs=1e-12)
+        assert list(row.values()) == [1, 8, 6, 8]
+    # per-point counts on a random code against labelling each product by
+    # its nearest cluster representative
+    pts = np.random.default_rng(8).normal(size=(30, 3))
+    code = SphericalCode(3, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    d = distance_distribution(code)
+    reps = np.array(sorted(d.entries))
+    for i, row in enumerate(d.per_point):
+        nearest = reps[np.argmin(np.abs(np.delete(code.gram()[i], i)[:, None] - reps), axis=1)]
+        assert row == Counter(nearest.tolist())
 
 
 def test_cluster_ambiguity():
@@ -178,6 +195,8 @@ def test_validation():
         builtin_code("hypercube5")
     with pytest.raises(ParameterError):
         SphericalCode.from_dict({"n": 3})
+    with pytest.raises(ParameterError, match="finite"):
+        SphericalCode(2, np.array([[1.0, 0.0], [np.nan, 0.0]]))
 
 
 def test_json_round_trip():

@@ -5,7 +5,6 @@ from spherecert.data import load_expansion
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
     GegenbauerExpansion,
-    expansion_eval,
     gegenbauer_eval,
     monomial_oracle,
     orthogonality_oracle,
@@ -94,7 +93,7 @@ def test_expansion_matches_naive_sum():
 
 def test_expansion_trivia():
     zero = GegenbauerExpansion(4, [0.0, 0.0, 0.0])
-    assert expansion_eval(zero, 0.7) == 0.0
+    assert zero.eval(0.7) == 0.0
     e = GegenbauerExpansion(5, [1.0, -2.0, 0.25])
     assert e.eval(1.0) == pytest.approx(e.at_one(), abs=1e-12)
     assert e.degree == 2
@@ -140,3 +139,6 @@ def test_parameter_errors():
         GegenbauerExpansion(4, [1.0]).eval(-1.01)
     with pytest.raises(ParameterError):
         GegenbauerExpansion(2, [1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            GegenbauerExpansion(4, [1.0, bad])

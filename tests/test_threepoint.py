@@ -8,7 +8,6 @@ from spherecert.threepoint import (
     bv_matrix,
     certificate_valid,
     psd_check,
-    triple_eval,
     triple_sum,
     triple_sum_parts,
 )
@@ -80,9 +79,9 @@ def test_bv_matrix_symmetry():
 
 def test_bv_matrix_against_sqrt_oracle():
     rng = np.random.default_rng(21)
-    for _ in range(40):
+    for _ in range(60):
         n = int(rng.integers(3, 7))
-        d = int(rng.integers(0, 5))
+        d = int(rng.integers(0, 13))
         k = int(rng.integers(0, d + 1))
         t, u, v = rng.uniform(-0.9, 0.9, 3)
         got = bv_matrix(n, k, d, t, u, v)
@@ -113,33 +112,35 @@ def test_triple_eval_permutation_symmetry():
     for cert in certs:
         for _ in range(25):
             t, u, v = rng.uniform(-1, 1, 3)
-            base = triple_eval(cert, t, u, v)
+            base = cert.eval(t, u, v)
             for perm in [(t, v, u), (u, t, v), (u, v, t), (v, t, u), (v, u, t)]:
-                assert triple_eval(cert, *perm) == pytest.approx(base, abs=1e-10)
+                assert cert.eval(*perm) == pytest.approx(base, abs=1e-10)
 
 
 def test_explicit_eval_frozen():
     one = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
-    assert triple_eval(one, 0.4, -0.2, 0.9) == pytest.approx(1.0, abs=1e-14)
+    assert one.eval(0.4, -0.2, 0.9) == pytest.approx(1.0, abs=1e-14)
     lin = TripleCertificate.from_terms([(1, 0, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 1, 1.0)])
-    assert triple_eval(lin, 0.1, 0.2, 0.3) == pytest.approx(0.6, abs=1e-14)
+    assert lin.eval(0.1, 0.2, 0.3) == pytest.approx(0.6, abs=1e-14)
     # symmetrization spreads a lone term over its orbit
     lone = TripleCertificate.from_terms([(1, 0, 0, 3.0)])
-    assert triple_eval(lone, 0.1, 0.2, 0.3) == pytest.approx(0.6, abs=1e-14)
+    assert lone.eval(0.1, 0.2, 0.3) == pytest.approx(0.6, abs=1e-14)
 
 
 def test_matrix_eval_two_routes():
-    # pre-expanded polynomial vs numeric matrix contraction
+    # coefficient tensor vs the square-root kernel formula, contracted with H_k
     rng = np.random.default_rng(24)
-    cert = random_valid_matrix_cert(rng, 4, 4)
-    for _ in range(100):
-        t, u, v = rng.uniform(-1, 1, 3)
-        via_poly = cert.eval(t, u, v)
-        via_mats = sum(
-            float(np.sum(cert.H[k] * bv_matrix(4, k, 4, t, u, v)))
-            for k in range(5)
-        )
-        assert via_poly == pytest.approx(via_mats, rel=1e-9, abs=1e-9)
+    for d, points in ((4, 100), (8, 20), (12, 20)):
+        cert = random_valid_matrix_cert(rng, 4, d)
+        scale = sum(float(np.sum(np.abs(h))) for h in cert.H)
+        for _ in range(points):
+            t, u, v = rng.uniform(-1, 1, 3)
+            via_tensor = cert.eval(t, u, v)
+            via_oracle = sum(
+                float(np.sum(cert.H[k] * sk_sqrt_oracle(4, k, d, t, u, v)))
+                for k in range(d + 1)
+            )
+            assert via_tensor == pytest.approx(via_oracle, rel=1e-9, abs=1e-11 * scale)
 
 
 def test_triple_sum_constant():
@@ -239,3 +240,13 @@ def test_json_round_trip():
     assert back.eval(t, u, v) == pytest.approx(exp.eval(t, u, v), rel=1e-12)
     with pytest.raises(ParameterError):
         TripleCertificate.from_dict({"n": 4})
+
+
+def test_non_finite_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            TripleCertificate.from_matrices(4, 1, [[[1.0, bad], [bad, 1.0]], [[1.0]]])
+        with pytest.raises(ParameterError, match="finite"):
+            TripleCertificate.from_matrices(4, 0, [[[1.0]]], F0=bad)
+        with pytest.raises(ParameterError, match="finite"):
+            TripleCertificate.from_terms([(1, 0, 0, bad)])

@@ -182,6 +182,18 @@ def test_triple_condition_certified_pads():
     assert fine.worst_violation >= fine.sample_max
 
 
+def test_triple_condition_certified_location_in_d3():
+    # F = t^2 + u^2 + v^2 is largest at (-1, -1, 1/2), which passes the
+    # relaxed certified filter but is not realizable; the reported maximum
+    # must still be a value of F - g - g - g at a point of D3(T)
+    F = TripleCertificate.from_terms([(2, 0, 0, 3.0)])
+    g = GegenbauerExpansion(4, [0.0])
+    rep = check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=0.05, mode=CERTIFIED))
+    assert in_d3(*rep.location, T_HALF)
+    assert rep.sample_max == pytest.approx(F.eval(*rep.location), abs=1e-12)
+    assert 1.5 <= rep.sample_max <= rep.worst_violation
+
+
 def test_domainspec_validation():
     with pytest.raises(ParameterError):
         DomainSpec(grid_step=0.0)
