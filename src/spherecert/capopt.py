@@ -7,6 +7,10 @@ code with products in [-1, 1/2] once g <= 0 holds on [t0, 1/2]: points
 outside the cap around -u contribute nonpositively to the energy seen
 from u, and an average never exceeds a maximum.
 
+The cap constraints are written once, in _residuals, over (..., m, n)
+arrays of configurations; the ranking of all starts and the two stacked
+SLSQP constraints of the polish are built from it.
+
 Multistart local search only: found maxima are lower estimates of the true
 cap optimum, and verdicts derived from them say so.
 """
@@ -14,6 +18,7 @@ cap optimum, and verdicts derived from them say so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -67,35 +72,66 @@ class CapResult:
         }
 
 
-def _constraint_violation(Y: np.ndarray, t0: float) -> float:
-    """Worst violation over unit norms, cap membership and pairwise caps."""
-    worst = float(np.max(np.abs(np.sum(Y * Y, axis=1) - 1.0))) if Y.size else 0.0
-    if Y.size:
-        worst = max(worst, float(np.max(Y[:, 0] - t0)))
-        if Y.shape[0] > 1:
-            gram = Y @ Y.T
-            iu = np.triu_indices(Y.shape[0], 1)
-            worst = max(worst, float(np.max(gram[iu] - 0.5)))
-    return max(worst, 0.0)
+@lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), cached: building it costs more than _residuals."""
+    return np.triu_indices(m, 1)
+
+
+def _residuals(Y: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cap constraints of (..., m, n) configurations as SLSQP residuals:
+    eq == 0 is the unit norms (Gram diagonal minus 1); ineq >= 0 is cap
+    membership t0 - y_j[0], then 1/2 - y_i . y_j over _pairs(m). The Gram
+    matrix is a BLAS product: SLSQP at ftol=1e-14 amplifies last-bit changes."""
+    gram = Y @ np.swapaxes(Y, -1, -2)
+    iu, ju = _pairs(Y.shape[-2])
+    eq = np.diagonal(gram, axis1=-2, axis2=-1) - 1.0
+    ineq = np.concatenate([t0 - Y[..., 0], 0.5 - gram[..., iu, ju]], axis=-1)
+    return eq, ineq
+
+
+def _residual_jacobians(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians of both parts of _residuals for one (m, n) configuration,
+    with respect to its flattened coordinates: (m, m*n) and
+    (m + m(m-1)/2, m*n)."""
+    m, n = Y.shape
+    rows = np.arange(m)
+    iu, ju = _pairs(m)
+    pair_rows = np.arange(m, m + iu.size)
+    eq = np.zeros((m, m, n))
+    eq[rows, rows] = 2.0 * Y
+    ineq = np.zeros((m + iu.size, m, n))
+    ineq[rows, rows, 0] = -1.0
+    ineq[pair_rows, iu] = -Y[ju]
+    ineq[pair_rows, ju] = -Y[iu]
+    return eq.reshape(m, m * n), ineq.reshape(-1, m * n)
+
+
+def _constraint_violation(Y: np.ndarray, t0: float) -> np.ndarray:
+    """Worst cap-constraint violation of each (..., m, n) configuration, >= 0."""
+    eq, ineq = _residuals(Y, t0)
+    return np.maximum(np.max(np.abs(eq), axis=-1, initial=0.0),
+                      np.max(-ineq, axis=-1, initial=0.0))
 
 
 def _project_cap(Y: np.ndarray, t0: float) -> np.ndarray:
-    """Renormalize rows and pull any point outside the cap to its boundary."""
-    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    outside = Y[:, 0] > t0
-    if np.any(outside):
-        rest = Y[outside, 1:]
-        norms = np.linalg.norm(rest, axis=1, keepdims=True)
-        # a point at +-e1 has no meridian; give it a fixed one
-        degenerate = norms[:, 0] < 1e-14
-        if np.any(degenerate):
-            rest[degenerate] = 0.0
-            rest[degenerate, 0] = 1.0
-            norms = np.linalg.norm(rest, axis=1, keepdims=True)
-        scale = np.sqrt(1.0 - t0 * t0)
-        Y[outside, 0] = t0
-        Y[outside, 1:] = rest / norms * scale
+    """Renormalize the points of (..., m, n) configurations and pull any
+    point outside the cap to its boundary along its meridian."""
+    Y = Y / np.linalg.norm(Y, axis=-1, keepdims=True)
+    outside = Y[..., 0] > t0
+    rest = Y[outside, 1:]
+    # a point at +-e1 has no meridian; give it a fixed one
+    degenerate = np.linalg.norm(rest, axis=-1) < 1e-14
+    rest[degenerate] = 0.0
+    rest[degenerate, 0] = 1.0
+    Y[outside, 0] = t0
+    Y[outside, 1:] = rest / np.linalg.norm(rest, axis=-1, keepdims=True) * np.sqrt(1.0 - t0 * t0)
     return Y
+
+
+def _value(Y: np.ndarray, g: GegenbauerExpansion) -> np.ndarray:
+    """sum_j g(e1 . y_j) of each (..., m, n) configuration."""
+    return np.sum(g.eval(np.clip(Y[..., 0], -1.0, 1.0)), axis=-1)
 
 
 def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
@@ -106,76 +142,39 @@ def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
     projection after every step.
     """
     dg = g.derivative()
+    m = Y.shape[1]
     for _ in range(iters):
         grad = np.zeros_like(Y)
         grad[:, :, 0] = dg.eval(np.clip(Y[:, :, 0], -1.0, 1.0))
-        if Y.shape[1] > 1:
+        if m > 1:
             gram = np.einsum("bik,bjk->bij", Y, Y)
-            m = Y.shape[1]
             excess = np.maximum(gram - 0.5, 0.0)
             excess[:, np.arange(m), np.arange(m)] = 0.0
             grad -= 2.0 * rho * np.einsum("bij,bjk->bik", excess, Y)
         grad -= np.sum(grad * Y, axis=2, keepdims=True) * Y  # tangent part
-        Y = Y + step * grad
-        Y = np.stack([_project_cap(y, t0) for y in Y])
+        Y = _project_cap(Y + step * grad, t0)
     return Y
 
 
 def _polish(Y: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray | None:
-    """Local constrained refinement of one configuration (SLSQP)."""
-    m, n = Y.shape
+    """SLSQP refinement of one (m, n) configuration under the two stacked
+    constraints of _residuals; None unless feasible to FEASIBILITY_TOL."""
+    shape = Y.shape
     dg = g.derivative()
 
-    def neg_obj(x):
-        pts = x.reshape(m, n)
-        return -float(np.sum(g.eval(np.clip(pts[:, 0], -1.0, 1.0))))
-
     def neg_obj_grad(x):
-        pts = x.reshape(m, n)
-        out = np.zeros_like(pts)
-        out[:, 0] = -dg.eval(np.clip(pts[:, 0], -1.0, 1.0))
+        out = np.zeros(shape)
+        out[:, 0] = -dg.eval(np.clip(x.reshape(shape)[:, 0], -1.0, 1.0))
         return out.ravel()
 
-    cons = []
-    for j in range(m):
-        def norm_c(x, j=j):
-            p = x.reshape(m, n)[j]
-            return float(p @ p - 1.0)
-
-        def norm_jac(x, j=j):
-            out = np.zeros((m, n))
-            out[j] = 2.0 * x.reshape(m, n)[j]
-            return out.ravel()
-
-        cons.append({"type": "eq", "fun": norm_c, "jac": norm_jac})
-
-        def cap_c(x, j=j):
-            return t0 - float(x.reshape(m, n)[j, 0])
-
-        def cap_jac(x, j=j):
-            out = np.zeros((m, n))
-            out[j, 0] = -1.0
-            return out.ravel()
-
-        cons.append({"type": "ineq", "fun": cap_c, "jac": cap_jac})
-    for i in range(m):
-        for j in range(i + 1, m):
-            def pair_c(x, i=i, j=j):
-                p = x.reshape(m, n)
-                return 0.5 - float(p[i] @ p[j])
-
-            def pair_jac(x, i=i, j=j):
-                p = x.reshape(m, n)
-                out = np.zeros((m, n))
-                out[i] = -p[j]
-                out[j] = -p[i]
-                return out.ravel()
-
-            cons.append({"type": "ineq", "fun": pair_c, "jac": pair_jac})
-
-    res = minimize(neg_obj, Y.ravel(), jac=neg_obj_grad, method="SLSQP",
-                   constraints=cons, options={"maxiter": 300, "ftol": 1e-14})
-    out = res.x.reshape(m, n)
+    cons = [{"type": "eq", "fun": lambda x: _residuals(x.reshape(shape), t0)[0],
+             "jac": lambda x: _residual_jacobians(x.reshape(shape))[0]},
+            {"type": "ineq", "fun": lambda x: _residuals(x.reshape(shape), t0)[1],
+             "jac": lambda x: _residual_jacobians(x.reshape(shape))[1]}]
+    res = minimize(lambda x: -float(_value(x.reshape(shape), g)), Y.ravel(),
+                   jac=neg_obj_grad, method="SLSQP", constraints=cons,
+                   options={"maxiter": 300, "ftol": 1e-14})
+    out = res.x.reshape(shape)
     out = out / np.linalg.norm(out, axis=1, keepdims=True)
     # pull marginal cap violations (rounding scale) back onto the boundary
     if _constraint_violation(out, t0) <= 1e-7:
@@ -201,8 +200,9 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
 
     Multistart: batched penalty-ramped projected gradient ascent from
     seeded random starts, then constrained polish of the leading
-    candidates. Deterministic for fixed (problem, starts, seed). The
-    result is a lower estimate of the true cap optimum.
+    candidates, ranked by value minus 1e3 times constraint violation.
+    Deterministic for fixed (problem, starts, seed). The result is a lower
+    estimate of the true cap optimum.
     """
     if starts < 1:
         raise ParameterError("starts must be >= 1")
@@ -214,16 +214,15 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
     Y = _sample_cap(rng, starts, m, n, t0)
     for rho, iters, step in ((50.0, 60, 0.02), (500.0, 60, 0.004), (5e3, 80, 5e-4)):
         Y = _penalty_ascent(Y, g, t0, rho, iters, step)
-    scores = np.sum(g.eval(np.clip(Y[:, :, 0], -1.0, 1.0)), axis=1)
-    penalties = np.array([_constraint_violation(y, t0) for y in Y])
-    order = np.argsort(-(scores - 1e3 * penalties), kind="stable")
+    scores = _value(Y, g) - 1e3 * _constraint_violation(Y, t0)
+    order = np.argsort(-scores, kind="stable")
     best_val = -np.inf
     best_cfg = None
     for idx in order[: max(10, starts // 10)]:
         cfg = _polish(Y[idx], g, t0)
         if cfg is None:
             continue
-        val = float(np.sum(g.eval(np.clip(cfg[:, 0], -1.0, 1.0))))
+        val = float(_value(cfg, g))
         if val > best_val:
             best_val, best_cfg = val, cfg
     if best_cfg is None:
@@ -276,20 +275,19 @@ class KissingReport:
 
 def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
                   starts: int = DEFAULT_STARTS, seed: int = 0,
-                  margin: float = 1e-3, sign_tol: float = SIGN_CHECK_TOL,
-                  sign_spec: DomainSpec | None = None) -> KissingReport:
+                  margin: float = 1e-3) -> KissingReport:
     """Compare the cap optimum against B(N) = (N - M)/(3N).
 
-    Requires g <= 0 (within sign_tol) on [t0, 1/2], checked in certified
-    mode before any optimization; refuses to run otherwise. Emits
-    CONTRADICTION when best cap value < B(N) - margin, else INCONCLUSIVE.
+    Requires g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in
+    certified mode at grid step 1e-6 before any optimization; refuses to
+    run otherwise. Emits CONTRADICTION when best cap value < B(N) - margin,
+    else INCONCLUSIVE.
     """
-    spec = sign_spec or DomainSpec(grid_step=1e-6, mode=CERTIFIED)
-    sign = check_sign(g, (t0, 0.5), spec)
-    if sign.worst_violation > sign_tol:
+    sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
+    if sign.worst_violation > SIGN_CHECK_TOL:
         raise PreconditionError(
             f"g exceeds 0 by {sign.worst_violation:g} on [{t0}, 0.5] "
-            f"(tolerance {sign_tol:g}); the cap reduction does not apply"
+            f"(tolerance {SIGN_CHECK_TOL:g}); the cap reduction does not apply"
         )
     values = []
     best_value, best_m = -np.inf, 0

@@ -214,7 +214,9 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     Sweeps the wedge t <= u <= v (F and the right side are symmetric) on a
     grid, keeps points passing the determinant filter, then refines around
     the maximizer by coordinate-wise golden section; the reported location
-    and sample maximum come from points of D3(T) only. In certified mode the
+    and sample maximum come from points of D3(T) only. Raises
+    ParameterError when no grid point lies in D3(T), so that an empty
+    region never passes with a maximum of -inf. In certified mode the
     pad is added to the grid maximum over a filter relaxed to
     det >= -6*step, so that every point of D3(T) has an accepted grid
     neighbor, which the Lipschitz pad then covers.
@@ -245,6 +247,11 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
             best = float(phi[j, k])
             best_loc = (float(t), float(ts[i + j]), float(ts[i + k]))
 
+    if best_loc is None:
+        raise ParameterError(
+            f"D3(T) holds no grid point for T = [{a}, {b}] at step {spec.grid_step:g}"
+        )
+
     def point_val(p):
         t, u, v = p
         if not in_d3(t, u, v, (a, b)):
@@ -252,25 +259,24 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
         return float(F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)))
 
     sample_max, loc = best, best_loc
-    if best_loc is not None:
-        refined_loc = list(best_loc)
-        refined = point_val(refined_loc)
-        for _ in range(max(1, spec.refinement_depth // 10)):
-            for axis in range(3):
-                lo = max(a, refined_loc[axis] - step)
-                hi = min(b, refined_loc[axis] + step)
+    refined_loc = list(best_loc)
+    refined = point_val(refined_loc)
+    for _ in range(max(1, spec.refinement_depth // 10)):
+        for axis in range(3):
+            lo = max(a, refined_loc[axis] - step)
+            hi = min(b, refined_loc[axis] + step)
 
-                def along(s):
-                    q = list(refined_loc)
-                    q[axis] = s
-                    return point_val(q)
+            def along(s):
+                q = list(refined_loc)
+                q[axis] = s
+                return point_val(q)
 
-                x, val = _golden_max_1d(along, lo, hi, spec.refinement_depth)
-                if val > refined:
-                    refined = val
-                    refined_loc[axis] = float(x)
-        if refined >= best:
-            sample_max, loc = refined, tuple(refined_loc)
+            x, val = _golden_max_1d(along, lo, hi, spec.refinement_depth)
+            if val > refined:
+                refined = val
+                refined_loc[axis] = float(x)
+    if refined >= best:
+        sample_max, loc = refined, tuple(refined_loc)
     if spec.certified:
         bt, bu, bv = F.gradient_bounds()
         lip = bt + bu + bv + 3.0 * g.derivative_bound()

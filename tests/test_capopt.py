@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from spherecert.capopt import CapProblem, cap_max, kissing_check
+from spherecert.capopt import (
+    CapProblem,
+    _constraint_violation,
+    _project_cap,
+    _residual_jacobians,
+    _residuals,
+    cap_max,
+    kissing_check,
+)
 from spherecert.data import load_expansion
 from spherecert.errors import ParameterError, PreconditionError
 from spherecert.gegenbauer import GegenbauerExpansion
@@ -9,9 +17,20 @@ from spherecert.gegenbauer import GegenbauerExpansion
 T0 = -np.sqrt(2) / 2
 
 
+# g1 cap maxima for m = 1..4 at 60 starts, seed 0; the SLSQP polish moves
+# their last bits with the BLAS thread count, which 1e-10 absorbs
+G1_CAP_VALUES = [0.02030000000000054, 0.026627791659585787,
+                 0.024882080135972262, 0.02308843040063019]
+
+
 @pytest.fixture(scope="module")
 def g1():
     return load_expansion("g1")
+
+
+@pytest.fixture(scope="module")
+def g1_caps(g1):
+    return [cap_max(CapProblem(4, g1, T0, m, 4), starts=60, seed=0) for m in range(1, 5)]
 
 
 def one_point_oracle(g, t0):
@@ -51,6 +70,48 @@ def test_configurations_feasible(g1):
         res = cap_max(CapProblem(4, g1, T0, m, 4), starts=60, seed=2)
         assert res.configuration.shape == (m, 4)
         assert feasibility_violation(res.configuration, T0) <= 1e-9
+
+
+def test_pinned_g1_cap_values(g1_caps):
+    for res, expected in zip(g1_caps, G1_CAP_VALUES):
+        assert res.value == pytest.approx(expected, abs=1e-10)
+
+
+def test_batched_projection_and_violation_match_per_configuration():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 4):
+        Y = rng.normal(size=(7, m, 4))
+        Y[0, 0] = [1.0, 0.0, 0.0, 0.0]  # +e1: outside the cap, no meridian
+        P = _project_cap(Y, T0)
+        assert np.array_equal(P, np.stack([_project_cap(y, T0) for y in Y]))
+        assert np.allclose(P[0, 0], [T0, np.sqrt(1 - T0 * T0), 0.0, 0.0], rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(P, axis=-1), 1.0, rtol=0, atol=1e-15)
+        assert np.all(P[..., 0] <= T0)
+        for Z in (Y, P):
+            batched = _constraint_violation(Z, T0)
+            assert batched.shape == (7,)
+            assert np.array_equal(batched, [_constraint_violation(z, T0) for z in Z])
+            oracle = [max(feasibility_violation(z, T0), 0.0) for z in Z]
+            assert np.allclose(batched, oracle, rtol=1e-14, atol=1e-15)
+
+
+def test_residual_jacobians_match_central_differences(g1_caps):
+    rng = np.random.default_rng(6)
+    h = 1e-6
+    for res in g1_caps:
+        m = res.m
+        for Y in (res.configuration, rng.normal(size=(m, 4))):
+            jac_eq, jac_ineq = _residual_jacobians(Y)
+            assert jac_eq.shape == (m, 4 * m)
+            assert jac_ineq.shape == (m + m * (m - 1) // 2, 4 * m)
+            x = Y.ravel()
+            for col in range(x.size):
+                dx = np.zeros_like(x)
+                dx[col] = h
+                hi = _residuals((x + dx).reshape(m, 4), T0)
+                lo = _residuals((x - dx).reshape(m, 4), T0)
+                for jac, up, down in zip((jac_eq, jac_ineq), hi, lo):
+                    assert np.allclose(jac[:, col], (up - down) / (2 * h), rtol=0, atol=1e-8)
 
 
 def test_determinism(g1):

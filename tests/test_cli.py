@@ -111,6 +111,22 @@ def test_verify_cert_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_cert_empty_d3_exits_2(tmp_path, capsys):
+    # no triple of products in [-1, -0.9] is realizable, so D3(T) holds no
+    # grid point; the triple check must not pass with a maximum of -inf
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps({
+        "g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, -0.9],
+        "h": {"n": 4, "coeffs": [0.0]}, "h0": -4.0,
+        "F": {"terms": [{"i": 0, "j": 0, "k": 0, "a": 1.0}]},
+    }))
+    for mode in ("sampled", "certified"):
+        code, rep = run(capsys, "verify-cert", str(f), "--triple-grid-step", "0.01",
+                        "--mode", mode)
+        assert code == 2
+        assert "no grid point" in rep["error"]
+
+
 def test_bound_g2(capsys):
     code, rep = run(capsys, "bound", f"{DATA}/g2_cert.json", "--N", "24")
     assert code == 0

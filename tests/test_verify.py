@@ -167,9 +167,9 @@ def test_triple_condition_empty_region():
     # triples of nearly antipodal values are never realizable
     F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
     g = GegenbauerExpansion(4, [0.0])
-    rep = check_triple_condition(F, g, (-1.0, -0.9), DomainSpec(grid_step=0.01))
-    assert rep.worst_violation == -np.inf
-    assert rep.location is None
+    for spec in (DomainSpec(grid_step=0.01), DomainSpec(grid_step=0.01, mode=CERTIFIED)):
+        with pytest.raises(ParameterError, match="no grid point"):
+            check_triple_condition(F, g, (-1.0, -0.9), spec)
 
 
 def test_triple_condition_certified_pads():
