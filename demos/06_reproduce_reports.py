@@ -4,12 +4,16 @@ One command reproduces the whole story: the certificate endpoint values,
 the 24-cell distribution with its sharp interval masses, the four B(N)
 values against the coefficient bounds, the certified sign conditions,
 and the cap-configuration verdicts at N = 25 (contradiction) and N = 24
-(inconclusive). Reports are deterministic given their manifest, so the
-JSON printed here is byte-identical run to run.
+(inconclusive). Reports are deterministic given their manifest: each one
+is compared with its stored golden report in demos/goldens/, byte for byte
+except the two kissing reports. Their SLSQP polish moves the last bits of
+the cap values with the BLAS thread count, so those are compared on the
+verdict and best m exactly and on the cap values to 1e-9.
 """
 
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -18,6 +22,7 @@ from pathlib import Path
 from spherecert.cli import main, manifest_to_argv
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "demos" / "goldens"
 os.chdir(ROOT)  # manifests reference bundled inputs relative to the repo root
 
 summaries = {
@@ -55,6 +60,18 @@ summaries = {
     ),
 }
 
+
+def matches_golden(stem: str, text: str) -> bool:
+    golden = (GOLDENS / f"{stem}.json").read_text()
+    if not stem.startswith("kissing"):
+        return text == golden
+    got, want = json.loads(text), json.loads(golden)
+    return (got["verdict"] == want["verdict"] and got["best_m"] == want["best_m"]
+            and len(got["cap_values"]) == len(want["cap_values"])
+            and all(math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)
+                    for a, b in zip(got["cap_values"], want["cap_values"])))
+
+
 failures = 0
 for path in sorted((ROOT / "demos" / "manifests").glob("*.json")):
     manifest = json.loads(path.read_text())
@@ -64,8 +81,13 @@ for path in sorted((ROOT / "demos" / "manifests").glob("*.json")):
         code = main(argv)
     report = json.loads(buf.getvalue())
     expected_ok = {0, 4} if manifest["command"] == "kissing-check" else {0}
-    status = "ok" if code in expected_ok else f"EXIT {code}"
     if code not in expected_ok:
+        status = f"EXIT {code}"
+    elif not matches_golden(path.stem, buf.getvalue()):
+        status = "DIFFERS FROM GOLDEN"
+    else:
+        status = "ok"
+    if status != "ok":
         failures += 1
     line = summaries.get(path.stem, lambda r: "")(report)
     print(f"[{status}] {path.stem}: {line}")

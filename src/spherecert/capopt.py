@@ -31,6 +31,7 @@ __all__ = ["CapProblem", "CapResult", "cap_max", "kissing_check", "KissingReport
 
 SIGN_CHECK_TOL = 5e-3
 FEASIBILITY_TOL = 1e-9
+AT_BEST_TOL = 1e-6
 DEFAULT_STARTS = 200
 
 
@@ -60,15 +61,28 @@ class CapProblem:
 
 @dataclass
 class CapResult:
+    """Best configuration found, with counts over the SLSQP polishes that
+    gauge how far to trust the multistart maximum: runs made, runs ending
+    feasible to FEASIBILITY_TOL, runs SLSQP itself reported as failed, and
+    feasible runs within AT_BEST_TOL of the best value."""
+
     value: float
     configuration: np.ndarray  # (m, n) unit vectors
     m: int
+    polished: int = 0
+    feasible: int = 0
+    failed: int = 0
+    at_best: int = 0
 
     def to_dict(self) -> dict:
         return {
             "m": self.m,
             "value": self.value,
             "configuration": [[float(x) for x in row] for row in self.configuration],
+            "polished": self.polished,
+            "feasible": self.feasible,
+            "failed": self.failed,
+            "at_best": self.at_best,
         }
 
 
@@ -156,9 +170,11 @@ def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
     return Y
 
 
-def _polish(Y: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray | None:
+def _polish(Y: np.ndarray, g: GegenbauerExpansion,
+            t0: float) -> tuple[np.ndarray | None, bool]:
     """SLSQP refinement of one (m, n) configuration under the two stacked
-    constraints of _residuals; None unless feasible to FEASIBILITY_TOL."""
+    constraints of _residuals. Returns the configuration, or None unless
+    feasible to FEASIBILITY_TOL, and whether SLSQP reported success."""
     shape = Y.shape
     dg = g.derivative()
 
@@ -179,9 +195,8 @@ def _polish(Y: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray | No
     # pull marginal cap violations (rounding scale) back onto the boundary
     if _constraint_violation(out, t0) <= 1e-7:
         out = _project_cap(out, t0)
-    if _constraint_violation(out, t0) <= FEASIBILITY_TOL:
-        return out
-    return None
+    feasible = _constraint_violation(out, t0) <= FEASIBILITY_TOL
+    return (out if feasible else None), bool(res.success)
 
 
 def _sample_cap(rng: np.random.Generator, count: int, m: int, n: int,
@@ -216,20 +231,26 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
         Y = _penalty_ascent(Y, g, t0, rho, iters, step)
     scores = _value(Y, g) - 1e3 * _constraint_violation(Y, t0)
     order = np.argsort(-scores, kind="stable")
+    candidates = order[: max(10, starts // 10)]
     best_val = -np.inf
     best_cfg = None
-    for idx in order[: max(10, starts // 10)]:
-        cfg = _polish(Y[idx], g, t0)
+    values, failed = [], 0
+    for idx in candidates:
+        cfg, success = _polish(Y[idx], g, t0)
+        failed += not success
         if cfg is None:
             continue
         val = float(_value(cfg, g))
+        values.append(val)
         if val > best_val:
             best_val, best_cfg = val, cfg
     if best_cfg is None:
         raise RuntimeError(
             f"no feasible configuration found for m={m}; try more starts"
         )
-    return CapResult(best_val, best_cfg, m)
+    at_best = sum(v >= best_val - AT_BEST_TOL for v in values)
+    return CapResult(best_val, best_cfg, m, polished=len(candidates),
+                     feasible=len(values), failed=failed, at_best=at_best)
 
 
 @dataclass

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.special import roots_gegenbauer
@@ -25,6 +26,11 @@ __all__ = [
 # Evaluation points may overshoot [-1, 1] by rounding when they come from
 # float inner products of unit vectors; clamp up to this slack.
 _EDGE_SLACK = 1e-12
+
+# Up to this many points, Clenshaw runs in Python floats one point at a
+# time: numpy's per-operation overhead outweighs its vector speed below
+# about 40 points, at any degree.
+_SMALL_INPUT = 32
 
 MONOMIAL_ORACLE_MAX_DEGREE = 12
 
@@ -90,23 +96,48 @@ class GegenbauerExpansion:
         """Value at t = 1, i.e. the plain coefficient sum."""
         return float(np.sum(self.coeffs))
 
+    @cached_property
+    def _recurrence(self) -> list[tuple[float, float, float]]:
+        """Clenshaw table (c_k, (2k+n-2)/(k+n-2), -(k+1)/(k+n-1)) in
+        descending k, shared by both evaluation loops of eval. Built on
+        first use, so coefficients must not change after construction."""
+        n = self.n
+        return [(float(self.coeffs[k]), (2 * k + n - 2) / (k + n - 2), -(k + 1) / (k + n - 1))
+                for k in range(self.degree, -1, -1)]
+
     def eval(self, t):
         """Evaluate by backward (Clenshaw) recurrence.
 
         Stable at the degrees certificate polynomials use; never converts
-        to monomial coefficients.
+        to monomial coefficients. Both loops read one table, _recurrence:
+        inputs of more than _SMALL_INPUT points run it as numpy operations
+        on the whole array, smaller ones in Python floats point by point.
+        Each step computes c_k + (a_k t) b1 + beta_k b2 in that order in
+        both loops, so they agree bit for bit.
         """
         scalar = np.isscalar(t)
-        t = _clamp_domain(t)
-        n, c = self.n, self.coeffs
-        d = self.degree
-        b1 = np.zeros_like(t)
-        b2 = np.zeros_like(t)
-        for k in range(d, -1, -1):
-            alpha = (2 * k + n - 2) / (k + n - 2) * t
-            beta_next = -(k + 1) / (k + n - 1)
-            b1, b2 = c[k] + alpha * b1 + beta_next * b2, b1
-        return float(b1) if scalar else b1
+        t = np.asarray(t, dtype=float)
+        table = self._recurrence
+        if t.size > _SMALL_INPUT:
+            t = _clamp_domain(t)
+            b1 = np.zeros_like(t)
+            b2 = np.zeros_like(t)
+            for c, a, beta in table:
+                b1, b2 = c + a * t * b1 + beta * b2, b1
+            return b1
+        values = []
+        for x in t.ravel().tolist():
+            if abs(x) > 1.0 + _EDGE_SLACK:
+                raise DomainError(f"argument outside [-1, 1]: {x}")
+            x = min(max(x, -1.0), 1.0)
+            b1 = b2 = 0.0
+            for c, a, beta in table:
+                b1, b2 = c + a * x * b1 + beta * b2, b1
+            values.append(b1)
+        if scalar:
+            return values[0]
+        # [()] turns a 0-d result into a numpy scalar, as numpy arithmetic does
+        return np.array(values).reshape(t.shape)[()]
 
     __call__ = eval
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherecert import capopt
 from spherecert.capopt import (
     CapProblem,
     _constraint_violation,
@@ -75,6 +76,32 @@ def test_configurations_feasible(g1):
 def test_pinned_g1_cap_values(g1_caps):
     for res, expected in zip(g1_caps, G1_CAP_VALUES):
         assert res.value == pytest.approx(expected, abs=1e-10)
+
+
+def test_multistart_statistics(g1, monkeypatch):
+    # recount the polish outcomes cap_max summarizes
+    outcomes = []
+    polish = capopt._polish
+
+    def recording_polish(Y, g, t0):
+        cfg, success = polish(Y, g, t0)
+        outcomes.append((cfg, success))
+        return cfg, success
+
+    monkeypatch.setattr(capopt, "_polish", recording_polish)
+    # at m = 1 half the polishes stop at another local maximum
+    for m in (1, 2):
+        outcomes.clear()
+        res = cap_max(CapProblem(4, g1, T0, m, 4), starts=60, seed=0)
+        values = [float(np.sum(g1.eval(cfg[:, 0]))) for cfg, _ in outcomes if cfg is not None]
+        assert res.polished == len(outcomes) == 10
+        assert res.failed == sum(not success for _, success in outcomes)
+        assert res.feasible == len(values) >= 1
+        assert res.value == max(values)
+        assert res.at_best == sum(v >= res.value - 1e-6 for v in values) >= 1
+        d = res.to_dict()
+        assert (d["polished"], d["feasible"], d["failed"], d["at_best"]) == (
+            res.polished, res.feasible, res.failed, res.at_best)
 
 
 def test_batched_projection_and_violation_match_per_configuration():

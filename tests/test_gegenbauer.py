@@ -4,6 +4,8 @@ import pytest
 from spherecert.data import load_expansion
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
+    _EDGE_SLACK,
+    _SMALL_INPUT,
     GegenbauerExpansion,
     gegenbauer_eval,
     monomial_oracle,
@@ -89,6 +91,59 @@ def test_expansion_matches_naive_sum():
         ts = rng.uniform(-1, 1, 40)
         naive = sum(c[k] * gegenbauer_eval(n, k, ts) for k in range(d + 1))
         assert np.max(np.abs(naive - e.eval(ts))) < 1e-10
+
+
+def test_small_and_array_paths_agree_bitwise():
+    # eval runs Clenshaw in Python floats up to _SMALL_INPUT points and as
+    # numpy array operations above that; both must give the same bits
+    rng = np.random.default_rng(14)
+    edges = [-1.0, 1.0, -1.0 - _EDGE_SLACK, 1.0 + _EDGE_SLACK,
+             -1.0 - _EDGE_SLACK / 2, 1.0 + _EDGE_SLACK / 2, 0.0, -0.0]
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        d = int(rng.integers(0, 61))
+        c = rng.normal(size=d + 1) * 10.0 ** rng.integers(-3, 4, size=d + 1)
+        e = GegenbauerExpansion(n, c)
+        ts = np.concatenate([edges, rng.uniform(-1, 1, 4 * _SMALL_INPUT)])
+        whole = e.eval(ts)
+        one_by_one = np.array([e.eval(float(t)) for t in ts])
+        chunks = np.concatenate([e.eval(ts[i:i + 4]) for i in range(0, ts.size, 4)])
+        assert np.array_equal(one_by_one, whole)
+        assert np.array_equal(chunks, whole)
+        # on either side of the switch
+        assert np.array_equal(e.eval(ts[:_SMALL_INPUT]), whole[:_SMALL_INPUT])
+        assert np.array_equal(e.eval(ts[:_SMALL_INPUT + 1]), whole[:_SMALL_INPUT + 1])
+
+
+def test_eval_return_types():
+    e = GegenbauerExpansion(4, [0.5, -1.0, 2.0])
+    expected = e.eval(np.full(2 * _SMALL_INPUT, 0.3))[0]
+    for t in (0.3, np.float64(0.3)):
+        out = e.eval(t)
+        assert type(out) is float and out == expected
+    zero_d = e.eval(np.array(0.3))  # a numpy scalar, as numpy arithmetic gives
+    assert type(zero_d) is np.float64 and zero_d == expected
+    empty = e.eval(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == float
+    for shape in ((2, 3), (2, _SMALL_INPUT)):
+        out = e.eval(np.full(shape, 0.3))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert np.all(out == expected)
+
+
+def test_domain_error_on_both_paths():
+    e = GegenbauerExpansion(5, [0.5, -1.0, 2.0])
+    messages = set()
+    for size in (1, 4, _SMALL_INPUT, _SMALL_INPUT + 1, 10 * _SMALL_INPUT):
+        for bad in (1.0 + 2 * _EDGE_SLACK, -1.0 - 2 * _EDGE_SLACK):
+            ts = np.zeros(size)
+            ts[-1] = bad
+            with pytest.raises(DomainError) as info:
+                e.eval(ts)
+            messages.add(str(info.value))
+    assert len(messages) == 2  # the same message for the same offending value
+    with pytest.raises(DomainError):
+        e.eval(1.0 + 2 * _EDGE_SLACK)
 
 
 def test_expansion_trivia():
