@@ -7,9 +7,11 @@ degree-22 combinations of these in dimension 4.
 """
 
 import numpy as np
+from scipy.special import roots_gegenbauer
 
-from spherecert import gegenbauer_eval, monomial_oracle, orthogonality_oracle
+from spherecert import gegenbauer_eval
 from spherecert.data import load_expansion
+from spherecert.gegenbauer import monomial_coeffs
 
 n = 4
 print(f"dimension n = {n}, basis normalized so G_k(1) = 1\n")
@@ -20,13 +22,18 @@ for k in range(6):
     vals = " ".join(f"{gegenbauer_eval(n, k, t):+.4f}" for t in ts)
     print(f"{k} | {vals}")
 
-print("\nmonomial coefficients from the exact Gram-Schmidt oracle:")
+print("\nexact monomial coefficients from the recurrence:")
 for k in range(4):
-    print(f"  G_{k} =", monomial_oracle(n, k))
+    print(f"  G_{k} =", [str(c) for c in monomial_coeffs(n, k)])
 
-print("\northogonality integrals (should vanish off the diagonal):")
+# a 4-node Gauss rule for the weight is exact up to degree 7
+nodes, weights = roots_gegenbauer(4, (n - 2) / 2.0)
+print("\northogonality integrals by Gauss quadrature (should vanish off the diagonal):")
 for j in range(3):
-    row = " ".join(f"{orthogonality_oracle(n, j, k):+.2e}" for k in range(3))
+    row = " ".join(
+        f"{np.sum(weights * gegenbauer_eval(n, j, nodes) * gegenbauer_eval(n, k, nodes)):+.2e}"
+        for k in range(3)
+    )
     print(f"  j={j}: {row}")
 
 g1 = load_expansion("g1")

@@ -44,15 +44,12 @@ from .errors import (
 from .gegenbauer import (
     GegenbauerExpansion,
     gegenbauer_eval,
-    monomial_oracle,
-    orthogonality_oracle,
 )
 from .threepoint import (
     CertificateReport,
     PsdResult,
     TripleCertificate,
     TripleSumParts,
-    bv_matrix,
     certificate_valid,
     psd_check,
     triple_sum,

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .gegenbauer import GegenbauerExpansion
 from .threepoint import TripleCertificate, certificate_valid
 from .verify import (
     CERTIFIED,
+    DEFAULT_STEP_1D,
+    DEFAULT_STEP_3D,
     SAMPLED,
     DomainSpec,
     check_dd_pair_condition,
@@ -39,26 +40,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_CONTRADICTION = 4
-
-
-@dataclass
-class RunManifest:
-    command: str
-    inputs: list[str]
-    parameters: dict
-    outputs: str
-    seed: int | None
-    tool_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
 
 
 _POSITIONAL_PARAMS = ("expansion", "code", "cert")
@@ -89,20 +70,20 @@ def manifest_to_argv(manifest: dict) -> list[str]:
     return argv
 
 
-def _manifest(command: str, inputs: list[str], args, skip=("out",)) -> RunManifest:
+def _manifest(command: str, inputs: list[str], args) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "command") and k not in skip and v is not None
+        if k not in ("func", "command", "out") and v is not None
     }
-    return RunManifest(
-        command=command,
-        inputs=inputs,
-        parameters=params,
-        outputs=args.out or "stdout",
-        seed=getattr(args, "seed", None),
-        tool_version=__version__,
-    )
+    return {
+        "command": command,
+        "inputs": inputs,
+        "parameters": params,
+        "outputs": args.out or "stdout",
+        "seed": getattr(args, "seed", None),
+        "tool_version": __version__,
+    }
 
 
 def _emit(report: dict, args) -> None:
@@ -132,12 +113,9 @@ def _parse_interval(text: str) -> tuple[float, float]:
         a, b = (float(x) for x in text.split(","))
     except ValueError:
         raise SystemExit2(f"interval must be 'a,b', got {text!r}")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise SystemExit2(f"interval ends must be finite, got {text!r}")
     return a, b
-
-
-def _spec_from_args(args, default_step: float) -> DomainSpec:
-    mode = CERTIFIED if args.mode == "certified" else SAMPLED
-    return DomainSpec(grid_step=args.grid_step or default_step, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +129,7 @@ def _cmd_eval(args) -> int:
         "degree": exp.degree,
         "value_at_one": exp.at_one(),
         "values": rows,
-        "manifest": _manifest("eval", [args.expansion], args).to_dict(),
+        "manifest": _manifest("eval", [args.expansion], args),
     }
     if args.csv_out:
         ts = np.linspace(-1.0, 1.0, args.samples)
@@ -191,7 +169,7 @@ def _cmd_code_stats(args) -> int:
         "total_mass": float(dist.total_mass()),
         "moments": [{"k": k, "value": moment(code, k)} for k in range(args.degree + 1)],
         "interval_masses": intervals,
-        "manifest": _manifest("code-stats", [args.code], args).to_dict(),
+        "manifest": _manifest("code-stats", [args.code], args),
     }
     _emit(report, args)
     return EXIT_OK
@@ -201,10 +179,10 @@ def _cmd_verify_cert(args) -> int:
     obj = _load_json(args.cert)
     checks: list[dict] = []
     notes: list[str] = []
-    ok = True
     if "g" in obj and "T" in obj:
         cert = DDCertificate.from_dict(obj)
-        spec = _spec_from_args(args, default_step=1e-5)
+        mode = CERTIFIED if args.mode == "certified" else SAMPLED
+        spec = DomainSpec(grid_step=args.grid_step or DEFAULT_STEP_1D, mode=mode)
         intervals = args.interval or [cert.T]
         for iv in intervals:
             rep = check_sign(cert.g, iv, spec)
@@ -239,7 +217,7 @@ def _cmd_verify_cert(args) -> int:
         "checks": checks,
         "notes": notes,
         "ok": ok,
-        "manifest": _manifest("verify-cert", [args.cert], args).to_dict(),
+        "manifest": _manifest("verify-cert", [args.cert], args),
     }
     _emit(report, args)
     return EXIT_OK if ok else EXIT_CERTIFICATE
@@ -248,24 +226,24 @@ def _cmd_verify_cert(args) -> int:
 def _cmd_bound(args) -> int:
     cert = DDCertificate.from_dict(_load_json(args.cert))
     b = dd_bound(cert, args.N)
-    tail_ok = bool(np.min(cert.g.coeffs[1:]) >= 0) if cert.g.degree > 0 else True
     report = {
         "N": args.N,
         "M": cert.m_constant(),
         "M_provenance": cert.m_provenance,
         "sdp_bound": b,
-        "manifest": _manifest("bound", [args.cert], args).to_dict(),
+        "manifest": _manifest("bound", [args.cert], args),
     }
-    if tail_ok:
+    try:
         lp = lp_rg_lower(cert.g, args.N)
-        report["lp_bound"] = lp
-        report["sdp_stronger"] = bool(b > lp)
-    else:
+    except PreconditionError:
         report["lp_bound"] = None
         report["lp_note"] = (
             "not applicable: the expansion has negative coefficients above degree 0"
         )
         report["sdp_stronger"] = True
+    else:
+        report["lp_bound"] = lp
+        report["sdp_stronger"] = bool(b > lp)
     _emit(report, args)
     return EXIT_OK
 
@@ -282,13 +260,13 @@ def _cmd_kissing_check(args) -> int:
     except PreconditionError as exc:
         report = {
             "error": str(exc),
-            "manifest": _manifest("kissing-check", [args.cert], args).to_dict(),
+            "manifest": _manifest("kissing-check", [args.cert], args),
         }
         _emit(report, args)
         return EXIT_CERTIFICATE
     report = {
         **rep.to_dict(),
-        "manifest": _manifest("kissing-check", [args.cert], args).to_dict(),
+        "manifest": _manifest("kissing-check", [args.cert], args),
     }
     _emit(report, args)
     return EXIT_CONTRADICTION if rep.verdict == "CONTRADICTION" else EXIT_OK
@@ -324,9 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cert", help="run certificate side-condition checks")
     p.add_argument("cert", help="certificate JSON file")
-    p.add_argument("--grid-step", type=float, help="1-d sweep step (default 1e-5)")
-    p.add_argument("--triple-grid-step", type=float, default=1e-3,
-                   help="3-d sweep step for the triple condition")
+    p.add_argument("--grid-step", type=float,
+                   help=f"1-d sweep step (default {DEFAULT_STEP_1D:g})")
+    p.add_argument("--triple-grid-step", type=float, default=DEFAULT_STEP_3D,
+                   help="3-d sweep step for the triple condition (default %(default)g)")
     p.add_argument("--mode", choices=["sampled", "certified"], default="sampled")
     p.add_argument("--tol", type=float, default=5e-3,
                    help="violation tolerance (published coefficients are rounded)")
@@ -356,9 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: an --interval that fails to parse raises SystemExit2
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit2 as exc:
         print(json.dumps({"error": str(exc)}, indent=2))

@@ -86,10 +86,6 @@ class SphericalCode:
             self._gram = g
         return self._gram
 
-    def inner_product_values(self, tol: float = DEFAULT_CLUSTER_TOL) -> list:
-        """Sorted distinct off-diagonal inner products, I(C)."""
-        return sorted(distance_distribution(self, tol).entries)
-
     def to_dict(self) -> dict:
         return {"n": int(self.n), "points": [[float(x) for x in p] for p in self.points]}
 

@@ -11,15 +11,12 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
-from .errors import CapabilityError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "GegenbauerExpansion",
     "gegenbauer_eval",
-    "orthogonality_oracle",
-    "monomial_oracle",
     "monomial_coeffs",
 ]
 
@@ -32,8 +29,6 @@ _EDGE_SLACK = 1e-12
 # about 40 points, at any degree.
 _SMALL_INPUT = 32
 
-MONOMIAL_ORACLE_MAX_DEGREE = 12
-
 
 def _check_dimension(n: int, lo: int = 3) -> None:
     if not isinstance(n, (int, np.integer)) or n < lo:
@@ -42,8 +37,9 @@ def _check_dimension(n: int, lo: int = 3) -> None:
 
 def _clamp_domain(t):
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _EDGE_SLACK):
-        bad = np.asarray(t)[np.abs(t) > 1.0 + _EDGE_SLACK]
+    # "not <=" so that NaN fails the test too
+    if not np.all(np.abs(t) <= 1.0 + _EDGE_SLACK):
+        bad = t[~(np.abs(t) <= 1.0 + _EDGE_SLACK)]
         raise DomainError(f"argument outside [-1, 1]: {bad.flat[0]}")
     return np.clip(t, -1.0, 1.0)
 
@@ -127,7 +123,7 @@ class GegenbauerExpansion:
             return b1
         values = []
         for x in t.ravel().tolist():
-            if abs(x) > 1.0 + _EDGE_SLACK:
+            if not abs(x) <= 1.0 + _EDGE_SLACK:
                 raise DomainError(f"argument outside [-1, 1]: {x}")
             x = min(max(x, -1.0), 1.0)
             b1 = b2 = 0.0
@@ -178,91 +174,12 @@ class GegenbauerExpansion:
         return cls(n, coeffs, provenance=str(obj.get("provenance", "")))
 
 
-def orthogonality_oracle(n: int, j: int, k: int) -> float:
-    """Integral of G_j * G_k against the weight (1-t^2)^((n-3)/2).
-
-    Uses a Gauss rule with ceil((j+k)/2)+2 nodes, exact for polynomials of
-    degree j+k. Test-support routine, independent of the recurrence used
-    to evaluate the product.
-    """
-    _check_dimension(n)
-    if j < 0 or k < 0:
-        raise ParameterError("polynomial degrees must be >= 0")
-    m = (j + k + 1) // 2 + 2
-    lam = (n - 2) / 2.0
-    nodes, weights = roots_gegenbauer(m, lam)
-    return float(np.sum(weights * gegenbauer_eval(n, j, nodes) * gegenbauer_eval(n, k, nodes)))
-
-
-def _weighted_even_moment(n: int, p: int) -> Fraction:
-    """Exact value of <t^(2p)> / <1> under the weight, as a Fraction.
-
-    Ratio of Beta integrals; telescopes to prod_{i=1..p} (2i-1)/(n+2i-2).
-    """
-    out = Fraction(1)
-    for i in range(1, p + 1):
-        out *= Fraction(2 * i - 1, n + 2 * i - 2)
-    return out
-
-
-def _monomial_inner(n: int, a: int, b: int) -> Fraction:
-    if (a + b) % 2 == 1:
-        return Fraction(0)
-    return _weighted_even_moment(n, (a + b) // 2)
-
-
-def monomial_oracle(n: int, k: int) -> list[float]:
-    """Monomial coefficients of G_k obtained by Gram-Schmidt on 1, t, t^2, ...
-
-    Runs in exact rational arithmetic against the weight's moments, then
-    normalizes at t = 1. Independent of the three-term recurrence; capped
-    at degree 12.
-    """
-    return [float(c) for c in _monomial_oracle_exact(n, k)]
-
-
-def _monomial_oracle_exact(n: int, k: int) -> list[Fraction]:
-    _check_dimension(n)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k!r}")
-    if k > MONOMIAL_ORACLE_MAX_DEGREE:
-        raise CapabilityError(
-            f"Gram-Schmidt oracle supports degree <= {MONOMIAL_ORACLE_MAX_DEGREE}, got {k}"
-        )
-    basis: list[list[Fraction]] = []
-    for deg in range(k + 1):
-        p = [Fraction(0)] * deg + [Fraction(1)]  # t^deg
-        for q in basis:
-            num = _poly_weighted_inner(n, p, q)
-            den = _poly_weighted_inner(n, q, q)
-            factor = num / den
-            for i, qc in enumerate(q):
-                p[i] -= factor * qc
-        basis.append(p)
-    p = basis[k]
-    norm = sum(p)  # value at t = 1
-    return [c / norm for c in p]
-
-
-def _poly_weighted_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for a, pa in enumerate(p):
-        if pa == 0:
-            continue
-        for b, qb in enumerate(q):
-            if qb == 0:
-                continue
-            total += pa * qb * _monomial_inner(n, a, b)
-    return total
-
-
 def monomial_coeffs(n: int, k: int) -> list[Fraction]:
     """Exact monomial coefficients of G_k via the recurrence.
 
-    Production path for code that must clear square roots (unlike the
-    Gram-Schmidt oracle above, valid at any degree). Accepts n = 2, where
-    the family degenerates to the Chebyshev polynomials of the first kind;
-    kernels on codes in dimension 3 need that case.
+    For code that must clear square roots; valid at any degree. Accepts
+    n = 2, where the family degenerates to the Chebyshev polynomials of
+    the first kind; kernels on codes in dimension 3 need that case.
     """
     _check_dimension(n, lo=2)
     if k < 0:

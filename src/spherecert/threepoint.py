@@ -30,7 +30,6 @@ from .gegenbauer import monomial_coeffs
 
 __all__ = [
     "TripleCertificate",
-    "bv_matrix",
     "triple_sum",
     "triple_sum_parts",
     "TripleSumParts",
@@ -82,22 +81,6 @@ def _eval_tensor(c: np.ndarray, t, u, v) -> np.ndarray:
     for ci in c[::-1]:
         out = out * t + np.einsum("pj,pj->p", upow @ ci, vpow)
     return out.reshape(shape)
-
-
-def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarray:
-    """The (d+1-k)-square symmetrized kernel matrix S_k at (t, u, v)."""
-    if n < 3:
-        raise ParameterError("kernel matrices need dimension >= 3")
-    if not 0 <= k <= d:
-        raise ParameterError(f"need 0 <= k <= d, got k={k}, d={d}")
-    for name, x in (("t", t), ("u", u), ("v", v)):
-        if abs(x) > 1 + 1e-12:
-            raise ParameterError(f"{name}={x} outside [-1, 1]")
-    # Q_k with t, u and v in turn as the opposite variable
-    q_t, q_u, q_v = _eval_tensor(_kernel_tensor(n, k), [t, u, v], [u, t, t], [v, v, u])
-    tp, up, vp = (float(x) ** np.arange(d + 1 - k) for x in (t, u, v))
-    m = q_t * np.outer(up, vp) + q_u * np.outer(tp, vp) + q_v * np.outer(tp, up)
-    return (m + m.T) / 6.0
 
 
 def _require_finite(what: str, x) -> None:

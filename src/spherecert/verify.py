@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ParameterError
 from .gegenbauer import GegenbauerExpansion
@@ -36,32 +37,24 @@ CERTIFIED = "lipschitz-certified"
 D3_MEMBERSHIP_TOL = 1e-12
 DEFAULT_STEP_1D = 1e-5
 DEFAULT_STEP_3D = 1e-3
+# golden-section steps per refinement of a grid maximum
+REFINEMENT_DEPTH = 40
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
 class DomainSpec:
-    """Sweep parameters for interval and D3 checks.
+    """Sweep parameters for interval and D3 checks; every check takes its
+    interval as an argument."""
 
-    T is the certificate's domain; operations that take an explicit
-    interval argument scan that argument and use T only as a default.
-    """
-
-    T: tuple[float, float] | None = None
     grid_step: float = DEFAULT_STEP_1D
-    refinement_depth: int = 40
     mode: str = SAMPLED
 
     def __post_init__(self):
-        if self.grid_step <= 0:
-            raise ParameterError("grid_step must be positive")
+        if not 0.0 < self.grid_step < np.inf:
+            raise ParameterError(f"grid_step must be positive and finite, got {self.grid_step}")
         if self.mode not in (SAMPLED, CERTIFIED):
             raise ParameterError(f"mode must be {SAMPLED!r} or {CERTIFIED!r}")
-        if self.T is not None:
-            a, b = float(self.T[0]), float(self.T[1])
-            if not (-1.0 <= a <= b < 1.0):
-                raise ParameterError(f"T must satisfy -1 <= a <= b < 1, got {self.T}")
-            self.T = (a, b)
 
     @property
     def certified(self) -> bool:
@@ -149,7 +142,7 @@ def _sweep_1d(fun, interval, spec: DomainSpec, lipschitz: float, condition: str,
     lo = max(a, ts[i] - step)
     hi = min(b, ts[i] + step)
     x, refined = _golden_max_1d(lambda s: float(fun(np.asarray(s))), lo, hi,
-                                spec.refinement_depth)
+                                REFINEMENT_DEPTH)
     sample_max = max(grid_max, refined)
     loc = float(x) if refined >= grid_max else float(ts[i])
     if spec.certified:
@@ -176,15 +169,7 @@ def _univariate_poly_bound(coeffs: np.ndarray) -> float:
 def _diag_fun(F: TripleCertificate):
     """s -> F(1, s, s) as a fast univariate polynomial, plus its slope bound."""
     coeffs = F.diag_restriction()
-
-    def fun(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for c in coeffs[::-1]:
-            out = out * s + c
-        return out
-
-    return fun, _univariate_poly_bound(coeffs)
+    return (lambda s: polyval(s, coeffs)), _univariate_poly_bound(coeffs)
 
 
 def check_pair_condition(F: TripleCertificate, f: GegenbauerExpansion, T,
@@ -261,7 +246,7 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     sample_max, loc = best, best_loc
     refined_loc = list(best_loc)
     refined = point_val(refined_loc)
-    for _ in range(max(1, spec.refinement_depth // 10)):
+    for _ in range(max(1, REFINEMENT_DEPTH // 10)):
         for axis in range(3):
             lo = max(a, refined_loc[axis] - step)
             hi = min(b, refined_loc[axis] + step)
@@ -271,7 +256,7 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
                 q[axis] = s
                 return point_val(q)
 
-            x, val = _golden_max_1d(along, lo, hi, spec.refinement_depth)
+            x, val = _golden_max_1d(along, lo, hi, REFINEMENT_DEPTH)
             if val > refined:
                 refined = val
                 refined_loc[axis] = float(x)

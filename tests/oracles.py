@@ -1,0 +1,107 @@
+"""Reference computations that tests compare production code against.
+
+Each oracle reaches its result by a route independent of the code under
+test: Gauss quadrature for orthogonality, exact Gram-Schmidt for monomial
+coefficients, and the kernel matrix S_k assembled entry by entry from the
+production Q_k tensors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+from scipy.special import roots_gegenbauer
+
+from spherecert.errors import CapabilityError, ParameterError
+from spherecert.gegenbauer import _check_dimension, gegenbauer_eval
+from spherecert.threepoint import _eval_tensor, _kernel_tensor
+
+MONOMIAL_ORACLE_MAX_DEGREE = 12
+
+
+def orthogonality_oracle(n: int, j: int, k: int) -> float:
+    """Integral of G_j * G_k against the weight (1-t^2)^((n-3)/2).
+
+    Uses a Gauss rule with ceil((j+k)/2)+2 nodes, exact for polynomials of
+    degree j+k. Independent of the recurrence used to evaluate the product.
+    """
+    _check_dimension(n)
+    if j < 0 or k < 0:
+        raise ParameterError("polynomial degrees must be >= 0")
+    m = (j + k + 1) // 2 + 2
+    lam = (n - 2) / 2.0
+    nodes, weights = roots_gegenbauer(m, lam)
+    return float(np.sum(weights * gegenbauer_eval(n, j, nodes) * gegenbauer_eval(n, k, nodes)))
+
+
+def _weighted_even_moment(n: int, p: int) -> Fraction:
+    """Exact value of <t^(2p)> / <1> under the weight, as a Fraction.
+
+    Ratio of Beta integrals; telescopes to prod_{i=1..p} (2i-1)/(n+2i-2).
+    """
+    out = Fraction(1)
+    for i in range(1, p + 1):
+        out *= Fraction(2 * i - 1, n + 2 * i - 2)
+    return out
+
+
+def _monomial_inner(n: int, a: int, b: int) -> Fraction:
+    if (a + b) % 2 == 1:
+        return Fraction(0)
+    return _weighted_even_moment(n, (a + b) // 2)
+
+
+def monomial_oracle(n: int, k: int) -> list[float]:
+    """Monomial coefficients of G_k obtained by Gram-Schmidt on 1, t, t^2, ...
+
+    Runs in exact rational arithmetic against the weight's moments, then
+    normalizes at t = 1. Independent of the three-term recurrence; capped
+    at degree 12.
+    """
+    return [float(c) for c in _monomial_oracle_exact(n, k)]
+
+
+def _monomial_oracle_exact(n: int, k: int) -> list[Fraction]:
+    _check_dimension(n)
+    if k < 0:
+        raise ParameterError(f"degree must be >= 0, got {k!r}")
+    if k > MONOMIAL_ORACLE_MAX_DEGREE:
+        raise CapabilityError(
+            f"Gram-Schmidt oracle supports degree <= {MONOMIAL_ORACLE_MAX_DEGREE}, got {k}"
+        )
+    basis: list[list[Fraction]] = []
+    for deg in range(k + 1):
+        p = [Fraction(0)] * deg + [Fraction(1)]  # t^deg
+        for q in basis:
+            num = _poly_weighted_inner(n, p, q)
+            den = _poly_weighted_inner(n, q, q)
+            factor = num / den
+            for i, qc in enumerate(q):
+                p[i] -= factor * qc
+        basis.append(p)
+    p = basis[k]
+    norm = sum(p)  # value at t = 1
+    return [c / norm for c in p]
+
+
+def _poly_weighted_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for a, pa in enumerate(p):
+        if pa == 0:
+            continue
+        for b, qb in enumerate(q):
+            if qb == 0:
+                continue
+            total += pa * qb * _monomial_inner(n, a, b)
+    return total
+
+
+def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarray:
+    """The (d+1-k)-square symmetrized kernel matrix S_k at (t, u, v), built
+    from the production Q_k tensor and point evaluator."""
+    # Q_k with t, u and v in turn as the opposite variable
+    q_t, q_u, q_v = _eval_tensor(_kernel_tensor(n, k), [t, u, v], [u, t, t], [v, v, u])
+    tp, up, vp = (float(x) ** np.arange(d + 1 - k) for x in (t, u, v))
+    m = q_t * np.outer(up, vp) + q_u * np.outer(tp, vp) + q_v * np.outer(tp, up)
+    return (m + m.T) / 6.0

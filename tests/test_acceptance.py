@@ -17,9 +17,11 @@ from spherecert.capopt import kissing_check
 from spherecert.cli import main as cli_main
 from spherecert.codes import BUILTIN_NAMES, builtin_code, distance_distribution, r_value
 from spherecert.data import load_certificate, load_expansion
-from spherecert.gegenbauer import GegenbauerExpansion, gegenbauer_eval, monomial_oracle, orthogonality_oracle
+from spherecert.gegenbauer import GegenbauerExpansion, gegenbauer_eval
 from spherecert.threepoint import TripleCertificate, certificate_valid, triple_sum
 from spherecert.verify import CERTIFIED, DomainSpec, check_sign
+
+from oracles import monomial_oracle, orthogonality_oracle
 
 SQRT2_2 = np.sqrt(2.0) / 2.0
 DATA = Path(__file__).resolve().parent.parent / "src" / "spherecert" / "data"

@@ -168,6 +168,11 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
                     "--mu", "1", "--N", "25", "--starts", "4")
     assert code == 2
     assert "finite" in rep["error"]
+    for argv in (["eval", f"{DATA}/g1.json", "--t", "nan"],
+                 ["code-stats", "24cell", "--interval", "nan,0.5"]):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "error" in json.loads(out)
 
 
 def test_kissing_check_contradiction(capsys):

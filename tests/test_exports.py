@@ -1,0 +1,36 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import spherecert
+
+MODULES = ["bounds", "capopt", "cli", "codes", "data", "errors", "gegenbauer",
+           "threepoint", "verify"]
+# test-only reference code, kept in tests/oracles.py
+ORACLES = ["orthogonality_oracle", "monomial_oracle", "_monomial_oracle_exact",
+           "_poly_weighted_inner", "_monomial_inner", "_weighted_even_moment",
+           "MONOMIAL_ORACLE_MAX_DEGREE", "bv_matrix"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"spherecert.{name}")
+    for attr in getattr(module, "__all__", []):
+        assert hasattr(module, attr), f"spherecert.{name}.__all__ names missing {attr}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(spherecert.__file__).read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "GegenbauerExpansion" in names
+    for attr in names:
+        assert hasattr(spherecert, attr), f"spherecert does not bind {attr}"
+
+
+def test_oracles_are_not_in_the_package():
+    for module in [spherecert] + [importlib.import_module(f"spherecert.{m}") for m in MODULES]:
+        for name in ORACLES:
+            assert not hasattr(module, name), f"{module.__name__} defines {name}"

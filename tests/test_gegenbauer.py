@@ -8,9 +8,9 @@ from spherecert.gegenbauer import (
     _SMALL_INPUT,
     GegenbauerExpansion,
     gegenbauer_eval,
-    monomial_oracle,
-    orthogonality_oracle,
 )
+
+from oracles import monomial_oracle, orthogonality_oracle
 
 
 def test_value_at_one_is_one():
@@ -135,15 +135,16 @@ def test_domain_error_on_both_paths():
     e = GegenbauerExpansion(5, [0.5, -1.0, 2.0])
     messages = set()
     for size in (1, 4, _SMALL_INPUT, _SMALL_INPUT + 1, 10 * _SMALL_INPUT):
-        for bad in (1.0 + 2 * _EDGE_SLACK, -1.0 - 2 * _EDGE_SLACK):
+        for bad in (1.0 + 2 * _EDGE_SLACK, -1.0 - 2 * _EDGE_SLACK, np.nan):
             ts = np.zeros(size)
             ts[-1] = bad
             with pytest.raises(DomainError) as info:
                 e.eval(ts)
             messages.add(str(info.value))
-    assert len(messages) == 2  # the same message for the same offending value
-    with pytest.raises(DomainError):
-        e.eval(1.0 + 2 * _EDGE_SLACK)
+    assert len(messages) == 3  # the same message for the same offending value
+    for bad in (1.0 + 2 * _EDGE_SLACK, np.nan):
+        with pytest.raises(DomainError):
+            e.eval(bad)
 
 
 def test_expansion_trivia():

@@ -5,12 +5,13 @@ from spherecert.codes import SphericalCode, builtin_code, make_24cell
 from spherecert.errors import CapabilityError, ParameterError
 from spherecert.threepoint import (
     TripleCertificate,
-    bv_matrix,
     certificate_valid,
     psd_check,
     triple_sum,
     triple_sum_parts,
 )
+
+from oracles import bv_matrix
 
 CODES = ["simplex3", "simplex4", "cross3", "cross4", "24cell"]
 
