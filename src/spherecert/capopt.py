@@ -304,6 +304,8 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
     run otherwise. Emits CONTRADICTION when best cap value < B(N) - margin,
     else INCONCLUSIVE.
     """
+    if not 0.0 <= margin < np.inf:
+        raise ParameterError(f"margin must be finite and >= 0, got {margin}")
     sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     if sign.worst_violation > SIGN_CHECK_TOL:
         raise PreconditionError(

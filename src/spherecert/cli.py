@@ -182,7 +182,8 @@ def _cmd_verify_cert(args) -> int:
     if "g" in obj and "T" in obj:
         cert = DDCertificate.from_dict(obj)
         mode = CERTIFIED if args.mode == "certified" else SAMPLED
-        spec = DomainSpec(grid_step=args.grid_step or DEFAULT_STEP_1D, mode=mode)
+        step = DEFAULT_STEP_1D if args.grid_step is None else args.grid_step
+        spec = DomainSpec(grid_step=step, mode=mode)
         intervals = args.interval or [cert.T]
         for iv in intervals:
             rep = check_sign(cert.g, iv, spec)

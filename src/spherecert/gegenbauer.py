@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,19 +29,81 @@ _EDGE_SLACK = 1e-12
 # about 40 points, at any degree.
 _SMALL_INPUT = 32
 
+# Larger inputs run through the recurrences in blocks of this many points,
+# in place in four preallocated buffers of one block each. The working set,
+# 4 x 128 KiB, stays in a core's L2 (1-2 MiB on current x86) instead of
+# streaming array-sized temporaries through memory at every step. The fixed
+# cost of a block (slicing, domain check and clamp calls, about 16 us on a
+# 2-core Xeon VM) is 1.5 % of a degree-22 block and 0.5 % at degree 60.
+# On that VM 8192 points ran 15-25 % slower from numpy's per-call overhead,
+# and 131072 slower still, its working set spilling out of L2.
+_BLOCK = 16384
+
 
 def _check_dimension(n: int, lo: int = 3) -> None:
     if not isinstance(n, (int, np.integer)) or n < lo:
         raise ParameterError(f"dimension must be an integer >= {lo}, got {n!r}")
 
 
-def _clamp_domain(t):
+def _blockwise(t, recurrence) -> np.ndarray:
+    """Run recurrence(x, b1, b2, q) on the points of t in blocks of _BLOCK.
+
+    Each block is checked against the domain, clamped into x and handed
+    over with three scratch buffers of its size; recurrence returns the
+    buffer holding its values. The buffers are allocated once per call and
+    t is never written. Returns a new float array of t's shape. A DomainError
+    names the first offending value in t's order.
+    """
     t = np.asarray(t, dtype=float)
-    # "not <=" so that NaN fails the test too
-    if not np.all(np.abs(t) <= 1.0 + _EDGE_SLACK):
-        bad = t[~(np.abs(t) <= 1.0 + _EDGE_SLACK)]
-        raise DomainError(f"argument outside [-1, 1]: {bad.flat[0]}")
-    return np.clip(t, -1.0, 1.0)
+    flat = t.ravel()
+    out = np.empty(flat.size)
+    bufs = np.empty((4, min(flat.size, _BLOCK)))
+    lim = 1.0 + _EDGE_SLACK
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo:lo + _BLOCK]
+        # min and max are NaN when the block holds one, which fails the test
+        if not (-lim <= block.min() and block.max() <= lim):
+            bad = block[~(np.abs(block) <= lim)]
+            raise DomainError(f"argument outside [-1, 1]: {bad[0]}")
+        x, b1, b2, q = (b[:block.size] for b in bufs)
+        np.clip(block, -1.0, 1.0, out=x)
+        out[lo:lo + block.size] = recurrence(x, b1, b2, q)
+    return out.reshape(t.shape)
+
+
+def _forward_recurrence(n: int, k: int, x, prev, cur, q):
+    """G_k(x) for one block of _blockwise, in place."""
+    prev.fill(1.0)
+    if k == 0:
+        return prev
+    if k == 1:
+        return x
+    np.copyto(cur, x)
+    for j in range(2, k + 1):
+        # ((2j+n-4) x cur - (j-1) prev) / (j+n-3), in that order
+        np.multiply(x, 2 * j + n - 4, out=q)
+        q *= cur
+        prev *= j - 1
+        q -= prev
+        q /= j + n - 3
+        prev, cur, q = cur, q, prev
+    return cur
+
+
+def _clenshaw(table, x, b1, b2, q):
+    """Clenshaw's backward recurrence over table for one block of
+    _blockwise, in place."""
+    b1.fill(0.0)
+    b2.fill(0.0)
+    for c, a, beta in table:
+        # c + (a x) b1 + beta b2, in that order
+        np.multiply(x, a, out=q)
+        q *= b1
+        q += c
+        b2 *= beta
+        q += b2
+        b1, b2, q = q, b1, b2
+    return b1
 
 
 def gegenbauer_eval(n: int, k: int, t):
@@ -49,19 +111,15 @@ def gegenbauer_eval(n: int, k: int, t):
     three-term recurrence
 
         G_k(t) = ((2k+n-4) t G_{k-1}(t) - (k-1) G_{k-2}(t)) / (k+n-3).
+
+    Returns a Python float for a scalar, a numpy scalar for a 0-d array
+    and otherwise an array of t's shape.
     """
     _check_dimension(n)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {k!r}")
-    scalar = np.isscalar(t)
-    t = _clamp_domain(t)
-    prev = np.ones_like(t)
-    if k == 0:
-        return float(prev) if scalar else prev
-    cur = t.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
-    return float(cur) if scalar else cur
+    out = _blockwise(t, partial(_forward_recurrence, n, k))
+    return float(out) if np.isscalar(t) else out[()]
 
 
 @dataclass(eq=False)
@@ -95,7 +153,7 @@ class GegenbauerExpansion:
     @cached_property
     def _recurrence(self) -> list[tuple[float, float, float]]:
         """Clenshaw table (c_k, (2k+n-2)/(k+n-2), -(k+1)/(k+n-1)) in
-        descending k, shared by both evaluation loops of eval. Built on
+        descending k, shared by both evaluation paths of eval. Built on
         first use, so coefficients must not change after construction."""
         n = self.n
         return [(float(self.coeffs[k]), (2 * k + n - 2) / (k + n - 2), -(k + 1) / (k + n - 1))
@@ -105,22 +163,21 @@ class GegenbauerExpansion:
         """Evaluate by backward (Clenshaw) recurrence.
 
         Stable at the degrees certificate polynomials use; never converts
-        to monomial coefficients. Both loops read one table, _recurrence:
-        inputs of more than _SMALL_INPUT points run it as numpy operations
-        on the whole array, smaller ones in Python floats point by point.
-        Each step computes c_k + (a_k t) b1 + beta_k b2 in that order in
-        both loops, so they agree bit for bit.
+        to monomial coefficients. There are two paths, and both read one
+        table, _recurrence:
+        - inputs of at most _SMALL_INPUT points run it in Python floats,
+          point by point, which is cheapest for the few points of an
+          optimizer's callback;
+        - larger inputs run it in blocks of _BLOCK points, in place in
+          preallocated buffers, through the same helper as gegenbauer_eval.
+        Each step computes c_k + (a_k t) b1 + beta_k b2 in that order on
+        both paths, so they agree bit for bit.
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         table = self._recurrence
         if t.size > _SMALL_INPUT:
-            t = _clamp_domain(t)
-            b1 = np.zeros_like(t)
-            b2 = np.zeros_like(t)
-            for c, a, beta in table:
-                b1, b2 = c + a * t * b1 + beta * b2, b1
-            return b1
+            return _blockwise(t, partial(_clenshaw, table))
         values = []
         for x in t.ravel().tolist():
             if not abs(x) <= 1.0 + _EDGE_SLACK:

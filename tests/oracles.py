@@ -3,7 +3,9 @@
 Each oracle reaches its result by a route independent of the code under
 test: Gauss quadrature for orthogonality, exact Gram-Schmidt for monomial
 coefficients, and the kernel matrix S_k assembled entry by entry from the
-production Q_k tensors.
+production Q_k tensors. The whole-array loops are the evaluation
+algorithms as they stood before blocking, kept to check the blocked
+production paths against bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_gegenbauer
 
-from spherecert.errors import CapabilityError, ParameterError
-from spherecert.gegenbauer import _check_dimension, gegenbauer_eval
+from spherecert.errors import CapabilityError, DomainError, ParameterError
+from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, gegenbauer_eval
 from spherecert.threepoint import _eval_tensor, _kernel_tensor
 
 MONOMIAL_ORACLE_MAX_DEGREE = 12
@@ -105,3 +107,37 @@ def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarra
     tp, up, vp = (float(x) ** np.arange(d + 1 - k) for x in (t, u, v))
     m = q_t * np.outer(up, vp) + q_u * np.outer(tp, vp) + q_v * np.outer(tp, up)
     return (m + m.T) / 6.0
+
+
+def _clamp_whole_array(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    # "not <=" so that NaN fails the test too
+    if not np.all(np.abs(t) <= 1.0 + _EDGE_SLACK):
+        bad = t[~(np.abs(t) <= 1.0 + _EDGE_SLACK)]
+        raise DomainError(f"argument outside [-1, 1]: {bad.flat[0]}")
+    return np.clip(t, -1.0, 1.0)
+
+
+def clenshaw_whole_array(n: int, coeffs, t) -> np.ndarray:
+    """sum(c_k G_k(t)) by Clenshaw's recurrence as numpy operations on the
+    whole array, each step c_k + (a_k t) b1 + beta_k b2 in that order."""
+    t = _clamp_whole_array(t)
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for k in range(len(coeffs) - 1, -1, -1):
+        a, beta = (2 * k + n - 2) / (k + n - 2), -(k + 1) / (k + n - 1)
+        b1, b2 = float(coeffs[k]) + a * t * b1 + beta * b2, b1
+    return b1
+
+
+def forward_whole_array(n: int, k: int, t) -> np.ndarray:
+    """G_k(t) by the three-term recurrence as numpy operations on the whole
+    array, each step ((2j+n-4) t cur - (j-1) prev) / (j+n-3) in that order."""
+    t = _clamp_whole_array(t)
+    prev = np.ones_like(t)
+    if k == 0:
+        return prev
+    cur = t.copy()
+    for j in range(2, k + 1):
+        prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
+    return cur

@@ -175,6 +175,19 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
         assert "NaN" not in out and "error" in json.loads(out)
 
 
+def test_non_positive_step_and_bad_margin_exit_2(capsys):
+    # a zero step must not fall back to the default sweep step
+    for step in ("0", "-1e-5"):
+        code, rep = run(capsys, "verify-cert", f"{DATA}/g1_cert.json", f"--grid-step={step}")
+        assert code == 2
+        assert "grid_step must be positive" in rep["error"]
+    for margin in ("nan", "inf", "-1e-3"):
+        assert main(["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}",
+                     "--mu", "1", "--N", "25", "--starts", "4", f"--margin={margin}"]) == 2
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "margin must be finite" in json.loads(out)["error"]
+
+
 def test_kissing_check_contradiction(capsys):
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",

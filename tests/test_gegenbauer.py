@@ -4,13 +4,19 @@ import pytest
 from spherecert.data import load_expansion
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
+    _BLOCK,
     _EDGE_SLACK,
     _SMALL_INPUT,
     GegenbauerExpansion,
     gegenbauer_eval,
 )
 
-from oracles import monomial_oracle, orthogonality_oracle
+from oracles import (
+    clenshaw_whole_array,
+    forward_whole_array,
+    monomial_oracle,
+    orthogonality_oracle,
+)
 
 
 def test_value_at_one_is_one():
@@ -145,6 +151,62 @@ def test_domain_error_on_both_paths():
     for bad in (1.0 + 2 * _EDGE_SLACK, np.nan):
         with pytest.raises(DomainError):
             e.eval(bad)
+
+
+def _same_bits(a, b):
+    # array_equal would take -0.0 for 0.0
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _blocked_inputs():
+    """Inputs on either side of the small-input switch and of block
+    boundaries, with the domain edges, ±0 and the slack beyond ±1 mixed in
+    at random places; a 2-d shape, its transpose and a read-only array."""
+    rng = np.random.default_rng(15)
+    edges = [-1.0, 1.0, -1.0 - _EDGE_SLACK, 1.0 + _EDGE_SLACK, 0.0, -0.0]
+    for size in (_SMALL_INPUT + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        ts = rng.uniform(-1, 1, size)
+        ts[rng.choice(size, len(edges), replace=False)] = edges
+        yield ts
+    square = rng.uniform(-1, 1, (37, 500))
+    square[0, :len(edges)] = edges
+    yield square
+    yield square.T
+    frozen = rng.uniform(-1, 1, 2 * _BLOCK + 3)  # as SphericalCode.gram() returns
+    frozen.setflags(write=False)
+    yield frozen
+
+
+def test_blocked_paths_match_whole_array_loops():
+    # array inputs run in blocks of _BLOCK points in place; the values must
+    # be the bits of the whole-array loops, and the input must stay as it was
+    rng = np.random.default_rng(16)
+    expansions = [GegenbauerExpansion(5, [0.7])]
+    for n in (4, 7):
+        c = rng.normal(size=61) * 10.0 ** rng.integers(-3, 4, size=61)
+        expansions.append(GegenbauerExpansion(n, c))
+    for ts in _blocked_inputs():
+        before = ts.tobytes()
+        for e in expansions:
+            assert _same_bits(e.eval(ts), clenshaw_whole_array(e.n, e.coeffs, ts))
+        for n, k in ((4, 0), (4, 1), (6, 40), (3, 40)):
+            assert _same_bits(gegenbauer_eval(n, k, ts), forward_whole_array(n, k, ts))
+        assert ts.tobytes() == before
+
+
+def test_blocked_domain_error_names_first_bad_value():
+    e = GegenbauerExpansion(4, [0.5, -1.0, 2.0])
+    for first, second in ((1.0 + 2 * _EDGE_SLACK, -3.0), (np.nan, 2.0), (-1.5, np.nan)):
+        ts = np.zeros(3 * _BLOCK + 5)
+        ts[2 * _BLOCK + 7] = first  # in the third block only
+        ts[2 * _BLOCK + 9] = second
+        with pytest.raises(DomainError) as oracle:
+            clenshaw_whole_array(4, e.coeffs, ts)
+        assert str(oracle.value) == f"argument outside [-1, 1]: {np.float64(first)}"
+        for f in (e.eval, lambda t: gegenbauer_eval(6, 40, t)):
+            with pytest.raises(DomainError) as info:
+                f(ts)
+            assert str(info.value) == str(oracle.value)
 
 
 def test_expansion_trivia():
