@@ -8,7 +8,8 @@ and the cap-configuration verdicts at N = 25 (contradiction) and N = 24
 is compared with its stored golden report in demos/goldens/, byte for byte
 except the two kissing reports. Their SLSQP polish moves the last bits of
 the cap values with the BLAS thread count, so those are compared on the
-verdict and best m exactly and on the cap values to 1e-9.
+verdict, best m and sign check exactly and on the cap values and their
+charged values to 1e-9.
 """
 
 import io
@@ -51,12 +52,12 @@ summaries = {
         f"max g2 on [-0.73, 1/2] <= {r['checks'][0]['worst_violation']:.2e} (certified)"
     ),
     "kissing_N25": lambda r: (
-        f"best cap value {r['best_value']:.4f} at m={r['best_m']} vs B(25) = "
-        f"{r['bound']:.4f} -> {r['verdict']}"
+        f"best cap value {r['best_value']:.4f} at m={r['best_m']}, charged U' = "
+        f"{r['charged_best']:.4f} vs B(25) = {r['bound']:.4f} -> {r['verdict']}"
     ),
     "kissing_N24": lambda r: (
-        f"best cap value {r['best_value']:.4f} at m={r['best_m']} vs B(24) = "
-        f"{r['bound']:.4f} -> {r['verdict']}"
+        f"best cap value {r['best_value']:.4f} at m={r['best_m']}, charged U' = "
+        f"{r['charged_best']:.4f} vs B(24) = {r['bound']:.4f} -> {r['verdict']}"
     ),
 }
 
@@ -66,10 +67,11 @@ def matches_golden(stem: str, text: str) -> bool:
     if not stem.startswith("kissing"):
         return text == golden
     got, want = json.loads(text), json.loads(golden)
+    close = lambda key: len(got[key]) == len(want[key]) and all(
+        math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9) for a, b in zip(got[key], want[key]))
     return (got["verdict"] == want["verdict"] and got["best_m"] == want["best_m"]
-            and len(got["cap_values"]) == len(want["cap_values"])
-            and all(math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)
-                    for a, b in zip(got["cap_values"], want["cap_values"])))
+            and got["sign_check"] == want["sign_check"]
+            and close("cap_values") and close("charged_values"))
 
 
 failures = 0

@@ -2,9 +2,10 @@
 
 The optimization: place m unit vectors y_1..y_m inside the spherical cap
 e1 . y <= t0, with pairwise inner products at most 1/2, to maximize
-sum_j g(e1 . y_j). The maximum over m = 0..mu upper-bounds R_g(C) for any
-code with products in [-1, 1/2] once g <= 0 holds on [t0, 1/2]: points
-outside the cap around -u contribute nonpositively to the energy seen
+sum_j g(e1 . y_j). For any N-point code with products in [-1, 1/2] and
+g <= epsilon on [t0, 1/2], R_g(C) is at most the maximum over m = 0..mu
+of that value plus (N - 1 - m) epsilon: each of the N - 1 - m points
+outside the cap around -u contributes at most epsilon to the energy seen
 from u, and an average never exceeds a maximum.
 
 The cap constraints are written once, in _residuals, over (..., m, n)
@@ -23,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
+from .bounds import DDCertificate, dd_bound
 from .errors import ParameterError, PreconditionError
 from .gegenbauer import GegenbauerExpansion
 from .verify import CERTIFIED, DomainSpec, ViolationReport, check_sign
@@ -257,11 +259,14 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
 class KissingReport:
     """Outcome of the cap-versus-distance-distribution comparison.
 
-    verdict CONTRADICTION means: the best found cap value U, a lower
-    estimate of the quantity that upper-bounds R_g over (N, n, [-1, 1/2])
-    codes, is below the certified lower bound B(N), so no such code exists
-    provided the multistart maxima are the true ones. The margin and the
-    heuristic status are part of the report.
+    For a point u of an (N, n, [-1, 1/2]) code, the m other points in the
+    cap around -u contribute at most cap_m to its g-energy, and each of the
+    N - 1 - m others lies where g <= epsilon, the certified bound of g on
+    [t0, 1/2] (never below 0). So R_g <= U' = max_m (cap_m + (N-1-m)
+    epsilon), the charged_best. verdict CONTRADICTION means U' < B(N) -
+    margin: no such code exists provided the multistart maxima cap_m are
+    the true ones. best_value and best_m are the uncharged maximum; the
+    margin and the heuristic status are part of the report.
     """
 
     verdict: str
@@ -270,6 +275,9 @@ class KissingReport:
     cap_values: list[float]
     best_value: float
     best_m: int
+    epsilon: float
+    charged_values: list[float]
+    charged_best: float
     margin: float
     mu: int
     t0: float
@@ -286,6 +294,9 @@ class KissingReport:
             "cap_values": self.cap_values,
             "best_value": self.best_value,
             "best_m": self.best_m,
+            "epsilon": self.epsilon,
+            "charged_values": self.charged_values,
+            "charged_best": self.charged_best,
             "margin": self.margin,
             "mu": self.mu,
             "t0": self.t0,
@@ -297,15 +308,18 @@ class KissingReport:
 def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
                   starts: int = DEFAULT_STARTS, seed: int = 0,
                   margin: float = 1e-3) -> KissingReport:
-    """Compare the cap optimum against B(N) = (N - M)/(3N).
+    """Compare the charged cap optimum U' against B(N) = (N - M)/(3N).
 
+    B(N) is bounds.dd_bound of the scalar certificate (g, [-1, 1/2], M).
     Requires g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in
     certified mode at grid step 1e-6 before any optimization; refuses to
-    run otherwise. Emits CONTRADICTION when best cap value < B(N) - margin,
-    else INCONCLUSIVE.
+    run otherwise. The tolerated excess epsilon is charged to every point
+    outside the cap (see KissingReport). Emits CONTRADICTION when
+    U' < B(N) - margin, else INCONCLUSIVE.
     """
     if not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and >= 0, got {margin}")
+    bound = dd_bound(DDCertificate(g, (-1.0, 0.5), M=M), N)
     sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     if sign.worst_violation > SIGN_CHECK_TOL:
         raise PreconditionError(
@@ -319,7 +333,8 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
         values.append(res.value)
         if res.value > best_value:
             best_value, best_m = res.value, m
-    bound = (N - M) / (3.0 * N)
-    verdict = "CONTRADICTION" if best_value < bound - margin else "INCONCLUSIVE"
-    return KissingReport(verdict, N, bound, values, best_value, best_m,
-                         margin, mu, t0, sign)
+    epsilon = max(sign.worst_violation, 0.0)
+    charged = [v + (N - 1 - m) * epsilon for m, v in enumerate(values)]
+    verdict = "CONTRADICTION" if max(charged) < bound - margin else "INCONCLUSIVE"
+    return KissingReport(verdict, N, bound, values, best_value, best_m, epsilon,
+                         charged, max(charged), margin, mu, t0, sign)

@@ -108,6 +108,15 @@ class SystemExit2(Exception):
     """Input validation failure; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise SystemExit2, so that they
+    reach stdout as a JSON error like every other validation failure.
+    Subparsers inherit the class; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise SystemExit2(f"{self.prog}: {message}")
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     try:
         a, b = (float(x) for x in text.split(","))
@@ -277,7 +286,7 @@ def _cmd_kissing_check(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherecert",
         description="certificate checks and bounds for spherical codes",
     )
@@ -304,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-cert", help="run certificate side-condition checks")
     p.add_argument("cert", help="certificate JSON file")
     p.add_argument("--grid-step", type=float,
-                   help=f"1-d sweep step (default {DEFAULT_STEP_1D:g})")
+                   help=f"finest cell width of the 1-d sweeps (default {DEFAULT_STEP_1D:g})")
     p.add_argument("--triple-grid-step", type=float, default=DEFAULT_STEP_3D,
                    help="3-d sweep step for the triple condition (default %(default)g)")
     p.add_argument("--mode", choices=["sampled", "certified"], default="sampled")
@@ -337,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # inside the try: an --interval that fails to parse raises SystemExit2
+        # inside the try: argument errors raise SystemExit2
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit2 as exc:

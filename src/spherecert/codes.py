@@ -34,6 +34,46 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-9
+# Side of the square tiles that pair sums evaluate: 128 x 128 points is
+# one block of gegenbauer._BLOCK, so each tile is one pass of its loop.
+_TILE = 128
+
+
+def _tiles(N: int):
+    """(rows, cols) slices of the _TILE-square tiles on and above the
+    diagonal of an N x N matrix."""
+    for i in range(0, N, _TILE):
+        for j in range(i, N, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of the square matrix a onto its lower one,
+    in place and tile by tile, so that a is exactly symmetric."""
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            tile = a[rows, cols]
+            lower = np.tril_indices(tile.shape[0], -1)
+            tile[lower] = tile.T[lower]
+        else:
+            a[cols, rows] = a[rows, cols].T
+
+
+def _pair_values(gram: np.ndarray, fn) -> np.ndarray:
+    """fn at every entry of a symmetric Gram matrix, into a new N x N array.
+
+    fn sees each tile on and above the diagonal once; tiles below it are
+    the transposed copies. fn must act entrywise, so that a value depends
+    only on its entry: then the result equals fn(gram) bit for bit.
+    """
+    N = gram.shape[0]
+    out = np.empty((N, N))
+    for rows, cols in _tiles(N):
+        vals = fn(gram[rows, cols])
+        out[rows, cols] = vals
+        if rows != cols:
+            out[cols, rows] = vals.T
+    return out
 
 
 @dataclass(eq=False)
@@ -74,14 +114,16 @@ class SphericalCode:
         return self.points.shape[0]
 
     def gram(self) -> np.ndarray:
-        """Float inner-product matrix with an exactly unit diagonal."""
+        """Float inner-product matrix, exactly symmetric with an exactly
+        unit diagonal; read-only."""
         if self._gram is None:
             if self.exact_products is not None:
                 g = np.array([[float(v) for v in row] for row in self.exact_products])
             else:
                 g = self.points @ self.points.T
+                _mirror_upper(g)
                 np.fill_diagonal(g, 1.0)
-                g = np.clip(g, -1.0, 1.0)
+                np.clip(g, -1.0, 1.0, out=g)
             g.setflags(write=False)
             self._gram = g
         return self._gram
@@ -188,21 +230,30 @@ def moment(code: SphericalCode, k: int) -> float:
     """k-th moment: sum of G_k(x.y) over all ordered pairs, diagonal included.
 
     Nonnegative for every code by positive-definiteness of the basis.
+    G_k is evaluated once per unordered pair, on the tiles on and above the
+    diagonal of the symmetric Gram matrix, and mirrored; the sum runs over
+    the full matrix, so the value is the same, bit for bit, as summing
+    G_k over every entry.
     """
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    g = code.gram()
-    return float(np.sum(gegenbauer_eval(code.n, k, g)))
+    vals = _pair_values(code.gram(), lambda t: gegenbauer_eval(code.n, k, t))
+    return float(np.sum(vals))
 
 
 def energy(code: SphericalCode, g: GegenbauerExpansion) -> float:
-    """E_g: sum of g(x.y) over ordered pairs of distinct points."""
+    """E_g: sum of g(x.y) over ordered pairs of distinct points.
+
+    g is evaluated once per unordered pair, on the tiles on and above the
+    diagonal of the symmetric Gram matrix, and mirrored; the full matrix is
+    then summed and its trace taken away, so the value is the same, bit
+    for bit, as evaluating g at every entry.
+    """
     if g.n != code.n:
         raise ParameterError(
             f"expansion dimension {g.n} does not match code dimension {code.n}"
         )
-    gram = code.gram()
-    vals = g.eval(gram)
+    vals = _pair_values(code.gram(), g.eval)
     return float(np.sum(vals) - np.trace(vals))
 
 

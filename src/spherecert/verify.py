@@ -5,16 +5,20 @@ in the realizable set D3(T), and the two inequalities coupling a triple
 function F to single-variable functions over T and D3(T).
 
 Two modes: 'sampled' reports the refined sample maximum and is labeled
-non-rigorous; 'lipschitz-certified' adds a derivative-bound pad that turns
-the grid maximum into a rigorous upper bound.
+non-rigorous; 'lipschitz-certified' reports an upper bound. The 1-D
+checks get it from second-order bounds on adaptively bisected cells plus
+an a-priori rounding term; the triple check adds a derivative-bound pad
+to its grid maximum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import ParameterError
 from .gegenbauer import GegenbauerExpansion
@@ -41,11 +45,31 @@ DEFAULT_STEP_3D = 1e-3
 REFINEMENT_DEPTH = 40
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Unit roundoff of float64.
+_U = 2.0 ** -53
+# The 1-D sweeps start from at most this many equal cells, sized so that
+# halving them lands at or just under the grid step; even when no cell can
+# be dropped, a sweep then costs at most about twice the points of a
+# uniform grid at that step.
+_START_CELLS = 1024
+# Added to a cell's half-width: a computed midpoint lies within 3u of the
+# exact one (all points are in [-1, 1]) and the last cell may end up to 5u
+# past a + cells * width.
+_MID_SLACK = 16 * _U
+# Most final cells a 1-D sweep may cut: cell indices stay exact in int64
+# and float64, and on [-1, 1] a cell is then still about 30 ulps wide.
+_MAX_CELLS = 2 ** 48
+
 
 @dataclass
 class DomainSpec:
     """Sweep parameters for interval and D3 checks; every check takes its
-    interval as an argument."""
+    interval as an argument.
+
+    For the 1-D checks grid_step is the finest cell width: cells that may
+    hold the maximum are bisected until no wider than it. For the triple
+    check it is the spacing of the uniform grid over D3(T).
+    """
 
     grid_step: float = DEFAULT_STEP_1D
     mode: str = SAMPLED
@@ -63,7 +87,12 @@ class DomainSpec:
 
 @dataclass
 class ViolationReport:
-    """Worst violation of a <=-condition: positive means violated."""
+    """Worst violation of a <=-condition: positive means violated.
+
+    evaluations counts the points where the checked function was
+    evaluated: ends, cell midpoints and refinement for the 1-D checks,
+    wedge grid points and refinement for the triple check.
+    """
 
     condition: str
     mode: str
@@ -72,6 +101,7 @@ class ViolationReport:
     grid_step: float
     certified: bool
     sample_max: float
+    evaluations: int
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +112,7 @@ class ViolationReport:
             "grid_step": self.grid_step,
             "certified": self.certified,
             "sample_max": self.sample_max,
+            "evaluations": self.evaluations,
         }
 
 
@@ -113,7 +144,8 @@ def _grid(a: float, b: float, step: float) -> np.ndarray:
 
 
 def _golden_max_1d(fun, lo: float, hi: float, depth: int) -> tuple[float, float]:
-    """Golden-section ascent for the maximum of fun on [lo, hi]."""
+    """Golden-section ascent for the maximum of fun on [lo, hi]; calls fun
+    depth + 3 times."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -131,54 +163,189 @@ def _golden_max_1d(fun, lo: float, hi: float, depth: int) -> tuple[float, float]
     return x, fun(x)
 
 
-def _sweep_1d(fun, interval, spec: DomainSpec, lipschitz: float, condition: str,
-              ) -> ViolationReport:
+@dataclass(frozen=True)
+class _Smooth:
+    """A polynomial f on [-1, 1] with what the second-order cell bound needs.
+
+    value and slope compute f and f' at arrays of points; size, slope_size
+    and curvature bound |f|, |f'| and |f''| on [-1, 1]; value_err and
+    slope_err bound the rounding error of the computed f and f' at any
+    point of [-1, 1]; degree is the degree of f.
+    """
+
+    value: Callable
+    slope: Callable
+    degree: int
+    size: float
+    slope_size: float
+    curvature: float
+    value_err: float
+    slope_err: float
+
+
+def _clenshaw_err(d: int, size: float) -> float:
+    """Rounding bound for Clenshaw on a degree-d expansion with
+    sum |c_k| = size, anywhere on [-1, 1].
+
+    The computed value is exactly sum (c_k + e_k) G_k(x), where e_k gathers
+    the roundings of step k; each of its three terms carries at most five,
+    counting those of the stored a_k and beta_k, so
+    |e_k| <= 5u (|c_k| + 2|b_{k+1}| + |b_{k+2}|), as |a_k| <= 2 and
+    |beta_k| <= 1. Since |G_k| <= 1 on [-1, 1], the error is at most
+    sum |e_k|. The intermediates are b_k = sum_{j>=k} c_j P_{j,k}(x), where
+    P_{j,k} are the associated polynomials of the recurrence; like
+    Chebyshev's U_{j-k} they satisfy |P_{j,k}| <= j - k + 1 on [-1, 1]
+    (tests/test_verify.py checks this for n = 3..13), so sum_k |b_k| <=
+    (d+1)(d+2)/2 * size and the error is at most
+    5u (1 + 1.5 (d+1)(d+2)) size. The constant 10 covers that and the
+    second-order terms.
+    """
+    return 10.0 * _U * (d + 1) * (d + 2) * size
+
+
+def _expansion(e: GegenbauerExpansion) -> _Smooth:
+    """e with f' from e.derivative() and f'' bounded by its derivative_bound().
+    The derivative's coefficients carry three roundings each, 3u relative."""
+    de = e.derivative()
+    size = float(np.sum(np.abs(e.coeffs)))
+    slope_size = e.derivative_bound()
+    return _Smooth(e.eval, de.eval, e.degree, size, slope_size, de.derivative_bound(),
+                   _clenshaw_err(e.degree, size),
+                   _clenshaw_err(e.degree - 1, slope_size) + 4.0 * _U * slope_size)
+
+
+def _polynomial(a: np.ndarray) -> _Smooth:
+    """sum a_i s^i (ascending coefficients), evaluated by Horner's rule,
+    whose computed value on [-1, 1] is within 2d u sum |a_i| of the exact
+    one (Higham, Accuracy and Stability of Numerical Algorithms, 5.1);
+    4(d+1)u also covers the one rounding of each coefficient of polyder."""
+    d = a.size - 1
+    da = polyder(a)
+    i = np.arange(a.size)
+    size = float(np.sum(np.abs(a)))
+    slope_size = float(np.sum(i * np.abs(a)))
+    return _Smooth(lambda s: polyval(s, a), lambda s: polyval(s, da), d, size, slope_size,
+                   float(np.sum(i * (i - 1) * np.abs(a))), 4.0 * (d + 1) * _U * size,
+                   4.0 * (d + 1) * _U * slope_size)
+
+
+def _combine(parts: list[tuple[float, _Smooth]], const: float = 0.0) -> _Smooth:
+    """const + sum of w * f over (w, f) in parts, summed left to right. Each
+    product and sum adds one rounding of at most u times the sizes."""
+    def value(s):
+        out = const
+        for w, f in parts:
+            out = out + w * f.value(s)
+        return out
+
+    def slope(s):
+        out = 0.0
+        for w, f in parts:
+            out = out + w * f.slope(s)
+        return out
+
+    ops = 2 * len(parts) + 1
+    size = abs(const) + sum(abs(w) * f.size for w, f in parts)
+    slope_size = sum(abs(w) * f.slope_size for w, f in parts)
+    return _Smooth(
+        value, slope, max(f.degree for _, f in parts), size, slope_size,
+        sum(abs(w) * f.curvature for w, f in parts),
+        sum(abs(w) * f.value_err for w, f in parts) + ops * _U * size,
+        sum(abs(w) * f.slope_err for w, f in parts) + ops * _U * slope_size,
+    )
+
+
+def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> ViolationReport:
+    """Maximum of f on the interval by adaptively bisected cells.
+
+    The interval is cut into at most _START_CELLS equal cells. At each cell
+    midpoint c, f and f' are evaluated, and a cell of width h gets the
+    bound
+
+        f(c) + |f'(c)| h/2 + curvature h^2/8 + r,
+
+    which holds on the whole cell by Taylor's theorem (h/2 is widened by
+    _MID_SLACK). r is fixed before the sweep: the rounding bounds of f
+    and of f' times the largest h/2, plus (d + 16)u times the size of the
+    bound's terms for the roundings of the curvature bound and of the
+    bound's own arithmetic. A cell whose bound is at most the largest value
+    of f sampled so far plus r is dropped; the others are bisected until
+    they are no wider than spec.grid_step. f is also evaluated at both
+    ends, and the best point is refined by golden section within one final
+    cell width.
+
+    In certified mode worst_violation is max(sample_max + r, the largest
+    bound of a final cell that was not dropped), an upper bound of f on
+    the interval; in sampled mode it is sample_max.
+    """
     a, b = float(interval[0]), float(interval[1])
-    ts = _grid(a, b, spec.grid_step)
-    vals = fun(ts)
-    i = int(np.argmax(vals))
-    grid_max = float(vals[i])
-    step = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
-    lo = max(a, ts[i] - step)
-    hi = min(b, ts[i] + step)
-    x, refined = _golden_max_1d(lambda s: float(fun(np.asarray(s))), lo, hi,
+    if not a <= b:
+        raise ParameterError(f"empty interval [{a}, {b}]")
+    if not (b - a) / spec.grid_step <= _MAX_CELLS:
+        raise ParameterError(
+            f"grid_step {spec.grid_step:g} is too fine for [{a}, {b}]: over 2^48 cells")
+    count = max(1, math.ceil((b - a) / spec.grid_step))
+    levels = 0
+    while count > _START_CELLS << levels:
+        levels += 1
+    cells = -(-count // (1 << levels))
+    width = (b - a) / cells
+    rho = width / 2.0 + _MID_SLACK
+    r = (f.value_err + f.slope_err * rho + (f.degree + 16) * _U
+         * (f.size + f.slope_size * rho + f.curvature * rho * rho / 2.0))
+
+    ends = np.array([a, b])
+    vals = f.value(ends)
+    best = int(np.argmax(vals))
+    best_val, best_x = float(vals[best]), float(ends[best])
+    evaluations = 2
+    idx = np.arange(cells)
+    top = -np.inf
+    for level in range(levels + 1):
+        mids = a + (2 * idx + 1) * (width / 2.0)
+        vals = f.value(mids)
+        evaluations += idx.size
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_x = float(vals[j]), float(mids[j])
+        rho = width / 2.0 + _MID_SLACK
+        bound = vals + np.abs(f.slope(mids)) * rho + f.curvature * (rho * rho / 2.0)
+        # dropped when bound + r <= best_val + r
+        live = bound > best_val
+        if level == levels:
+            if live.any():
+                top = float(np.max(bound[live])) + r
+            break
+        idx = (2 * idx[live][:, None] + np.array([0, 1])).ravel()
+        if idx.size == 0:
+            break
+        width /= 2.0
+    width = (b - a) / cells / (1 << levels)
+
+    lo, hi = max(a, best_x - width), min(b, best_x + width)
+    x, refined = _golden_max_1d(lambda s: float(f.value(np.asarray(s))), lo, hi,
                                 REFINEMENT_DEPTH)
-    sample_max = max(grid_max, refined)
-    loc = float(x) if refined >= grid_max else float(ts[i])
-    if spec.certified:
-        worst = grid_max + lipschitz * step / 2.0
-        worst = max(worst, sample_max)
-    else:
-        worst = sample_max
+    evaluations += REFINEMENT_DEPTH + 3
+    sample_max = max(best_val, refined)
+    loc = float(x) if refined >= best_val else best_x
+    worst = max(sample_max + r, top) if spec.certified else sample_max
     return ViolationReport(condition, spec.mode, worst, (loc,), spec.grid_step,
-                           spec.certified, sample_max)
+                           spec.certified, sample_max, evaluations)
 
 
 def check_sign(g: GegenbauerExpansion, S, spec: DomainSpec | None = None,
                ) -> ViolationReport:
     """Worst violation of g <= 0 on the interval S (i.e. the maximum of g)."""
     spec = spec or DomainSpec()
-    return _sweep_1d(g.eval, S, spec, g.derivative_bound(), "sign:g<=0")
-
-
-def _univariate_poly_bound(coeffs: np.ndarray) -> float:
-    """Derivative bound on [-1, 1] for an ascending-coefficient polynomial."""
-    return float(sum(abs(c) * k for k, c in enumerate(coeffs)))
-
-
-def _diag_fun(F: TripleCertificate):
-    """s -> F(1, s, s) as a fast univariate polynomial, plus its slope bound."""
-    coeffs = F.diag_restriction()
-    return (lambda s: polyval(s, coeffs)), _univariate_poly_bound(coeffs)
+    return _sweep_1d(_expansion(g), S, spec, "sign:g<=0")
 
 
 def check_pair_condition(F: TripleCertificate, f: GegenbauerExpansion, T,
                          spec: DomainSpec | None = None) -> ViolationReport:
     """Worst violation of F(1, t, t) <= f(t) over t in T."""
     spec = spec or DomainSpec()
-    diag, slope = _diag_fun(F)
-    fun = lambda s: diag(s) - f.eval(s)
-    return _sweep_1d(fun, T, spec, slope + f.derivative_bound(), "pair:F(1,t,t)<=f")
+    fun = _combine([(1.0, _polynomial(F.diag_restriction())), (-1.0, _expansion(f))])
+    return _sweep_1d(fun, T, spec, "pair:F(1,t,t)<=f")
 
 
 def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertificate,
@@ -186,10 +353,9 @@ def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertific
                             spec: DomainSpec | None = None) -> ViolationReport:
     """Worst violation of h(t) + h0 + F(1, t, t) <= 2 g(t) over t in T."""
     spec = spec or DomainSpec()
-    diag, slope = _diag_fun(F)
-    fun = lambda s: h.eval(s) + h0 + diag(s) - 2.0 * g.eval(s)
-    lip = h.derivative_bound() + slope + 2.0 * g.derivative_bound()
-    return _sweep_1d(fun, T, spec, lip, "pair:h+h0+F(1,t,t)<=2g")
+    fun = _combine([(1.0, _expansion(h)), (1.0, _polynomial(F.diag_restriction())),
+                    (-2.0, _expansion(g))], h0)
+    return _sweep_1d(fun, T, spec, "pair:h+h0+F(1,t,t)<=2g")
 
 
 def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
@@ -216,6 +382,7 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     gvals = g.eval(ts)
     best = relaxed_best = -np.inf
     best_loc = None
+    evaluations = 0
     for i, t in enumerate(ts):
         u = ts[i:][:, None]
         v = ts[i:][None, :]
@@ -224,6 +391,7 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
         relaxed = det >= -det_tol
         if not relaxed.any():
             continue
+        evaluations += (ts.size - i) * (ts.size - i + 1) // 2
         phi = F.eval(t, u, v) - (gvals[i] + gvals[i:][:, None] + gvals[i:][None, :])
         relaxed_best = max(relaxed_best, float(np.max(phi[relaxed])))
         phi = np.where(det >= -D3_MEMBERSHIP_TOL, phi, -np.inf)
@@ -238,9 +406,11 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
         )
 
     def point_val(p):
+        nonlocal evaluations
         t, u, v = p
         if not in_d3(t, u, v, (a, b)):
             return -np.inf
+        evaluations += 1
         return float(F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)))
 
     sample_max, loc = best, best_loc
@@ -269,4 +439,4 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     else:
         worst = sample_max
     return ViolationReport("triple:F<=g+g+g", spec.mode, worst, loc,
-                           spec.grid_step, spec.certified, sample_max)
+                           spec.grid_step, spec.certified, sample_max, evaluations)

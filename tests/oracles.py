@@ -5,7 +5,9 @@ test: Gauss quadrature for orthogonality, exact Gram-Schmidt for monomial
 coefficients, and the kernel matrix S_k assembled entry by entry from the
 production Q_k tensors. The whole-array loops are the evaluation
 algorithms as they stood before blocking, kept to check the blocked
-production paths against bit for bit.
+production paths against bit for bit; the whole-matrix pair sums are
+energy and moment as they stood before tiling. The maximum of an
+expansion on a cell comes from mpmath interval arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from mpmath import iv, mp
 from scipy.special import roots_gegenbauer
 
 from spherecert.errors import CapabilityError, DomainError, ParameterError
@@ -141,3 +144,75 @@ def forward_whole_array(n: int, k: int, t) -> np.ndarray:
     for j in range(2, k + 1):
         prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
     return cur
+
+
+def energy_whole_matrix(code, g) -> float:
+    """E_g with g evaluated at every entry of the Gram matrix at once."""
+    vals = g.eval(code.gram())
+    return float(np.sum(vals) - np.trace(vals))
+
+
+def moment_whole_matrix(code, k: int) -> float:
+    """The k-th moment with G_k evaluated at every entry at once."""
+    return float(np.sum(gegenbauer_eval(code.n, k, code.gram())))
+
+
+# Working precision of the interval oracle, in bits.
+_IV_PREC = 160
+
+
+def _series_iv(n: int, coeffs: list, x):
+    """sum c_k G_k(x) in dimension n, in interval arithmetic, by the forward
+    recurrence G_{k+1} = ((2k+n-2) x G_k - k G_{k-1}) / (k+n-2)."""
+    prev, cur = iv.mpf(1), x
+    total = coeffs[0] + (coeffs[1] * x if len(coeffs) > 1 else 0)
+    for k in range(1, len(coeffs) - 1):
+        prev, cur = cur, ((2 * k + n - 2) * x * cur - k * prev) / (k + n - 2)
+        total += coeffs[k + 1] * cur
+    return total
+
+
+def cell_max_exact(n: int, coeffs, lo: float, hi: float, samples: int = 16):
+    """Lower end of an enclosure of max f on [lo, hi], f = sum c_k G_k with
+    the float coefficients taken as exact; an mpmath mpf.
+
+    The maximum lies at an end or where f' = 0. f' (from G_k' = k(k+n-2)/
+    (n-1) G_{k-1} in dimension n+2) is enclosed at samples + 1 equally
+    spaced points; each certain change of sign is bisected to 2^-60 of the
+    cell, and f is enclosed at the ends and at those zeros of f'. A pair of
+    zeros between two samples would be missed, which can only lower the
+    result.
+    """
+    old = iv.prec
+    iv.prec = _IV_PREC
+    try:
+        c = [iv.mpf(float(x)) for x in coeffs]
+        dc = [c[k] * k * (k + n - 2) / (n - 1) for k in range(1, len(c))] or [iv.mpf(0)]
+
+        def f(x):
+            return _series_iv(n, c, iv.mpf(x))
+
+        def slope_sign(x):
+            d = _series_iv(n + 2, dc, iv.mpf(x))
+            lower, upper = (mp.make_mpf(e) for e in d._mpi_)
+            return 1 if lower > 0 else -1 if upper < 0 else 0
+
+        a, b = iv.mpf(float(lo)), iv.mpf(float(hi))
+        points = [a + (b - a) * i / samples for i in range(samples + 1)]
+        points = [p.mid for p in points]
+        candidates = [a, b]
+        signs = [slope_sign(p) for p in points]
+        for (p, sp), (q, sq) in zip(zip(points, signs), zip(points[1:], signs[1:])):
+            if sp * sq >= 0:
+                continue
+            for _ in range(60):
+                m = (p + q) / 2
+                m = m.mid
+                if slope_sign(m) == sp:
+                    p = m
+                else:
+                    q = m
+            candidates.append(p)
+        return max(mp.make_mpf(f(x)._mpi_[0]) for x in candidates)
+    finally:
+        iv.prec = old

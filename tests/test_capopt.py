@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spherecert import capopt
+from spherecert.bounds import DDCertificate, dd_bound
 from spherecert.capopt import (
     CapProblem,
     _constraint_violation,
@@ -203,3 +204,37 @@ def test_kissing_check_verdicts_smoke(g1):
     assert "multistart" in rep.heuristic
     rep24 = kissing_check(g1, 22.5689, T0, 4, 24, starts=40, seed=5)
     assert rep24.verdict == "INCONCLUSIVE"
+
+
+def test_kissing_verdict_charges_epsilon(g1):
+    rep = kissing_check(g1, 22.5689, T0, 4, 25, starts=40, seed=5)
+    assert rep.bound == dd_bound(DDCertificate(g1, (-1.0, 0.5), M=22.5689), 25)
+    assert rep.epsilon == max(rep.sign_check.worst_violation, 0.0)
+    assert 1.999e-4 < rep.epsilon < 2.0e-4
+    assert rep.charged_values == [v + (24 - m) * rep.epsilon
+                                  for m, v in enumerate(rep.cap_values)]
+    assert rep.charged_best == max(rep.charged_values)
+    # U' = 0.031026 against B(25) - margin = 0.031415
+    assert rep.charged_best == pytest.approx(0.031026, abs=5e-6)
+    assert rep.charged_best < rep.bound - rep.margin
+    out = rep.to_dict()
+    assert out["epsilon"] == rep.epsilon and out["charged_best"] == rep.charged_best
+    assert out["sign_check"]["evaluations"] == rep.sign_check.evaluations
+
+
+def test_planted_excess_flips_the_verdict(g1):
+    # raising c0 by 3e-4 keeps g within SIGN_CHECK_TOL on [t0, 1/2] and the
+    # uncharged best cap value below B(25) - margin; charged for the excess
+    # on the 24 - m points outside the cap, the contradiction is gone
+    raised = GegenbauerExpansion(4, g1.coeffs + np.eye(g1.coeffs.size)[0] * 3e-4)
+    rep = kissing_check(raised, 22.5689, T0, 4, 25, starts=40, seed=5)
+    assert 0.0 < rep.epsilon <= capopt.SIGN_CHECK_TOL
+    assert rep.best_value < rep.bound - rep.margin
+    assert rep.charged_best >= rep.bound - rep.margin
+    assert rep.verdict == "INCONCLUSIVE"
+
+
+def test_kissing_check_rejects_bad_n_before_optimizing(g1, monkeypatch):
+    monkeypatch.setattr(capopt, "cap_max", lambda *a, **k: pytest.fail("optimized"))
+    with pytest.raises(ParameterError, match="N must be"):
+        kissing_check(g1, 22.5689, T0, 4, 0, starts=2)

@@ -188,6 +188,22 @@ def test_non_positive_step_and_bad_margin_exit_2(capsys):
         assert "NaN" not in out and "margin must be finite" in json.loads(out)["error"]
 
 
+def test_argument_errors_are_json(capsys):
+    # argparse's own errors exit 2 with a JSON error on stdout, like every
+    # other validation failure; --help still exits 0
+    for argv in (["verify-cert", f"{DATA}/g1_cert.json", "--grid-step", "-1e-5"],
+                 ["bound", f"{DATA}/g1_cert.json", "--N", "abc"],
+                 ["bound", f"{DATA}/g1_cert.json"],
+                 ["no-such-verb"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "error" in json.loads(out) and err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
 def test_kissing_check_contradiction(capsys):
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",
@@ -198,6 +214,7 @@ def test_kissing_check_contradiction(capsys):
     assert rep["verdict"] == "CONTRADICTION"
     assert rep["best_value"] == pytest.approx(0.0266, abs=1e-3)
     assert rep["best_m"] == 2
+    assert rep["charged_best"] < rep["bound"] - rep["margin"]
 
 
 def test_kissing_check_inconclusive(capsys):

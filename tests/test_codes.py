@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from oracles import energy_whole_matrix, moment_whole_matrix
+from spherecert import codes, gegenbauer
 from spherecert.codes import (
     BUILTIN_NAMES,
     SphericalCode,
@@ -204,3 +206,26 @@ def test_json_round_trip():
     c2 = SphericalCode.from_dict(c.to_dict())
     assert c2.size == c.size
     assert np.allclose(c2.points, c.points)
+
+
+def test_pair_sums_are_bit_identical_to_whole_matrix_sums():
+    # energy and moment evaluate one triangle of tiles and mirror it; on an
+    # exactly symmetric Gram matrix that changes no bit of the sums
+    assert codes._TILE ** 2 == gegenbauer._BLOCK
+    rng = np.random.default_rng(46)
+    T = codes._TILE
+    floats = []
+    for N in (1, 2, T - 1, T, T + 1, 3 * T + 5):
+        X = rng.normal(size=(N, 5))
+        floats.append(SphericalCode(5, X / np.linalg.norm(X, axis=1, keepdims=True)))
+    for code in floats + all_builtins():
+        gram = code.gram()
+        before = gram.copy()
+        assert not gram.flags.writeable
+        assert np.array_equal(gram, gram.T)
+        g = GegenbauerExpansion(code.n, rng.normal(size=23)) if code.n >= 3 else None
+        if g is not None:
+            assert energy(code, g) == energy_whole_matrix(code, g)
+        for k in (0, 1, 5):
+            assert moment(code, k) == moment_whole_matrix(code, k)
+        assert np.array_equal(gram, before)

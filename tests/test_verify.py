@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
+from oracles import cell_max_exact
 from spherecert import verify
 from spherecert.data import load_expansion
 from spherecert.errors import ParameterError
@@ -18,6 +20,7 @@ from spherecert.verify import (
 )
 
 T_HALF = (-1.0, 0.5)
+T0 = -np.sqrt(2) / 2
 
 
 def test_in_d3_trivia():
@@ -205,3 +208,103 @@ def test_domainspec_validation():
         DomainSpec(mode="exact")
     with pytest.raises(ParameterError):
         check_sign(GegenbauerExpansion(4, [1.0]), (0.5, 0.1), DomainSpec())
+    # a step below float resolution would overflow the cell indices
+    for step in (1e-16, 1e-320):
+        with pytest.raises(ParameterError, match="too fine"):
+            check_sign(GegenbauerExpansion(4, [1.0]), (-1.0, 1.0), DomainSpec(grid_step=step))
+
+
+def _exact_max_near(e, interval, rep):
+    """Exact maximum of e on the final cell around the reported location."""
+    a, b = interval
+    x = rep.location[0]
+    return cell_max_exact(e.n, e.coeffs, max(a, x - rep.grid_step), min(b, x + rep.grid_step))
+
+
+def test_certified_bound_dominates_exact_cell_max():
+    # the certified bound is above the exact maximum (mpmath intervals) on
+    # the cell that holds the sampled maximum, and the sample is a value
+    # of the function there
+    spec = DomainSpec(grid_step=1e-6, mode=CERTIFIED)
+    for name, interval in (("g1", (T0, 0.5)), ("g2", (-0.73, 0.5))):
+        e = load_expansion(name)
+        rep = check_sign(e, interval, spec)
+        exact = _exact_max_near(e, interval, rep)
+        assert mp.mpf(rep.worst_violation) >= exact
+        assert rep.worst_violation - float(exact) < 1e-8
+        assert rep.sample_max <= float(exact) + 1e-12
+    rng = np.random.default_rng(44)
+    spec = DomainSpec(grid_step=1e-4, mode=CERTIFIED)
+    for _ in range(40):
+        n, d = int(rng.integers(3, 9)), int(rng.integers(0, 61))
+        e = GegenbauerExpansion(n, rng.normal(size=d + 1) / (1.0 + np.arange(d + 1)) ** 0.5)
+        interval = tuple(sorted(rng.uniform(-1.0, 1.0, 2)))
+        rep = check_sign(e, interval, spec)
+        exact = _exact_max_near(e, interval, rep)
+        assert mp.mpf(rep.worst_violation) >= exact
+        assert rep.sample_max <= float(exact) + 1e-12 * np.sum(np.abs(e.coeffs))
+
+
+def test_sign_sweep_point_count():
+    # g1 on [t0, 1/2] at a finest cell width of 1e-6: a uniform grid would
+    # take 1.2 million points
+    rep = check_sign(load_expansion("g1"), (T0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
+    assert rep.evaluations <= 60_000
+    # a constant is settled by its first cells: ends, 500 midpoints, refinement
+    rep = check_sign(GegenbauerExpansion(4, [0.3]), (0.0, 0.5), DomainSpec(grid_step=1e-3))
+    assert rep.evaluations == 2 + 500 + verify.REFINEMENT_DEPTH + 3
+    assert rep.worst_violation == rep.sample_max == 0.3
+
+
+def test_sign_sweep_worst_case_point_count():
+    # when cells cannot be dropped the sweep still costs at most about twice
+    # a uniform grid at the same step
+    step = 1e-4
+    uniform = int(np.ceil(2.0 / step)) + 1
+    oscillating = GegenbauerExpansion(5, (-1.0) ** np.arange(61))
+    for e in (GegenbauerExpansion(5, [1.0]), oscillating):
+        for mode in ("sampled", CERTIFIED):
+            rep = check_sign(e, (-1.0, 1.0), DomainSpec(grid_step=step, mode=mode))
+            assert rep.evaluations <= 2 * uniform
+
+
+def test_clenshaw_intermediates_bound():
+    # _clenshaw_err assumes the associated polynomials P_{j,k} of the
+    # recurrence G_{j+1} = a_j x G_j + beta_j G_{j-1} (started from
+    # P_{k,k} = 1, P_{k+1,k} = a_k x) are at most j - k + 1 in size on [-1, 1]
+    x = np.linspace(-1.0, 1.0, 4001)
+    for n in range(3, 14):
+        for k in range(0, 64, 9):
+            alpha = lambda j: (2 * j + n - 2) / (j + n - 2)
+            prev, cur = np.ones_like(x), alpha(k) * x
+            for j in range(k + 1, k + 150):
+                assert np.max(np.abs(cur)) <= j - k + 1
+                prev, cur = cur, alpha(j) * x * cur - j / (j + n - 2) * prev
+
+
+def test_pair_checks_certified_bounds_dominate_dense_samples():
+    rng = np.random.default_rng(45)
+    F = TripleCertificate.from_terms([(2, 1, 0, 0.4), (1, 1, 1, -0.3), (3, 0, 0, 0.2)])
+    f = GegenbauerExpansion(4, rng.normal(size=25) / (1.0 + np.arange(25)))
+    h = GegenbauerExpansion(4, rng.normal(size=21) / (1.0 + np.arange(21)))
+    g = GegenbauerExpansion(4, rng.normal(size=23) / (1.0 + np.arange(23)))
+    xs = np.linspace(-1.0, 0.5, 200_001)
+    spec = DomainSpec(grid_step=1e-5, mode=CERTIFIED)
+    rep = check_pair_condition(F, f, T_HALF, spec)
+    assert rep.worst_violation >= np.max(F.eval(1.0, xs, xs) - f.eval(xs))
+    rep = check_dd_pair_condition(h, 0.3, F, g, T_HALF, spec)
+    assert rep.worst_violation >= np.max(h.eval(xs) + 0.3 + F.eval(1.0, xs, xs) - 2 * g.eval(xs))
+    assert rep.worst_violation - rep.sample_max < 1e-6
+    assert rep.evaluations < 20_000
+
+
+def test_triple_condition_counts_evaluations():
+    F = TripleCertificate.from_terms([(1, 1, 0, 0.5), (0, 0, 0, 0.2)])
+    g = GegenbauerExpansion(4, [0.1, 0.3])
+    spec = DomainSpec(grid_step=0.05)
+    rep = check_triple_condition(F, g, T_HALF, spec)
+    m = 31  # grid points on [-1, 1/2]
+    refinement = max(1, verify.REFINEMENT_DEPTH // 10) * 3 * (verify.REFINEMENT_DEPTH + 3) + 1
+    assert 0 < rep.evaluations <= m * (m + 1) * (m + 2) // 6 + refinement
+    assert rep.evaluations == check_triple_condition(F, g, T_HALF, spec).evaluations
+    assert rep.to_dict()["evaluations"] == rep.evaluations
