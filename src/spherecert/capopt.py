@@ -319,6 +319,7 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
     """
     if not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and >= 0, got {margin}")
+    CapProblem(g.n, g, t0, 0, mu)  # checks t0 and mu before the sweep
     bound = dd_bound(DDCertificate(g, (-1.0, 0.5), M=M), N)
     sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     if sign.worst_violation > SIGN_CHECK_TOL:

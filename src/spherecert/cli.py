@@ -127,6 +127,14 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of the float tolerances: a finite number >= 0."""
+    x = float(text)
+    if not 0.0 <= x < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -159,6 +167,8 @@ def _load_code(spec: str) -> SphericalCode:
 
 
 def _cmd_code_stats(args) -> int:
+    if args.degree < 0:
+        raise SystemExit2(f"--degree must be >= 0, got {args.degree}")
     code = _load_code(args.code)
     dist = distance_distribution(code, tol=args.tol)
     entries = [
@@ -306,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=6, help="highest moment order")
     p.add_argument("--interval", action="append", type=_parse_interval,
                    metavar="a,b", help="interval mass to report (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-9, help="clustering tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="clustering tolerance")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_code_stats)
 
@@ -317,9 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple-grid-step", type=float, default=DEFAULT_STEP_3D,
                    help="3-d sweep step for the triple condition (default %(default)g)")
     p.add_argument("--mode", choices=["sampled", "certified"], default="sampled")
-    p.add_argument("--tol", type=float, default=5e-3,
+    p.add_argument("--tol", type=_tolerance, default=5e-3,
                    help="violation tolerance (published coefficients are rounded)")
-    p.add_argument("--psd-tol", type=float, default=1e-9)
+    p.add_argument("--psd-tol", type=_tolerance, default=1e-9)
     p.add_argument("--interval", action="append", type=_parse_interval,
                    metavar="a,b", help="sign-check interval (default: the domain T)")
     p.add_argument("--out", help="also write the JSON report here")

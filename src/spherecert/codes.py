@@ -198,8 +198,8 @@ def distance_distribution(
         entries = {t: Fraction(c, N) for t, c in sorted(counts.items())}
         return DistanceDistribution(entries, N, exact=True, per_point=per_point)
 
-    if tol <= 0:
-        raise ParameterError("clustering tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ParameterError(f"clustering tolerance must be positive and finite, got {tol}")
     g = code.gram()
     off = g[~np.eye(N, dtype=bool)]
     if off.size == 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "GegenbauerExpansion",
     "gegenbauer_eval",
     "monomial_coeffs",
+    "monomial_to_gegenbauer",
 ]
 
 # Evaluation points may overshoot [-1, 1] by rounding when they come from
@@ -231,6 +232,20 @@ class GegenbauerExpansion:
         return cls(n, coeffs, provenance=str(obj.get("provenance", "")))
 
 
+@lru_cache(maxsize=128)
+def _monomial_rows(n: int, degree: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact monomial coefficients of G_0, ..., G_degree in dimension n,
+    one row each, from one pass of the three-term recurrence (cached)."""
+    rows = [(Fraction(1),), (Fraction(0), Fraction(1))]
+    for j in range(2, degree + 1):
+        prev, cur = rows[-2], rows[-1]
+        nxt = [Fraction(0)] + [(2 * j + n - 4) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= (j - 1) * c
+        rows.append(tuple(c / (j + n - 3) for c in nxt))
+    return tuple(rows[:degree + 1])
+
+
 def monomial_coeffs(n: int, k: int) -> list[Fraction]:
     """Exact monomial coefficients of G_k via the recurrence.
 
@@ -241,16 +256,20 @@ def monomial_coeffs(n: int, k: int) -> list[Fraction]:
     _check_dimension(n, lo=2)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k!r}")
-    prev = [Fraction(1)]
-    if k == 0:
-        return prev
-    cur = [Fraction(0), Fraction(1)]
-    for j in range(2, k + 1):
-        shifted = [Fraction(0)] + [Fraction(2 * j + n - 4) * c for c in cur]
-        nxt = [Fraction(0)] * (j + 1)
-        for i, c in enumerate(shifted):
-            nxt[i] += c
-        for i, c in enumerate(prev):
-            nxt[i] -= (j - 1) * c
-        prev, cur = cur, [c / (j + n - 3) for c in nxt]
-    return cur
+    return list(_monomial_rows(n, k)[k])
+
+
+def monomial_to_gegenbauer(n: int, coeffs) -> list[Fraction]:
+    """Exact c_k with sum c_k G_k = sum coeffs[i] s^i in dimension n, by
+    back-substitution through the rows of monomial_coeffs."""
+    _check_dimension(n, lo=2)
+    rest = [Fraction(c) for c in coeffs]
+    rows = _monomial_rows(n, len(rest) - 1)
+    out = [Fraction(0)] * len(rest)
+    for k in range(len(rest) - 1, -1, -1):
+        c = out[k] = rest[k] / rows[k][k]
+        if c:
+            # G_k has the parity of k
+            for i in range(k - 2, -1, -2):
+                rest[i] -= c * rows[k][i]
+    return out

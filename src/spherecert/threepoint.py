@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -178,10 +178,12 @@ class TripleCertificate:
         return self.eval(1.0, 1.0, 1.0)
 
     def diag_restriction(self) -> np.ndarray:
-        """Univariate coefficients of s -> F(1, s, s)."""
+        """Univariate coefficients of s -> F(1, s, s): the sums of C[i, j, k]
+        over j + k = p by math.fsum, each correctly rounded."""
         c = self.poly()
-        r = np.arange(c.shape[1])
-        return np.bincount(np.add.outer(r, r).ravel(), weights=c.sum(axis=0).ravel())
+        j, k = np.indices(c.shape[1:])
+        return np.array([fsum(c[:, j + k == p].ravel().tolist())
+                         for p in range(2 * j.shape[0] - 1)])
 
     def gradient_bounds(self) -> tuple[float, float, float]:
         """Per-variable Lipschitz bounds of F over [-1, 1]^3: the sum of

@@ -4,24 +4,26 @@ Checks sign conditions of expansions on intervals, membership of triples
 in the realizable set D3(T), and the two inequalities coupling a triple
 function F to single-variable functions over T and D3(T).
 
+Every 1-D check sweeps one GegenbauerExpansion: g itself, or for a pair
+check its left side minus its right side, built exactly and rounded once.
+
 Two modes: 'sampled' reports the refined sample maximum and is labeled
 non-rigorous; 'lipschitz-certified' reports an upper bound. The 1-D
 checks get it from second-order bounds on adaptively bisected cells plus
-an a-priori rounding term; the triple check adds a derivative-bound pad
-to its grid maximum.
+an a-priori rounding term and the slack; the triple check adds a
+derivative-bound pad to its grid maximum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import ParameterError
-from .gegenbauer import GegenbauerExpansion
+from .gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
 from .threepoint import TripleCertificate
 
 __all__ = [
@@ -163,26 +165,6 @@ def _golden_max_1d(fun, lo: float, hi: float, depth: int) -> tuple[float, float]
     return x, fun(x)
 
 
-@dataclass(frozen=True)
-class _Smooth:
-    """A polynomial f on [-1, 1] with what the second-order cell bound needs.
-
-    value and slope compute f and f' at arrays of points; size, slope_size
-    and curvature bound |f|, |f'| and |f''| on [-1, 1]; value_err and
-    slope_err bound the rounding error of the computed f and f' at any
-    point of [-1, 1]; degree is the degree of f.
-    """
-
-    value: Callable
-    slope: Callable
-    degree: int
-    size: float
-    slope_size: float
-    curvature: float
-    value_err: float
-    slope_err: float
-
-
 def _clenshaw_err(d: int, size: float) -> float:
     """Rounding bound for Clenshaw on a degree-d expansion with
     sum |c_k| = size, anywhere on [-1, 1].
@@ -203,72 +185,45 @@ def _clenshaw_err(d: int, size: float) -> float:
     return 10.0 * _U * (d + 1) * (d + 2) * size
 
 
-def _expansion(e: GegenbauerExpansion) -> _Smooth:
-    """e with f' from e.derivative() and f'' bounded by its derivative_bound().
-    The derivative's coefficients carry three roundings each, 3u relative."""
-    de = e.derivative()
-    size = float(np.sum(np.abs(e.coeffs)))
-    slope_size = e.derivative_bound()
-    return _Smooth(e.eval, de.eval, e.degree, size, slope_size, de.derivative_bound(),
-                   _clenshaw_err(e.degree, size),
-                   _clenshaw_err(e.degree - 1, slope_size) + 4.0 * _U * slope_size)
+def _pair_expansion(n: int, F: TripleCertificate, parts) -> tuple[GegenbauerExpansion, float]:
+    """F(1, t, t) + sum w * e over (w, e) in parts as one dimension-n
+    expansion, computed in exact rationals from the stored floats and
+    rounded once, and a slack bounding its distance to the exact function
+    on [-1, 1]: the coefficient roundings (|G_k| <= 1 there) plus u |a_p|
+    for each correctly rounded diagonal coefficient a_p (the Gegenbauer
+    coefficients of s^p are >= 0 and sum to 1), rounded up by one ulp."""
+    if any(e.n != n for _, e in parts):
+        raise ParameterError(
+            f"expansions must all have dimension {n}, got {[e.n for _, e in parts]}")
+    diag = F.diag_restriction().tolist()
+    exact = monomial_to_gegenbauer(n, diag)
+    exact += [Fraction(0)] * (max(e.coeffs.size for _, e in parts) - len(exact))
+    for w, e in parts:
+        for k, c in enumerate(e.coeffs.tolist()):
+            exact[k] += w * Fraction(c)
+    coeffs = [float(c) for c in exact]
+    err = (sum(abs(c - Fraction(x)) for c, x in zip(exact, coeffs))
+           + Fraction(_U) * sum(abs(Fraction(a)) for a in diag))
+    return GegenbauerExpansion(n, coeffs), math.nextafter(float(err), math.inf)
 
 
-def _polynomial(a: np.ndarray) -> _Smooth:
-    """sum a_i s^i (ascending coefficients), evaluated by Horner's rule,
-    whose computed value on [-1, 1] is within 2d u sum |a_i| of the exact
-    one (Higham, Accuracy and Stability of Numerical Algorithms, 5.1);
-    4(d+1)u also covers the one rounding of each coefficient of polyder."""
-    d = a.size - 1
-    da = polyder(a)
-    i = np.arange(a.size)
-    size = float(np.sum(np.abs(a)))
-    slope_size = float(np.sum(i * np.abs(a)))
-    return _Smooth(lambda s: polyval(s, a), lambda s: polyval(s, da), d, size, slope_size,
-                   float(np.sum(i * (i - 1) * np.abs(a))), 4.0 * (d + 1) * _U * size,
-                   4.0 * (d + 1) * _U * slope_size)
-
-
-def _combine(parts: list[tuple[float, _Smooth]], const: float = 0.0) -> _Smooth:
-    """const + sum of w * f over (w, f) in parts, summed left to right. Each
-    product and sum adds one rounding of at most u times the sizes."""
-    def value(s):
-        out = const
-        for w, f in parts:
-            out = out + w * f.value(s)
-        return out
-
-    def slope(s):
-        out = 0.0
-        for w, f in parts:
-            out = out + w * f.slope(s)
-        return out
-
-    ops = 2 * len(parts) + 1
-    size = abs(const) + sum(abs(w) * f.size for w, f in parts)
-    slope_size = sum(abs(w) * f.slope_size for w, f in parts)
-    return _Smooth(
-        value, slope, max(f.degree for _, f in parts), size, slope_size,
-        sum(abs(w) * f.curvature for w, f in parts),
-        sum(abs(w) * f.value_err for w, f in parts) + ops * _U * size,
-        sum(abs(w) * f.slope_err for w, f in parts) + ops * _U * slope_size,
-    )
-
-
-def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> ViolationReport:
+def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str,
+              slack: float = 0.0) -> ViolationReport:
     """Maximum of f on the interval by adaptively bisected cells.
 
     The interval is cut into at most _START_CELLS equal cells. At each cell
     midpoint c, f and f' are evaluated, and a cell of width h gets the
     bound
 
-        f(c) + |f'(c)| h/2 + curvature h^2/8 + r,
+        f(c) + |f'(c)| h/2 + L2 h^2/8 + r,
 
     which holds on the whole cell by Taylor's theorem (h/2 is widened by
-    _MID_SLACK). r is fixed before the sweep: the rounding bounds of f
-    and of f' times the largest h/2, plus (d + 16)u times the size of the
-    bound's terms for the roundings of the curvature bound and of the
-    bound's own arithmetic. A cell whose bound is at most the largest value
+    _MID_SLACK); L2 is the derivative_bound() of f'. r is fixed before the
+    sweep: the rounding bounds of f and of f' (whose coefficients carry
+    3u relative error) times the largest h/2, plus (d + 16)u times the size
+    of the bound's terms for the roundings of L2 and of the bound's own
+    arithmetic, plus slack, how far the function checked may lie from f
+    on [-1, 1]. A cell whose bound is at most the largest value
     of f sampled so far plus r is dropped; the others are bisected until
     they are no wider than spec.grid_step. f is also evaluated at both
     ends, and the best point is refined by golden section within one final
@@ -278,6 +233,10 @@ def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> Violati
     bound of a final cell that was not dropped), an upper bound of f on
     the interval; in sampled mode it is sample_max.
     """
+    df = f.derivative()
+    size = float(np.sum(np.abs(f.coeffs)))
+    slope_size = f.derivative_bound()
+    curvature = df.derivative_bound()
     a, b = float(interval[0]), float(interval[1])
     if not a <= b:
         raise ParameterError(f"empty interval [{a}, {b}]")
@@ -291,11 +250,12 @@ def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> Violati
     cells = -(-count // (1 << levels))
     width = (b - a) / cells
     rho = width / 2.0 + _MID_SLACK
-    r = (f.value_err + f.slope_err * rho + (f.degree + 16) * _U
-         * (f.size + f.slope_size * rho + f.curvature * rho * rho / 2.0))
+    r = (_clenshaw_err(f.degree, size)
+         + (_clenshaw_err(f.degree - 1, slope_size) + 4.0 * _U * slope_size) * rho
+         + (f.degree + 16) * _U * (size + slope_size * rho + curvature * rho * rho / 2.0) + slack)
 
     ends = np.array([a, b])
-    vals = f.value(ends)
+    vals = f.eval(ends)
     best = int(np.argmax(vals))
     best_val, best_x = float(vals[best]), float(ends[best])
     evaluations = 2
@@ -303,13 +263,13 @@ def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> Violati
     top = -np.inf
     for level in range(levels + 1):
         mids = a + (2 * idx + 1) * (width / 2.0)
-        vals = f.value(mids)
+        vals = f.eval(mids)
         evaluations += idx.size
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val, best_x = float(vals[j]), float(mids[j])
         rho = width / 2.0 + _MID_SLACK
-        bound = vals + np.abs(f.slope(mids)) * rho + f.curvature * (rho * rho / 2.0)
+        bound = vals + np.abs(df.eval(mids)) * rho + curvature * (rho * rho / 2.0)
         # dropped when bound + r <= best_val + r
         live = bound > best_val
         if level == levels:
@@ -323,7 +283,7 @@ def _sweep_1d(f: _Smooth, interval, spec: DomainSpec, condition: str) -> Violati
     width = (b - a) / cells / (1 << levels)
 
     lo, hi = max(a, best_x - width), min(b, best_x + width)
-    x, refined = _golden_max_1d(lambda s: float(f.value(np.asarray(s))), lo, hi,
+    x, refined = _golden_max_1d(lambda s: float(f.eval(np.asarray(s))), lo, hi,
                                 REFINEMENT_DEPTH)
     evaluations += REFINEMENT_DEPTH + 3
     sample_max = max(best_val, refined)
@@ -337,25 +297,26 @@ def check_sign(g: GegenbauerExpansion, S, spec: DomainSpec | None = None,
                ) -> ViolationReport:
     """Worst violation of g <= 0 on the interval S (i.e. the maximum of g)."""
     spec = spec or DomainSpec()
-    return _sweep_1d(_expansion(g), S, spec, "sign:g<=0")
+    return _sweep_1d(g, S, spec, "sign:g<=0")
 
 
 def check_pair_condition(F: TripleCertificate, f: GegenbauerExpansion, T,
                          spec: DomainSpec | None = None) -> ViolationReport:
-    """Worst violation of F(1, t, t) <= f(t) over t in T."""
+    """Worst violation of F(1, t, t) <= f(t) over t in T: a sign check of
+    F(1, t, t) - f(t) built by _pair_expansion in f's dimension."""
     spec = spec or DomainSpec()
-    fun = _combine([(1.0, _polynomial(F.diag_restriction())), (-1.0, _expansion(f))])
-    return _sweep_1d(fun, T, spec, "pair:F(1,t,t)<=f")
+    e, slack = _pair_expansion(f.n, F, [(-1, f)])
+    return _sweep_1d(e, T, spec, "pair:F(1,t,t)<=f", slack)
 
 
 def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertificate,
                             g: GegenbauerExpansion, T,
                             spec: DomainSpec | None = None) -> ViolationReport:
-    """Worst violation of h(t) + h0 + F(1, t, t) <= 2 g(t) over t in T."""
+    """Worst violation of h(t) + h0 + F(1, t, t) <= 2 g(t) over t in T, as
+    check_pair_condition; h must have g's dimension (ParameterError)."""
     spec = spec or DomainSpec()
-    fun = _combine([(1.0, _expansion(h)), (1.0, _polynomial(F.diag_restriction())),
-                    (-2.0, _expansion(g))], h0)
-    return _sweep_1d(fun, T, spec, "pair:h+h0+F(1,t,t)<=2g")
+    e, slack = _pair_expansion(g.n, F, [(1, h), (1, GegenbauerExpansion(g.n, [h0])), (-2, g)])
+    return _sweep_1d(e, T, spec, "pair:h+h0+F(1,t,t)<=2g", slack)
 
 
 def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
@@ -363,7 +324,8 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T).
 
     Sweeps the wedge t <= u <= v (F and the right side are symmetric) on a
-    grid, keeps points passing the determinant filter, then refines around
+    grid, evaluating F and the determinant only at the wedge's grid points,
+    keeps points passing the determinant filter, then refines around
     the maximizer by coordinate-wise golden section; the reported location
     and sample maximum come from points of D3(T) only. Raises
     ParameterError when no grid point lies in D3(T), so that an empty
@@ -383,22 +345,24 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     best = relaxed_best = -np.inf
     best_loc = None
     evaluations = 0
+    # grid index pairs j <= k, ordered by j; those of slice i (j >= i) are a tail
+    js, ks = np.triu_indices(ts.size)
     for i, t in enumerate(ts):
-        u = ts[i:][:, None]
-        v = ts[i:][None, :]
-        wedge = np.triu(np.ones((ts.size - i, ts.size - i), dtype=bool))
-        det = np.where(wedge, d3_determinant(t, u, v), -np.inf)
+        start = i * ts.size - i * (i - 1) // 2
+        j, k = js[start:], ks[start:]
+        u, v = ts[j], ts[k]
+        det = d3_determinant(t, u, v)
         relaxed = det >= -det_tol
         if not relaxed.any():
             continue
-        evaluations += (ts.size - i) * (ts.size - i + 1) // 2
-        phi = F.eval(t, u, v) - (gvals[i] + gvals[i:][:, None] + gvals[i:][None, :])
+        evaluations += j.size
+        phi = F.eval(t, u, v) - (gvals[i] + gvals[j] + gvals[k])
         relaxed_best = max(relaxed_best, float(np.max(phi[relaxed])))
         phi = np.where(det >= -D3_MEMBERSHIP_TOL, phi, -np.inf)
-        j, k = np.unravel_index(int(np.argmax(phi)), phi.shape)
-        if phi[j, k] > best:
-            best = float(phi[j, k])
-            best_loc = (float(t), float(ts[i + j]), float(ts[i + k]))
+        q = int(np.argmax(phi))
+        if phi[q] > best:
+            best = float(phi[q])
+            best_loc = (float(t), float(u[q]), float(v[q]))
 
     if best_loc is None:
         raise ParameterError(

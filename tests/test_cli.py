@@ -188,6 +188,31 @@ def test_non_positive_step_and_bad_margin_exit_2(capsys):
         assert "NaN" not in out and "margin must be finite" in json.loads(out)["error"]
 
 
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch):
+    # NaN and negative tolerances, a negative moment degree and a negative
+    # cap capacity are validation failures, never a pass or a traceback
+    rng = np.random.default_rng(60)
+    points = rng.normal(size=(6, 4))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"n": 4, "points": points.tolist()}))
+    # mu is checked before the certified sign sweep starts
+    monkeypatch.setattr("spherecert.capopt.check_sign", None)
+    for argv in (["verify-cert", f"{DATA}/g1_cert.json", "--tol", "nan"],
+                 ["verify-cert", f"{DATA}/g1_cert.json", "--psd-tol", "nan"],
+                 ["verify-cert", f"{DATA}/g1_cert.json", "--tol=-1e-3"],
+                 ["code-stats", str(code), "--tol", "nan"],
+                 ["code-stats", str(code), "--tol", "0"],
+                 ["code-stats", "24cell", "--tol=-1"],
+                 ["code-stats", "24cell", "--tol", "inf"],
+                 ["code-stats", "24cell", "--degree=-3"],
+                 ["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}",
+                  "--mu=-1", "--N", "25"]):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "error" in json.loads(out), argv
+    assert "mu must be >= 0" in json.loads(out)["error"]
+
+
 def test_argument_errors_are_json(capsys):
     # argparse's own errors exit 2 with a JSON error on stdout, like every
     # other validation failure; --help still exits 0

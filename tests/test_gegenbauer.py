@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from spherecert.gegenbauer import (
     _SMALL_INPUT,
     GegenbauerExpansion,
     gegenbauer_eval,
+    monomial_coeffs,
+    monomial_to_gegenbauer,
 )
 
 from oracles import (
@@ -260,3 +264,22 @@ def test_parameter_errors():
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError, match="finite"):
             GegenbauerExpansion(4, [1.0, bad])
+
+
+def test_monomial_to_gegenbauer_round_trips_exactly():
+    # the basis change inverts expansion by monomial_coeffs, in exact
+    # arithmetic, both on the basis itself and on random polynomials
+    rng = np.random.default_rng(50)
+    for n in range(3, 9):
+        for k in range(31):
+            assert monomial_to_gegenbauer(n, monomial_coeffs(n, k)) == [0] * k + [1]
+        for degree in (0, 1, 7, 30):
+            poly = [Fraction(int(a), int(b)) for a, b in
+                    zip(rng.integers(-99, 100, degree + 1), rng.integers(1, 100, degree + 1))]
+            back = [Fraction(0)] * (degree + 1)
+            for k, c in enumerate(monomial_to_gegenbauer(n, poly)):
+                for i, a in enumerate(monomial_coeffs(n, k)):
+                    back[i] += c * a
+            assert back == poly
+    # floats are taken exactly
+    assert monomial_to_gegenbauer(4, [0.1]) == [Fraction(0.1)]

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -6,7 +9,7 @@ from oracles import cell_max_exact
 from spherecert import verify
 from spherecert.data import load_expansion
 from spherecert.errors import ParameterError
-from spherecert.gegenbauer import GegenbauerExpansion
+from spherecert.gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
 from spherecert.threepoint import TripleCertificate
 from spherecert.verify import (
     CERTIFIED,
@@ -308,3 +311,127 @@ def test_triple_condition_counts_evaluations():
     assert 0 < rep.evaluations <= m * (m + 1) * (m + 2) // 6 + refinement
     assert rep.evaluations == check_triple_condition(F, g, T_HALF, spec).evaluations
     assert rep.to_dict()["evaluations"] == rep.evaluations
+
+
+def test_triple_condition_counts_the_points_it_evaluates(monkeypatch):
+    # evaluations is the number of points TripleCertificate.eval receives
+    F = TripleCertificate.from_terms([(1, 1, 0, 0.5), (0, 0, 0, 0.2)])
+    g = GegenbauerExpansion(4, [0.1, 0.3])
+    points = []
+    orig = TripleCertificate.eval
+
+    def counted(self, t, u, v):
+        points.append(np.broadcast(np.asarray(t), np.asarray(u), np.asarray(v)).size)
+        return orig(self, t, u, v)
+
+    monkeypatch.setattr(TripleCertificate, "eval", counted)
+    for mode in ("sampled", CERTIFIED):
+        points.clear()
+        rep = check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=0.05, mode=mode))
+        assert rep.evaluations == sum(points)
+
+
+def _vanishing_tensor(rng, degree=3):
+    """(t-1)(u-1)(v-1) Q with random Q: F(1, t, t) is 0 in exact arithmetic,
+    and the stored tensor keeps only its rounding errors."""
+    terms = []
+    for a, b, c in itertools.product(range(degree + 1), repeat=3):
+        q = float(rng.normal())
+        for e in itertools.product((0, 1), repeat=3):
+            terms.append((a + e[0], b + e[1], c + e[2], (-1.0) ** (3 - sum(e)) * q))
+    return TripleCertificate.from_terms(terms)
+
+
+def _exact_diag(F):
+    """Exact monomial coefficients of s -> F(1, s, s) of the stored tensor."""
+    c = F.poly()
+    out = [Fraction(0)] * (2 * c.shape[1] - 1)
+    for (i, j, k), x in np.ndenumerate(c):
+        out[j + k] += Fraction(float(x))
+    return out
+
+
+def _exact_value(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * Fraction(x) + c
+    return out
+
+
+def test_certified_pair_bounds_dominate_exact_pair_function():
+    # here F(1, t, t) is a polynomial of size about 1e-16 whose float sums
+    # cancel badly; the certified bounds must still be above its exact
+    # values (with f = 0, and h = h0 = g = 0)
+    rng = np.random.default_rng(0)
+    zero = GegenbauerExpansion(4, [0.0])
+    spec = DomainSpec(grid_step=1e-4, mode=CERTIFIED)
+    xs = np.linspace(-1.0, 0.5, 1001).tolist()
+    for _ in range(6):
+        F = _vanishing_tensor(rng)
+        diag = _exact_diag(F)
+        exact_max = max(_exact_value(diag, x) for x in xs)
+        for rep in (check_pair_condition(F, zero, T_HALF, spec),
+                    check_dd_pair_condition(zero, 0.0, F, zero, T_HALF, spec)):
+            assert Fraction(rep.worst_violation) >= exact_max
+            assert Fraction(rep.worst_violation) >= _exact_value(diag, rep.location[0])
+            assert rep.worst_violation < 1e-14
+
+
+def _captured_expansion(monkeypatch, check, *args):
+    """The expansion and slack that check hands to the 1-D sweep."""
+    seen = []
+    sweep = verify._sweep_1d
+
+    def capture(e, interval, spec, condition, slack=0.0):
+        seen.append((e, slack))
+        return sweep(e, interval, spec, condition, slack)
+
+    monkeypatch.setattr(verify, "_sweep_1d", capture)
+    check(*args, T_HALF, DomainSpec(grid_step=1e-3, mode=CERTIFIED))
+    monkeypatch.undo()
+    (e, slack), = seen
+    return e, slack
+
+
+def test_pair_expansions_are_within_their_slack(monkeypatch):
+    # the built expansion differs from the exact rational pair function by
+    # at most its charged slack, summed over coefficients (each |G_k| <= 1)
+    rng = np.random.default_rng(51)
+    psd = [(lambda a: a @ a.T)(rng.normal(size=(5 - k, 5 - k))) for k in range(5)]
+    certs = [TripleCertificate.from_matrices(4, 4, psd),
+             TripleCertificate.from_terms([(2, 1, 0, 0.4), (1, 1, 1, -0.3), (3, 0, 0, 0.2)]),
+             _vanishing_tensor(rng)]
+    exact = lambda e: [Fraction(c) for c in e.coeffs]
+    for F in certs:
+        f = GegenbauerExpansion(4, rng.normal(size=7) / 3.0)
+        h = GegenbauerExpansion(4, rng.normal(size=12))
+        g = GegenbauerExpansion(4, rng.normal(size=5))
+        h0 = float(rng.normal())
+        diag = monomial_to_gegenbauer(4, _exact_diag(F))
+        for args, parts, const in (((F, f), [(-1, f)], 0),
+                                   ((h, h0, F, g), [(1, h), (-2, g)], h0)):
+            check = check_pair_condition if len(args) == 2 else check_dd_pair_condition
+            e, slack = _captured_expansion(monkeypatch, check, *args)
+            want = diag + [Fraction(0)] * (e.coeffs.size - len(diag))
+            want[0] += Fraction(const)
+            for w, p in parts:
+                for k, c in enumerate(exact(p)):
+                    want[k] += w * c
+            assert len(want) == e.coeffs.size
+            assert sum(abs(a - b) for a, b in zip(exact(e), want)) <= Fraction(slack)
+            # and the slack is of the size of one rounding per coefficient
+            size = sum(abs(c) for c in want) + sum(abs(c) for c in _exact_diag(F))
+            assert Fraction(slack) <= size * Fraction(2.0 ** -52)
+
+
+def test_sign_sweep_charges_no_slack(monkeypatch):
+    g = GegenbauerExpansion(4, [0.1, 0.3])
+    e, slack = _captured_expansion(monkeypatch, check_sign, g)
+    assert e is g and slack == 0.0
+
+
+def test_pair_dimension_mismatch():
+    zero_F = TripleCertificate.from_terms([])
+    h, g = GegenbauerExpansion(5, [0.0]), GegenbauerExpansion(4, [1.0])
+    with pytest.raises(ParameterError, match="dimension"):
+        check_dd_pair_condition(h, 0.0, zero_F, g, T_HALF)
