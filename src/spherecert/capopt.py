@@ -4,9 +4,9 @@ The optimization: place m unit vectors y_1..y_m inside the spherical cap
 e1 . y <= t0, with pairwise inner products at most 1/2, to maximize
 sum_j g(e1 . y_j). For any N-point code with products in [-1, 1/2] and
 g <= epsilon on [t0, 1/2], R_g(C) is at most the maximum over m = 0..mu
-of that value plus (N - 1 - m) epsilon: each of the N - 1 - m points
-outside the cap around -u contributes at most epsilon to the energy seen
-from u, and an average never exceeds a maximum.
+of that value plus max(N - 1 - m, 0) epsilon: each of the N - 1 - m
+points outside the cap around -u contributes at most epsilon to the
+energy seen from u, and an average never exceeds a maximum.
 
 The cap constraints are written once, in _residuals, over (..., m, n)
 arrays of configurations; the ranking of all starts and the two stacked
@@ -25,8 +25,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bounds import DDCertificate, dd_bound
-from .errors import ParameterError, PreconditionError
-from .gegenbauer import GegenbauerExpansion
+from .errors import CapabilityError, ParameterError, PreconditionError
+from .gegenbauer import GegenbauerExpansion, _eval_floats
 from .verify import CERTIFIED, DomainSpec, ViolationReport, check_sign
 
 __all__ = ["CapProblem", "CapResult", "cap_max", "kissing_check", "KissingReport"]
@@ -76,15 +76,16 @@ class CapResult:
     failed: int = 0
     at_best: int = 0
 
+    def counts(self) -> dict:
+        return {"polished": self.polished, "feasible": self.feasible,
+                "failed": self.failed, "at_best": self.at_best}
+
     def to_dict(self) -> dict:
         return {
             "m": self.m,
             "value": self.value,
             "configuration": [[float(x) for x in row] for row in self.configuration],
-            "polished": self.polished,
-            "feasible": self.feasible,
-            "failed": self.failed,
-            "at_best": self.at_best,
+            **self.counts(),
         }
 
 
@@ -172,24 +173,53 @@ def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
     return Y
 
 
+def _last_iterate(fun, shape):
+    """fun(x.reshape(shape)), recomputed only when the bytes of x change.
+
+    SLSQP asks for the eq and the ineq part at the same x one after the
+    other, and writes its iterates into one reused buffer, so the key is a
+    copy of x's bytes, never the array's identity."""
+    key = value = None
+
+    def call(x):
+        nonlocal key, value
+        if (k := x.tobytes()) != key:
+            key, value = k, fun(x.reshape(shape))
+        return value
+
+    return call
+
+
 def _polish(Y: np.ndarray, g: GegenbauerExpansion,
             t0: float) -> tuple[np.ndarray | None, bool]:
     """SLSQP refinement of one (m, n) configuration under the two stacked
     constraints of _residuals. Returns the configuration, or None unless
-    feasible to FEASIBILITY_TOL, and whether SLSQP reported success."""
+    feasible to FEASIBILITY_TOL, and whether SLSQP reported success.
+
+    Each iterate costs one _residuals, one _residual_jacobians when SLSQP
+    asks for normals, and one Python-float Clenshaw pass over the m
+    heights for the objective and one for its gradient: the same values,
+    bit for bit, as _value and eval on arrays, so SLSQP takes the same path."""
     shape = Y.shape
+    n = shape[1]
     dg = g.derivative()
+
+    def heights(x):
+        # np.clip(x[0::n], -1, 1) in Python floats; a NaN stays NaN
+        return [min(max(h, -1.0), 1.0) for h in x[0::n].tolist()]
 
     def neg_obj_grad(x):
         out = np.zeros(shape)
-        out[:, 0] = -dg.eval(np.clip(x.reshape(shape)[:, 0], -1.0, 1.0))
+        out[:, 0] = [-v for v in _eval_floats(dg, heights(x))]
         return out.ravel()
 
-    cons = [{"type": "eq", "fun": lambda x: _residuals(x.reshape(shape), t0)[0],
-             "jac": lambda x: _residual_jacobians(x.reshape(shape))[0]},
-            {"type": "ineq", "fun": lambda x: _residuals(x.reshape(shape), t0)[1],
-             "jac": lambda x: _residual_jacobians(x.reshape(shape))[1]}]
-    res = minimize(lambda x: -float(_value(x.reshape(shape), g)), Y.ravel(),
+    residuals = _last_iterate(lambda cfg: _residuals(cfg, t0), shape)
+    jacobians = _last_iterate(_residual_jacobians, shape)
+    cons = [{"type": "eq", "fun": lambda x: residuals(x)[0],
+             "jac": lambda x: jacobians(x)[0]},
+            {"type": "ineq", "fun": lambda x: residuals(x)[1],
+             "jac": lambda x: jacobians(x)[1]}]
+    res = minimize(lambda x: -float(np.sum(_eval_floats(g, heights(x)))), Y.ravel(),
                    jac=neg_obj_grad, method="SLSQP", constraints=cons,
                    options={"maxiter": 300, "ftol": 1e-14})
     out = res.x.reshape(shape)
@@ -247,7 +277,7 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
         if val > best_val:
             best_val, best_cfg = val, cfg
     if best_cfg is None:
-        raise RuntimeError(
+        raise CapabilityError(
             f"no feasible configuration found for m={m}; try more starts"
         )
     at_best = sum(v >= best_val - AT_BEST_TOL for v in values)
@@ -262,11 +292,13 @@ class KissingReport:
     For a point u of an (N, n, [-1, 1/2]) code, the m other points in the
     cap around -u contribute at most cap_m to its g-energy, and each of the
     N - 1 - m others lies where g <= epsilon, the certified bound of g on
-    [t0, 1/2] (never below 0). So R_g <= U' = max_m (cap_m + (N-1-m)
-    epsilon), the charged_best. verdict CONTRADICTION means U' < B(N) -
+    [t0, 1/2] (never below 0). So R_g <= U' = max_m (cap_m + max(N-1-m, 0)
+    epsilon), the charged_best; an m above N - 1 has no one left outside
+    the cap to charge. verdict CONTRADICTION means U' < B(N) -
     margin: no such code exists provided the multistart maxima cap_m are
     the true ones. best_value and best_m are the uncharged maximum; the
-    margin and the heuristic status are part of the report.
+    margin and the heuristic status are part of the report, and
+    polish_counts gives each m's CapResult counts.
     """
 
     verdict: str
@@ -282,6 +314,7 @@ class KissingReport:
     mu: int
     t0: float
     sign_check: ViolationReport
+    polish_counts: list[dict]
     heuristic: str = field(
         default="cap maxima are multistart estimates, not certified global optima"
     )
@@ -301,6 +334,7 @@ class KissingReport:
             "mu": self.mu,
             "t0": self.t0,
             "sign_check": self.sign_check.to_dict(),
+            "polish_counts": self.polish_counts,
             "heuristic": self.heuristic,
         }
 
@@ -327,15 +361,16 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
             f"g exceeds 0 by {sign.worst_violation:g} on [{t0}, 0.5] "
             f"(tolerance {SIGN_CHECK_TOL:g}); the cap reduction does not apply"
         )
-    values = []
+    values, counts = [], []
     best_value, best_m = -np.inf, 0
     for m in range(mu + 1):
         res = cap_max(CapProblem(g.n, g, t0, m, mu), starts=starts, seed=seed + m)
         values.append(res.value)
+        counts.append(res.counts())
         if res.value > best_value:
             best_value, best_m = res.value, m
     epsilon = max(sign.worst_violation, 0.0)
-    charged = [v + (N - 1 - m) * epsilon for m, v in enumerate(values)]
+    charged = [v + max(N - 1 - m, 0) * epsilon for m, v in enumerate(values)]
     verdict = "CONTRADICTION" if max(charged) < bound - margin else "INCONCLUSIVE"
     return KissingReport(verdict, N, bound, values, best_value, best_m, epsilon,
-                         charged, max(charged), margin, mu, t0, sign)
+                         charged, max(charged), margin, mu, t0, sign, counts)

@@ -107,6 +107,24 @@ def _clenshaw(table, x, b1, b2, q):
     return b1
 
 
+def _eval_floats(g: "GegenbauerExpansion", xs: list[float]) -> list[float]:
+    """g at each Python float of xs by Clenshaw's backward recurrence over
+    g._recurrence, point by point: the small-input path of g.eval, also
+    called directly by the cap polish's callbacks. Checks and clamps each
+    point as _blockwise does, with the same DomainError."""
+    table = g._recurrence
+    values = []
+    for x in xs:
+        if not abs(x) <= 1.0 + _EDGE_SLACK:
+            raise DomainError(f"argument outside [-1, 1]: {x}")
+        x = min(max(x, -1.0), 1.0)
+        b1 = b2 = 0.0
+        for c, a, beta in table:
+            b1, b2 = c + a * x * b1 + beta * b2, b1
+        values.append(b1)
+    return values
+
+
 def gegenbauer_eval(n: int, k: int, t):
     """Evaluate G_k in dimension n at t (scalar or array) by the
     three-term recurrence
@@ -167,8 +185,8 @@ class GegenbauerExpansion:
         to monomial coefficients. There are two paths, and both read one
         table, _recurrence:
         - inputs of at most _SMALL_INPUT points run it in Python floats,
-          point by point, which is cheapest for the few points of an
-          optimizer's callback;
+          point by point, through _eval_floats, which is cheapest for the
+          few points of an optimizer's callback;
         - larger inputs run it in blocks of _BLOCK points, in place in
           preallocated buffers, through the same helper as gegenbauer_eval.
         Each step computes c_k + (a_k t) b1 + beta_k b2 in that order on
@@ -176,18 +194,9 @@ class GegenbauerExpansion:
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
-        table = self._recurrence
         if t.size > _SMALL_INPUT:
-            return _blockwise(t, partial(_clenshaw, table))
-        values = []
-        for x in t.ravel().tolist():
-            if not abs(x) <= 1.0 + _EDGE_SLACK:
-                raise DomainError(f"argument outside [-1, 1]: {x}")
-            x = min(max(x, -1.0), 1.0)
-            b1 = b2 = 0.0
-            for c, a, beta in table:
-                b1, b2 = c + a * x * b1 + beta * b2, b1
-            values.append(b1)
+            return _blockwise(t, partial(_clenshaw, self._recurrence))
+        values = _eval_floats(self, t.ravel().tolist())
         if scalar:
             return values[0]
         # [()] turns a 0-d result into a numpy scalar, as numpy arithmetic does

@@ -6,8 +6,10 @@ coefficients, and the kernel matrix S_k assembled entry by entry from the
 production Q_k tensors. The whole-array loops are the evaluation
 algorithms as they stood before blocking, kept to check the blocked
 production paths against bit for bit; the whole-matrix pair sums are
-energy and moment as they stood before tiling. The maximum of an
-expansion on a cell comes from mpmath interval arithmetic.
+energy and moment as they stood before tiling. The SLSQP cap polish is
+kept as it stood before its callbacks shared one residual per iterate and
+left eval for Python-float Clenshaw. The maximum of an expansion on a
+cell comes from mpmath interval arithmetic.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import iv, mp
+from scipy.optimize import minimize
 from scipy.special import roots_gegenbauer
 
+from spherecert.capopt import (
+    FEASIBILITY_TOL,
+    _constraint_violation,
+    _project_cap,
+    _residual_jacobians,
+    _residuals,
+    _value,
+)
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, gegenbauer_eval
 from spherecert.threepoint import _eval_tensor, _kernel_tensor
@@ -216,3 +227,29 @@ def cell_max_exact(n: int, coeffs, lo: float, hi: float, samples: int = 16):
         return max(mp.make_mpf(f(x)._mpi_[0]) for x in candidates)
     finally:
         iv.prec = old
+
+
+def polish_whole_array(Y: np.ndarray, g, t0: float) -> tuple[np.ndarray | None, bool]:
+    """capopt._polish with each callback computed afresh through eval on
+    arrays: the eq and ineq parts each rebuild the Gram matrix at the same x."""
+    shape = Y.shape
+    dg = g.derivative()
+
+    def neg_obj_grad(x):
+        out = np.zeros(shape)
+        out[:, 0] = -dg.eval(np.clip(x.reshape(shape)[:, 0], -1.0, 1.0))
+        return out.ravel()
+
+    cons = [{"type": "eq", "fun": lambda x: _residuals(x.reshape(shape), t0)[0],
+             "jac": lambda x: _residual_jacobians(x.reshape(shape))[0]},
+            {"type": "ineq", "fun": lambda x: _residuals(x.reshape(shape), t0)[1],
+             "jac": lambda x: _residual_jacobians(x.reshape(shape))[1]}]
+    res = minimize(lambda x: -float(_value(x.reshape(shape), g)), Y.ravel(),
+                   jac=neg_obj_grad, method="SLSQP", constraints=cons,
+                   options={"maxiter": 300, "ftol": 1e-14})
+    out = res.x.reshape(shape)
+    out = out / np.linalg.norm(out, axis=1, keepdims=True)
+    if _constraint_violation(out, t0) <= 1e-7:
+        out = _project_cap(out, t0)
+    feasible = _constraint_violation(out, t0) <= FEASIBILITY_TOL
+    return (out if feasible else None), bool(res.success)

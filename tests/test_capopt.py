@@ -13,8 +13,10 @@ from spherecert.capopt import (
     kissing_check,
 )
 from spherecert.data import load_expansion
-from spherecert.errors import ParameterError, PreconditionError
+from spherecert.errors import DomainError, ParameterError, PreconditionError
 from spherecert.gegenbauer import GegenbauerExpansion
+
+from oracles import polish_whole_array
 
 T0 = -np.sqrt(2) / 2
 
@@ -103,6 +105,70 @@ def test_multistart_statistics(g1, monkeypatch):
         d = res.to_dict()
         assert (d["polished"], d["feasible"], d["failed"], d["at_best"]) == (
             res.polished, res.feasible, res.failed, res.at_best)
+
+
+def test_polish_matches_reference(monkeypatch):
+    # the polish keeps every bit of the reference on the penalty-ascent
+    # outputs cap_max hands it, so SLSQP takes the same path
+    polish = capopt._polish
+    compared = []
+
+    def against_reference(Y, g, t0):
+        cfg, success = polish(Y, g, t0)
+        ref_cfg, ref_success = polish_whole_array(Y, g, t0)
+        assert success == ref_success
+        assert (cfg is None) == (ref_cfg is None)
+        assert cfg is None or cfg.tobytes() == ref_cfg.tobytes()
+        compared.append(cfg is not None)
+        return cfg, success
+
+    monkeypatch.setattr(capopt, "_polish", against_reference)
+    for name, t0 in (("g1", T0), ("g2", -0.73)):
+        g = load_expansion(name)
+        for m in (1, 2, 3, 4):
+            for seed in (0, 1):
+                cap_max(CapProblem(4, g, t0, m, 4), starts=3, seed=seed)
+    assert len(compared) == 48 and sum(compared) >= 40
+
+
+def test_polish_evaluates_each_iterate_once(g1, monkeypatch):
+    # the eq and ineq constraints, and their Jacobians, share one
+    # evaluation per iterate: no two calls in a row see the same x. SLSQP
+    # may come back to an earlier x after a failed line search; the memo
+    # holds the last iterate only, so such a return is evaluated again
+    seen = {"residuals": [], "jacobians": []}
+    inside = []
+    minimize = capopt.minimize
+
+    def counted(name, fun):
+        def call(Y, *args):
+            if inside:
+                seen[name].append(Y.tobytes())
+            return fun(Y, *args)
+        return call
+
+    def minimize_inside(*args, **kwargs):
+        inside.append(True)
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(capopt, "_residuals", counted("residuals", capopt._residuals))
+    monkeypatch.setattr(capopt, "_residual_jacobians",
+                        counted("jacobians", capopt._residual_jacobians))
+    monkeypatch.setattr(capopt, "minimize", minimize_inside)
+    for m in (2, 4):
+        cap_max(CapProblem(4, g1, T0, m, 4), starts=3, seed=0)
+    for keys in seen.values():
+        assert len(keys) > 6
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+
+def test_polish_rejects_nan_height(g1):
+    Y = np.array([[T0, np.sqrt(1 - T0 * T0), 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0]])
+    with pytest.raises(DomainError, match=r"argument outside \[-1, 1\]: nan"):
+        capopt._polish(Y, g1, T0)
 
 
 def test_batched_projection_and_violation_match_per_configuration():
@@ -220,6 +286,19 @@ def test_kissing_verdict_charges_epsilon(g1):
     out = rep.to_dict()
     assert out["epsilon"] == rep.epsilon and out["charged_best"] == rep.charged_best
     assert out["sign_check"]["evaluations"] == rep.sign_check.evaluations
+
+
+def test_charged_values_never_below_cap_values(g1):
+    # with N <= mu, an m above N - 1 leaves no point outside the cap to charge
+    for N in (1, 3):
+        rep = kissing_check(g1, 22.5689, T0, 4, N, starts=2, seed=0)
+        assert len(rep.charged_values) == len(rep.cap_values) == 5
+        assert all(c >= v for c, v in zip(rep.charged_values, rep.cap_values))
+        assert rep.charged_values == [v + max(N - 1 - m, 0) * rep.epsilon
+                                      for m, v in enumerate(rep.cap_values)]
+    # the report carries each m's polish counts, as cap_max returns them
+    assert rep.to_dict()["polish_counts"] == [
+        cap_max(CapProblem(4, g1, T0, m, 4), starts=2, seed=m).counts() for m in range(5)]
 
 
 def test_planted_excess_flips_the_verdict(g1):

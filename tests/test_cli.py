@@ -260,6 +260,16 @@ def test_kissing_check_precondition_failure(tmp_path, capsys):
     assert "does not apply" in rep["error"]
 
 
+def test_kissing_check_infeasible_cap_exits_2(tmp_path, capsys):
+    # two points 60 degrees apart do not fit in the cap e1.y <= -0.99
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps({"g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, 0.5], "M": 1.0}))
+    code, rep = run(capsys, "kissing-check", str(f), "--t0=-0.99", "--mu", "4", "--N", "25",
+                    "--starts", "4")
+    assert code == 2
+    assert rep["error"].startswith("CapabilityError: no feasible configuration found for m=2")
+
+
 def test_reports_are_reproducible(capsys):
     _, rep1 = run(capsys, "bound", f"{DATA}/g1_cert.json", "--N", "24")
     _, rep2 = run(capsys, "bound", f"{DATA}/g1_cert.json", "--N", "24")
