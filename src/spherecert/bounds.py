@@ -37,7 +37,7 @@ class DDCertificate:
 
     scalar-M mode stores the single constant M = F(1,1,1) + 3 h(1)
     produced by an external semidefinite solve; full mode carries the
-    pieces (h, h0, F, F0) themselves.
+    pieces (h, h0, F) themselves, and F carries the threshold F0.
     """
 
     g: GegenbauerExpansion
@@ -47,7 +47,6 @@ class DDCertificate:
     h: GegenbauerExpansion | None = None
     h0: float | None = None
     F: TripleCertificate | None = None
-    F0: float | None = None
     m_provenance: str = "external"
 
     def __post_init__(self):
@@ -63,14 +62,17 @@ class DDCertificate:
             if self.h is None or self.h0 is None or self.F is None:
                 raise ParameterError("full certificate needs h, h0 and F")
             self.h0 = float(self.h0)
-            if self.F0 is None:
-                self.F0 = float(self.F.F0)
         else:
             raise ParameterError(f"unknown certificate mode {self.mode!r}")
-        for name in ("M", "h0", "F0"):
+        for name in ("M", "h0"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
+
+    @property
+    def F0(self) -> float | None:
+        """The threshold F0 of F; None in scalar-M mode."""
+        return None if self.F is None else self.F.F0
 
     def m_constant(self) -> float:
         """M = F(1,1,1) + 3 h(1); stored in scalar mode, derived in full."""
@@ -105,12 +107,20 @@ class DDCertificate:
                 m_provenance=str(obj.get("M_provenance", "external")),
             )
         if "h" in obj and "F" in obj:
-            F = TripleCertificate.from_dict(obj["F"])
-            F0 = float(obj["F0"]) if "F0" in obj else float(F.F0)
+            # a top-level F0 stands in for a missing one in F, and must
+            # equal F's own when both are given
+            F_obj = obj["F"]
+            if isinstance(F_obj, dict) and "F0" in obj:
+                F_obj = {"F0": obj["F0"], **F_obj}
+            F = TripleCertificate.from_dict(F_obj)
+            if "F0" in obj and float(obj["F0"]) != F.F0:
+                raise ParameterError(
+                    f"top-level F0 = {obj['F0']!r} differs from F's F0 = {F.F0!r}"
+                )
             return cls(
                 g, T, mode="full",
                 h=GegenbauerExpansion.from_dict(obj["h"]),
-                h0=float(obj.get("h0", 0.0)), F=F, F0=F0,
+                h0=float(obj.get("h0", 0.0)), F=F,
             )
         raise ParameterError("certificate object needs either 'M' or ('h', 'h0', 'F')")
 
@@ -223,9 +233,17 @@ def three_point_check(
 
 
 def dd_bound(cert: DDCertificate, N: int) -> float:
-    """Lower bound B(N) = (N - M)/(3N) on R_g for matching (N, n, T) codes."""
+    """Lower bound on R_g for matching (N, n, T) codes.
+
+    A scalar-M certificate gives B(N) = (N - M)/(3N). A full certificate
+    gives dd_bound_general with E_h bounded below by yudin_energy_lower,
+    which raises PreconditionError when h has a negative coefficient above
+    degree 0.
+    """
     if N < 1:
         raise ParameterError("N must be >= 1")
+    if cert.mode == "full":
+        return dd_bound_general(cert, N, yudin_energy_lower(cert.h, N))
     return (N - cert.m_constant()) / (3.0 * N)
 
 

@@ -9,6 +9,7 @@ unordered pair.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,41 +48,31 @@ def _tiles(N: int):
             yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the upper triangle of the square matrix a onto its lower one,
-    in place and tile by tile, so that a is exactly symmetric."""
-    for rows, cols in _tiles(a.shape[0]):
-        if rows == cols:
-            tile = a[rows, cols]
-            lower = np.tril_indices(tile.shape[0], -1)
-            tile[lower] = tile.T[lower]
-        else:
-            a[cols, rows] = a[rows, cols].T
+def _pair_sum(gram: np.ndarray, fn) -> float:
+    """Sum of fn over every entry of a symmetric Gram matrix.
 
-
-def _pair_values(gram: np.ndarray, fn) -> np.ndarray:
-    """fn at every entry of a symmetric Gram matrix, into a new N x N array.
-
-    fn sees each tile on and above the diagonal once; tiles below it are
-    the transposed copies. fn must act entrywise, so that a value depends
-    only on its entry: then the result equals fn(gram) bit for bit.
+    fn sees each tile on and above the diagonal once, and a tile above it
+    counts twice, for itself and its transposed copy below, which fn must
+    allow by acting entrywise. np.sum adds
+    each tile and math.fsum the tile sums, so that only one tile of values
+    is held at a time. With N <= _TILE the one tile is the whole matrix,
+    and the sum is np.sum(fn(gram)) bit for bit.
     """
-    N = gram.shape[0]
-    out = np.empty((N, N))
-    for rows, cols in _tiles(N):
-        vals = fn(gram[rows, cols])
-        out[rows, cols] = vals
-        if rows != cols:
-            out[cols, rows] = vals.T
-    return out
+    return math.fsum(
+        (1.0 if rows == cols else 2.0) * float(np.sum(fn(gram[rows, cols])))
+        for rows, cols in _tiles(gram.shape[0])
+    )
 
 
 @dataclass(eq=False)
 class SphericalCode:
     """N unit vectors in R^n, immutable after construction.
 
-    Built-in codes carry an exact rational inner-product table, which makes
-    their distance distributions exact and removes clustering ambiguity.
+    The points are a read-only, C-ordered copy of the array given, so the
+    caller's array stays writable and later writes to it do not reach the
+    code. Built-in codes carry an exact rational inner-product table, which
+    makes their distance distributions exact and removes clustering
+    ambiguity.
     """
 
     n: int
@@ -91,7 +82,7 @@ class SphericalCode:
     _gram: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ParameterError(f"points must be an (N, {self.n}) array")
         if pts.shape[0] < 1:
@@ -115,13 +106,17 @@ class SphericalCode:
 
     def gram(self) -> np.ndarray:
         """Float inner-product matrix, exactly symmetric with an exactly
-        unit diagonal; read-only."""
+        unit diagonal; read-only.
+
+        For float codes it is points @ points.T: numpy computes the product
+        of a C-ordered matrix with its own transpose as one symmetric
+        rank-k update and copies one triangle onto the other.
+        """
         if self._gram is None:
             if self.exact_products is not None:
                 g = np.array([[float(v) for v in row] for row in self.exact_products])
             else:
                 g = self.points @ self.points.T
-                _mirror_upper(g)
                 np.fill_diagonal(g, 1.0)
                 np.clip(g, -1.0, 1.0, out=g)
             g.setflags(write=False)
@@ -138,7 +133,7 @@ class SphericalCode:
             points = obj["points"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"code object needs 'n' and 'points': {exc}")
-        return cls(n, np.asarray(points, dtype=float), name=name)
+        return cls(n, points, name=name)
 
 
 @dataclass(eq=False)
@@ -230,31 +225,29 @@ def moment(code: SphericalCode, k: int) -> float:
     """k-th moment: sum of G_k(x.y) over all ordered pairs, diagonal included.
 
     Nonnegative for every code by positive-definiteness of the basis.
-    G_k is evaluated once per unordered pair, on the tiles on and above the
-    diagonal of the symmetric Gram matrix, and mirrored; the sum runs over
-    the full matrix, so the value is the same, bit for bit, as summing
-    G_k over every entry.
+    G_k is evaluated once per unordered pair, one tile of the symmetric
+    Gram matrix at a time, and the tile sums are added (see _pair_sum): up
+    to 128 points the value is np.sum of G_k over every entry, bit for bit.
     """
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    vals = _pair_values(code.gram(), lambda t: gegenbauer_eval(code.n, k, t))
-    return float(np.sum(vals))
+    return _pair_sum(code.gram(), lambda t: gegenbauer_eval(code.n, k, t))
 
 
 def energy(code: SphericalCode, g: GegenbauerExpansion) -> float:
     """E_g: sum of g(x.y) over ordered pairs of distinct points.
 
-    g is evaluated once per unordered pair, on the tiles on and above the
-    diagonal of the symmetric Gram matrix, and mirrored; the full matrix is
-    then summed and its trace taken away, so the value is the same, bit
-    for bit, as evaluating g at every entry.
+    g is evaluated once per unordered pair, one tile of the symmetric Gram
+    matrix at a time, and the tile sums are added (see _pair_sum); g at the
+    diagonal is then summed and taken away. Up to 128 points the value is
+    the same, bit for bit, as evaluating g at every entry.
     """
     if g.n != code.n:
         raise ParameterError(
             f"expansion dimension {g.n} does not match code dimension {code.n}"
         )
-    vals = _pair_values(code.gram(), g.eval)
-    return float(np.sum(vals) - np.trace(vals))
+    gram = code.gram()
+    return _pair_sum(gram, g.eval) - float(np.sum(g.eval(np.diagonal(gram))))
 
 
 def s_sum(code: SphericalCode, f: GegenbauerExpansion) -> float:

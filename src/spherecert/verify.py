@@ -42,7 +42,7 @@ CERTIFIED = "lipschitz-certified"
 
 D3_MEMBERSHIP_TOL = 1e-12
 DEFAULT_STEP_1D = 1e-5
-DEFAULT_STEP_3D = 1e-3
+DEFAULT_STEP_3D = 0.01
 # golden-section steps per refinement of a grid maximum
 REFINEMENT_DEPTH = 40
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -61,6 +61,10 @@ _MID_SLACK = 16 * _U
 # Most final cells a 1-D sweep may cut: cell indices stay exact in int64
 # and float64, and on [-1, 1] a cell is then still about 30 ulps wide.
 _MAX_CELLS = 2 ** 48
+# Most grid points per axis of the triple sweep. Its wedge t <= u <= v
+# of m points per axis holds m (m+1) (m+2) / 6 of them: 16,757,360 at
+# m = 464 and over 2^24 from m = 465 on.
+_MAX_AXIS_3D = 464
 
 
 @dataclass
@@ -329,13 +333,23 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     the maximizer by coordinate-wise golden section; the reported location
     and sample maximum come from points of D3(T) only. Raises
     ParameterError when no grid point lies in D3(T), so that an empty
-    region never passes with a maximum of -inf. In certified mode the
+    region never passes with a maximum of -inf, and before it evaluates
+    anything when the wedge would hold over 2^24 grid points (steps under
+    about 0.0033 on [-1, 1/2]). In certified mode the
     pad is added to the grid maximum over a filter relaxed to
     det >= -6*step, so that every point of D3(T) has an accepted grid
     neighbor, which the Lipschitz pad then covers.
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
+    # _grid takes ceil((b - a) / step) + 1 points per axis
+    if (b - a) / spec.grid_step > _MAX_AXIS_3D - 1:
+        # 1.01 keeps the step printed to 3 digits at or above the finest one
+        finest = 1.01 * (b - a) / (_MAX_AXIS_3D - 1)
+        raise ParameterError(
+            f"triple grid step {spec.grid_step:g} is too fine for [{a}, {b}]: its "
+            f"wedge would hold over 2^24 grid points; the finest step that fits is "
+            f"{finest:.3g}")
     ts = _grid(a, b, spec.grid_step)
     step = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
     # |d det / d coordinate| <= 4 on [-1,1]^3, three coordinates, step/2 each

@@ -173,10 +173,11 @@ def test_criterion_7_property_suites():
         for _ in range(1000):
             d = int(rng.integers(0, 4))
             F = _random_valid_cert(rng, 4, d)
+            F = TripleCertificate.from_matrices(4, d, F.H, 0.0)
             h = GegenbauerExpansion(4, rng.uniform(0, 1, size=int(rng.integers(1, 8))))
             cert = DDCertificate(
                 GegenbauerExpansion(4, [1.0]), (-1.0, 0.5), mode="full",
-                h=h, h0=1.0, F=F, F0=0.0,
+                h=h, h0=1.0, F=F,
             )
             N = int(rng.integers(2, 60))
             lhs = dd_bound_general(cert, N, E_h=-N * h.at_one())

@@ -173,7 +173,7 @@ def _constructed_full_cert(rng, n=4, d=3):
     abs_bound = float(np.abs(F.poly()).sum())
     c = max((float(np.sum(np.abs(h.coeffs))) + h0 + diag_bound) / 2.0, abs_bound / 3.0) + 0.1
     g = GegenbauerExpansion(n, [c])
-    return DDCertificate(g, (-1.0, 0.5), mode="full", h=h, h0=h0, F=F, F0=0.0)
+    return DDCertificate(g, (-1.0, 0.5), mode="full", h=h, h0=h0, F=F)
 
 
 def test_general_bound_reduces_to_scalar_m_form():
@@ -192,7 +192,7 @@ def test_dd_bound_general_trivia():
     zero_F = TripleCertificate.from_terms([], F0=0.0)
     cert = DDCertificate(
         GegenbauerExpansion(4, [0.0]), (-1, 0.5), mode="full",
-        h=GegenbauerExpansion(4, [0.0]), h0=0.0, F=zero_F, F0=0.0,
+        h=GegenbauerExpansion(4, [0.0]), h0=0.0, F=zero_F,
     )
     assert dd_bound_general(cert, 7, 0.0) == 0.0
     with pytest.raises(ParameterError):
@@ -211,6 +211,36 @@ def test_full_certificate_soundness_on_24cell():
         assert check_triple_condition(cert.F, cert.g, cert.T, DomainSpec(grid_step=0.05)).worst_violation <= 1e-9
         bound = dd_bound_general(cert, code.size, E_h=energy(code, cert.h))
         assert bound <= r_value(code, cert.g) + 1e-6
+
+
+def test_dd_bound_of_full_certificate_uses_yudin_energy():
+    # with F0 = 0, h0 = 1 and h >= 0 the bound is the general formula at
+    # E_h = c0 N^2 - N h(1), and still below the measured R_g
+    rng = np.random.default_rng(34)
+    code = make_24cell()
+    for _ in range(5):
+        cert = _constructed_full_cert(rng)
+        N = code.size
+        bound = dd_bound(cert, N)
+        assert bound == dd_bound_general(cert, N, yudin_energy_lower(cert.h, N))
+        assert bound <= r_value(code, cert.g) + 1e-6
+
+
+def test_full_certificate_holds_one_f0():
+    cert = _constructed_full_cert(np.random.default_rng(36))
+    assert cert.F0 == cert.F.F0 == 0.0
+    obj = cert.to_dict()
+    assert set(obj) == {"g", "T", "h", "h0", "F", "F0"}
+    assert obj["F0"] == 0.0
+    # a top-level F0 that disagrees with F's is refused, not believed
+    obj["F0"] = 5.0
+    with pytest.raises(ParameterError, match="F0"):
+        DDCertificate.from_dict(obj)
+    # without F0 in F, the top-level one becomes F's
+    del obj["F"]["F0"]
+    back = DDCertificate.from_dict(obj)
+    assert back.F.F0 == back.F0 == 5.0
+    assert not certificate_valid(back.F).valid
 
 
 def test_dd_bound_loose_soundness_on_24cell_published():

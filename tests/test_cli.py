@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spherecert.bounds import DDCertificate, dd_bound_general, yudin_energy_lower
 from spherecert.cli import main, manifest_to_argv
 
 DATA = str(Path(__file__).resolve().parent.parent / "src" / "spherecert" / "data")
@@ -153,6 +154,42 @@ def test_bound_m_equals_n(tmp_path, capsys):
     f.write_text(json.dumps({"g": {"n": 4, "coeffs": [1.0]}, "T": [-1, 0.5], "M": 24}))
     code, rep = run(capsys, "bound", str(f), "--N", "24")
     assert rep["sdp_bound"] == 0.0
+
+
+def _full_cert(**changes) -> dict:
+    """A full certificate with F0 = 0, h0 = 1 and h >= 0."""
+    cert = {
+        "g": {"n": 4, "coeffs": [1.0]}, "T": [-1.0, 0.5],
+        "h": {"n": 4, "coeffs": [0.1, 0.05]}, "h0": 1.0,
+        "F": {"n": 4, "d": 1, "F0": 0.0, "H": [[[1.0, 0.0], [0.0, 1.0]], [[1.0]]]},
+    }
+    return {**cert, **changes}
+
+
+def test_bound_full_certificate(tmp_path, capsys):
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(_full_cert()))
+    code, rep = run(capsys, "bound", str(f), "--N", "24")
+    assert code == 0
+    cert = DDCertificate.from_dict(_full_cert())
+    assert rep["sdp_bound"] == dd_bound_general(cert, 24, yudin_energy_lower(cert.h, 24))
+    # F0 < 0, h0 < 0 and a negative coefficient of h: (N - M)/(3N) holds
+    # for none of these, and E_h has no lower bound to stand in for it
+    F = {**_full_cert()["F"], "F0": -6.0}
+    f.write_text(json.dumps(_full_cert(F=F, h0=-0.163, h={"n": 4, "coeffs": [0.1, -0.05]})))
+    code, rep = run(capsys, "bound", str(f), "--N", "24")
+    assert code == 2
+    assert "negative" in rep["error"]
+
+
+def test_full_certificate_with_two_f0_exits_2(tmp_path, capsys):
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps({**_full_cert(), "F0": 5.0}))
+    for argv in (["verify-cert", str(f), "--triple-grid-step", "0.05"],
+                 ["bound", str(f), "--N", "24"]):
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert "F0" in rep["error"]
 
 
 def test_non_finite_input_exits_2(tmp_path, capsys):

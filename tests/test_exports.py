@@ -1,5 +1,7 @@
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,24 @@ def test_oracles_are_not_in_the_package():
     for module in [spherecert] + [importlib.import_module(f"spherecert.{m}") for m in MODULES]:
         for name in ORACLES:
             assert not hasattr(module, name), f"{module.__name__} defines {name}"
+
+
+def test_test_imports_are_declared_dependencies():
+    # every third-party module the tests import is installed by
+    # pip install -e ".[test]"
+    tomllib = pytest.importorskip("tomllib")
+    tests = Path(__file__).resolve().parent
+    project = tomllib.loads((tests.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    local = {path.stem for path in tests.glob("*.py")} | {"spherecert"}
+    imported = set()
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"numpy", "pytest", "mpmath"} <= third_party
+    assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"

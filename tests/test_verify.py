@@ -331,6 +331,24 @@ def test_triple_condition_counts_the_points_it_evaluates(monkeypatch):
         assert rep.evaluations == sum(points)
 
 
+def test_triple_step_too_fine_is_refused_before_evaluating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("F evaluated")
+
+    monkeypatch.setattr(TripleCertificate, "eval", refuse)
+    F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
+    g = GegenbauerExpansion(4, [1.0])
+    a, b = T_HALF
+    # a grid of m points per axis puts m (m+1) (m+2) / 6 in the wedge
+    m = verify._MAX_AXIS_3D
+    assert m * (m + 1) * (m + 2) // 6 <= 2 ** 24 < (m + 1) * (m + 2) * (m + 3) // 6
+    with pytest.raises(ParameterError, match="too fine") as err:
+        check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=(b - a) / (m - 0.5)))
+    finest = float(str(err.value).rsplit(" ", 1)[1])
+    assert np.ceil((b - a) / finest) + 1 <= m
+    assert np.ceil((b - a) / verify.DEFAULT_STEP_3D) + 1 <= m
+
+
 def _vanishing_tensor(rng, degree=3):
     """(t-1)(u-1)(v-1) Q with random Q: F(1, t, t) is 0 in exact arithmetic,
     and the stored tensor keeps only its rounding errors."""
