@@ -62,6 +62,7 @@ class DDCertificate:
             if self.h is None or self.h0 is None or self.F is None:
                 raise ParameterError("full certificate needs h, h0 and F")
             self.h0 = float(self.h0)
+            self.m_provenance = "derived"
         else:
             raise ParameterError(f"unknown certificate mode {self.mode!r}")
         for name in ("M", "h0"):

@@ -34,6 +34,7 @@ from .verify import (
     check_dd_pair_condition,
     check_sign,
     check_triple_condition,
+    triple_cells,
 )
 
 EXIT_OK = 0
@@ -203,6 +204,10 @@ def _cmd_verify_cert(args) -> int:
         mode = CERTIFIED if args.mode == "certified" else SAMPLED
         step = DEFAULT_STEP_1D if args.grid_step is None else args.grid_step
         spec = DomainSpec(grid_step=step, mode=mode)
+        if cert.mode == "full":
+            # a too-fine triple step is refused before any sweep runs
+            spec3 = DomainSpec(grid_step=args.triple_grid_step, mode=mode)
+            triple_cells(cert.T, spec3.grid_step)
         intervals = args.interval or [cert.T]
         for iv in intervals:
             rep = check_sign(cert.g, iv, spec)
@@ -211,7 +216,6 @@ def _cmd_verify_cert(args) -> int:
         if cert.mode == "full":
             rep = check_dd_pair_condition(cert.h, cert.h0, cert.F, cert.g, cert.T, spec)
             checks.append({**rep.to_dict(), "pass": rep.worst_violation <= args.tol})
-            spec3 = DomainSpec(grid_step=args.triple_grid_step, mode=spec.mode)
             rep = check_triple_condition(cert.F, cert.g, cert.T, spec3)
             checks.append({**rep.to_dict(), "pass": rep.worst_violation <= args.tol})
             if cert.F.form == "matrix":
@@ -325,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float,
                    help=f"finest cell width of the 1-d sweeps (default {DEFAULT_STEP_1D:g})")
     p.add_argument("--triple-grid-step", type=float, default=DEFAULT_STEP_3D,
-                   help="3-d sweep step for the triple condition (default %(default)g)")
+                   help="finest box width of the triple sweep (default %(default)g)")
     p.add_argument("--mode", choices=["sampled", "certified"], default="sampled")
     p.add_argument("--tol", type=_tolerance, default=5e-3,
                    help="violation tolerance (published coefficients are rounded)")

@@ -185,13 +185,6 @@ class TripleCertificate:
         return np.array([fsum(c[:, j + k == p].ravel().tolist())
                          for p in range(2 * j.shape[0] - 1)])
 
-    def gradient_bounds(self) -> tuple[float, float, float]:
-        """Per-variable Lipschitz bounds of F over [-1, 1]^3: the sum of
-        |coefficient| * exponent of that variable."""
-        c = np.abs(self.poly())
-        r = np.arange(c.shape[0])
-        return tuple(float(r @ np.moveaxis(c, axis, 0).sum(axis=(1, 2))) for axis in range(3))
-
     def to_dict(self) -> dict:
         if self.form == "matrix":
             return {

@@ -4,18 +4,19 @@ Checks sign conditions of expansions on intervals, membership of triples
 in the realizable set D3(T), and the two inequalities coupling a triple
 function F to single-variable functions over T and D3(T).
 
-Every 1-D check sweeps one GegenbauerExpansion: g itself, or for a pair
-check its left side minus its right side, built exactly and rounded once.
+Every check sweeps one function built exactly and rounded once: a
+GegenbauerExpansion (g, or a pair check's left minus right side) or, for
+the triple check, a coefficient tensor of F - g - g - g.
 
-Two modes: 'sampled' reports the refined sample maximum and is labeled
-non-rigorous; 'lipschitz-certified' reports an upper bound. The 1-D
-checks get it from second-order bounds on adaptively bisected cells plus
-an a-priori rounding term and the slack; the triple check adds a
-derivative-bound pad to its grid maximum.
+Two modes: 'sampled' reports the best sample and is labeled non-rigorous;
+'lipschitz-certified' reports an upper bound. Both bisect the cells or
+boxes that could hold the maximum down to the grid step, bounding each
+with an a-priori rounding term and the slack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
+from .gegenbauer import GegenbauerExpansion, monomial_coeffs, monomial_to_gegenbauer
 from .threepoint import TripleCertificate
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "check_pair_condition",
     "check_dd_pair_condition",
     "check_triple_condition",
+    "triple_cells",
 ]
 
 SAMPLED = "sampled"
@@ -43,7 +45,7 @@ CERTIFIED = "lipschitz-certified"
 D3_MEMBERSHIP_TOL = 1e-12
 DEFAULT_STEP_1D = 1e-5
 DEFAULT_STEP_3D = 0.01
-# golden-section steps per refinement of a grid maximum
+# golden-section steps per refinement of a 1-D sweep's maximum
 REFINEMENT_DEPTH = 40
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,10 +63,12 @@ _MID_SLACK = 16 * _U
 # Most final cells a 1-D sweep may cut: cell indices stay exact in int64
 # and float64, and on [-1, 1] a cell is then still about 30 ulps wide.
 _MAX_CELLS = 2 ** 48
-# Most grid points per axis of the triple sweep. Its wedge t <= u <= v
-# of m points per axis holds m (m+1) (m+2) / 6 of them: 16,757,360 at
-# m = 464 and over 2^24 from m = 465 on.
+# The triple sweep starts from at most 8 cells per axis. A wedge t <= u <= v
+# of m cells per axis holds m (m+1) (m+2) / 6 boxes, under 2^24 to m = 464.
+_START_CELLS_3D = 8
 _MAX_AXIS_3D = 464
+# The Gram determinant 1 + 2tuv - t^2 - u^2 - v^2 as an exact tensor.
+_DET = TripleCertificate.from_terms([(0, 0, 0, 1), (1, 1, 1, 2), (2, 0, 0, -3)]).poly()
 
 
 @dataclass
@@ -72,9 +76,9 @@ class DomainSpec:
     """Sweep parameters for interval and D3 checks; every check takes its
     interval as an argument.
 
-    For the 1-D checks grid_step is the finest cell width: cells that may
-    hold the maximum are bisected until no wider than it. For the triple
-    check it is the spacing of the uniform grid over D3(T).
+    grid_step is the finest cell width of the 1-D checks and the finest box
+    width of the triple check: cells or boxes that may hold the maximum are
+    bisected until no wider than it.
     """
 
     grid_step: float = DEFAULT_STEP_1D
@@ -96,8 +100,8 @@ class ViolationReport:
     """Worst violation of a <=-condition: positive means violated.
 
     evaluations counts the points where the checked function was
-    evaluated: ends, cell midpoints and refinement for the 1-D checks,
-    wedge grid points and refinement for the triple check.
+    evaluated: ends, cell midpoints and refinement for the 1-D checks, box
+    centres in D3(T) for the triple check.
     """
 
     condition: str
@@ -142,11 +146,11 @@ def in_d3(t: float, u: float, v: float, T: tuple[float, float],
     return bool(d3_determinant(t, u, v) >= -tol)
 
 
-def _grid(a: float, b: float, step: float) -> np.ndarray:
-    if b < a:
-        raise ParameterError(f"empty interval [{a}, {b}]")
-    count = max(2, int(np.ceil((b - a) / step)) + 1)
-    return np.linspace(a, b, count)
+def _levels(count: int, start: int) -> tuple[int, int]:
+    """At most start cells and the fewest bisection levels, those with
+    ceil(count / start) <= 2^levels, that cut them into at least count."""
+    levels = (-(-count // start) - 1).bit_length()
+    return -(-count // (1 << levels)), levels
 
 
 def _golden_max_1d(fun, lo: float, hi: float, depth: int) -> tuple[float, float]:
@@ -247,11 +251,7 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
     if not (b - a) / spec.grid_step <= _MAX_CELLS:
         raise ParameterError(
             f"grid_step {spec.grid_step:g} is too fine for [{a}, {b}]: over 2^48 cells")
-    count = max(1, math.ceil((b - a) / spec.grid_step))
-    levels = 0
-    while count > _START_CELLS << levels:
-        levels += 1
-    cells = -(-count // (1 << levels))
+    cells, levels = _levels(max(1, math.ceil((b - a) / spec.grid_step)), _START_CELLS)
     width = (b - a) / cells
     rho = width / 2.0 + _MID_SLACK
     r = (_clenshaw_err(f.degree, size)
@@ -264,8 +264,7 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
     best_val, best_x = float(vals[best]), float(ends[best])
     evaluations = 2
     idx = np.arange(cells)
-    top = -np.inf
-    for level in range(levels + 1):
+    for _ in range(levels + 1):
         mids = a + (2 * idx + 1) * (width / 2.0)
         vals = f.eval(mids)
         evaluations += idx.size
@@ -276,14 +275,11 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
         bound = vals + np.abs(df.eval(mids)) * rho + curvature * (rho * rho / 2.0)
         # dropped when bound + r <= best_val + r
         live = bound > best_val
-        if level == levels:
-            if live.any():
-                top = float(np.max(bound[live])) + r
-            break
         idx = (2 * idx[live][:, None] + np.array([0, 1])).ravel()
         if idx.size == 0:
             break
         width /= 2.0
+    top = float(np.max(bound[live], initial=-np.inf)) + r
     width = (b - a) / cells / (1 << levels)
 
     lo, hi = max(a, best_x - width), min(b, best_x + width)
@@ -323,98 +319,114 @@ def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertific
     return _sweep_1d(e, T, spec, "pair:h+h0+F(1,t,t)<=2g", slack)
 
 
+def triple_cells(T, grid_step: float) -> tuple[int, int]:
+    """_levels of the triple sweep of T^3 down to boxes at most grid_step
+    wide; ParameterError unless -1 <= a <= b <= 1 and its finest wedge holds
+    at most 2^24 boxes (steps from about 0.0034 on [-1, 1/2])."""
+    a, b = float(T[0]), float(T[1])
+    if not -1.0 <= a <= b <= 1.0:
+        raise ParameterError(f"triple domain T must satisfy -1 <= a <= b <= 1, got {T}")
+    count = max(1, math.ceil(min((b - a) / grid_step, _MAX_AXIS_3D + 1)))
+    cells, levels = _levels(count, _START_CELLS_3D)
+    if cells << levels > _MAX_AXIS_3D:
+        # the most cells that fit, a multiple of 2^top, are cut into exactly
+        # that many; 1.01 keeps the step printed to 3 digits at or above it
+        top = _levels(_MAX_AXIS_3D, _START_CELLS_3D)[1]
+        raise ParameterError(
+            f"triple grid step {grid_step:g} is too fine for [{a}, {b}]: its "
+            f"wedge would hold over 2^24 boxes; the finest step that fits is "
+            f"{1.01 * (b - a) / (_MAX_AXIS_3D >> top << top):.3g}")
+    return cells, levels
+
+
+def _triple_expansion(F: TripleCertificate, g: GegenbauerExpansion) -> tuple[np.ndarray, float]:
+    """phi = F(t, u, v) - g(t) - g(u) - g(v) as one tensor, exact from the
+    stored floats and rounded once, and a slack covering [-1, 1]^3 from the
+    wedge t <= u <= v: the roundings (monomials are at most 1 there) plus
+    twice the asymmetry rounding left in F's stored tensor, up one ulp."""
+    c = F.poly()
+    phi = np.zeros((max(c.shape[0], g.coeffs.size),) * 3)
+    phi[: c.shape[0], : c.shape[1], : c.shape[2]] = c
+    mono = [Fraction(0)] * phi.shape[0]
+    for k, ck in enumerate(g.coeffs.tolist()):
+        for i, x in enumerate(monomial_coeffs(g.n, k)):
+            mono[i] += Fraction(ck) * x
+    err = Fraction(0)
+    for i, x in enumerate(mono):
+        for pos in {(i, 0, 0), (0, i, 0), (0, 0, i)}:
+            exact = Fraction(phi[pos]) - (x if i else 3 * x)
+            phi[pos] = float(exact)
+            err += abs(exact - Fraction(phi[pos]))
+    asym = max(np.abs(c - c.transpose(p)).sum() for p in itertools.permutations(range(3)))
+    return phi, math.nextafter(float(err) + 2.0 * float(asym), math.inf)
+
+
+def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
+    """Upper bounds of the polynomial with coefficient tensor P (m entries
+    per axis) on the boxes of half-width rho about the centres mids.
+
+    About a centre c, P(c + rho s) has the coefficients Q = P times one
+    matrix M[i, p] = C(p, i) c^(p-i) rho^i per axis, and on |s| <= 1 it is
+    at most Q[0, 0, 0] plus the other |Q|. Rounding: |P| |M| |M| |M| sums to
+    at most sum |P| (|c| + rho <= 1 up to _MID_SLACK); M's entries are
+    integers times two powers within (m - 1)u each, and the three products
+    sum m terms each, so Q errs by (9m + 3)u sum |P| in total and the last
+    sum adds m^3 u sum |P|. Twice that, added to each bound, covers the rest.
+    """
+    m = P.shape[0]
+    p = np.arange(m)
+    # C(p, i) rho^i, zero for i > p, and the power of c beside it
+    scale = np.array([[math.comb(q, i) for q in p] for i in p], dtype=float) * rho ** p[:, None]
+    shift = np.maximum(p[None, :] - p[:, None], 0)
+    err = 2.0 * (m ** 3 + 9 * m + 3) * _U * float(np.abs(P).sum())
+    out = np.empty(len(mids))
+    chunk = max(1, 2 ** 16 // P.size)  # boxes per chunk of about 2^16 coefficients
+    for s in range(0, len(mids), chunk):
+        M = scale * mids[s : s + chunk, :, None, None] ** shift   # (box, axis, i, p)
+        Q = (M[:, 0] @ P.reshape(m, m * m)).reshape(-1, m, m, m)
+        Q = (M[:, None, 1] @ Q @ M[:, None, 2].transpose(0, 1, 3, 2)).reshape(len(M), -1)
+        out[s : s + chunk] = Q[:, 0] + np.abs(Q[:, 1:]).sum(axis=1) + err
+    return out
+
+
 def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
                            spec: DomainSpec | None = None) -> ViolationReport:
     """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T).
 
-    Sweeps the wedge t <= u <= v (F and the right side are symmetric) on a
-    grid, evaluating F and the determinant only at the wedge's grid points,
-    keeps points passing the determinant filter, then refines around
-    the maximizer by coordinate-wise golden section; the reported location
-    and sample maximum come from points of D3(T) only. Raises
-    ParameterError when no grid point lies in D3(T), so that an empty
-    region never passes with a maximum of -inf, and before it evaluates
-    anything when the wedge would hold over 2^24 grid points (steps under
-    about 0.0033 on [-1, 1/2]). In certified mode the
-    pad is added to the grid maximum over a filter relaxed to
-    det >= -6*step, so that every point of D3(T) has an accepted grid
-    neighbor, which the Lipschitz pad then covers.
+    The 1-D sweep in three variables, on boxes of the wedge t <= u <= v cut
+    by triple_cells. A box is dropped when the _upper bound of its Gram
+    determinant is negative, or that of phi (_triple_expansion) is at most
+    the best sample, F - g - g - g at a centre in D3(T) (evaluations counts
+    them). Certified mode reports max(sample_max, the largest final bound)
+    plus phi's slack. Raises ParameterError when no centre lies in D3(T).
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
-    # _grid takes ceil((b - a) / step) + 1 points per axis
-    if (b - a) / spec.grid_step > _MAX_AXIS_3D - 1:
-        # 1.01 keeps the step printed to 3 digits at or above the finest one
-        finest = 1.01 * (b - a) / (_MAX_AXIS_3D - 1)
-        raise ParameterError(
-            f"triple grid step {spec.grid_step:g} is too fine for [{a}, {b}]: its "
-            f"wedge would hold over 2^24 grid points; the finest step that fits is "
-            f"{finest:.3g}")
-    ts = _grid(a, b, spec.grid_step)
-    step = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
-    # |d det / d coordinate| <= 4 on [-1,1]^3, three coordinates, step/2 each
-    det_tol = 6.0 * step if spec.certified else D3_MEMBERSHIP_TOL
-
-    gvals = g.eval(ts)
-    best = relaxed_best = -np.inf
-    best_loc = None
-    evaluations = 0
-    # grid index pairs j <= k, ordered by j; those of slice i (j >= i) are a tail
-    js, ks = np.triu_indices(ts.size)
-    for i, t in enumerate(ts):
-        start = i * ts.size - i * (i - 1) // 2
-        j, k = js[start:], ks[start:]
-        u, v = ts[j], ts[k]
-        det = d3_determinant(t, u, v)
-        relaxed = det >= -det_tol
-        if not relaxed.any():
-            continue
-        evaluations += j.size
-        phi = F.eval(t, u, v) - (gvals[i] + gvals[j] + gvals[k])
-        relaxed_best = max(relaxed_best, float(np.max(phi[relaxed])))
-        phi = np.where(det >= -D3_MEMBERSHIP_TOL, phi, -np.inf)
-        q = int(np.argmax(phi))
-        if phi[q] > best:
-            best = float(phi[q])
-            best_loc = (float(t), float(u[q]), float(v[q]))
-
+    cells, levels = triple_cells((a, b), spec.grid_step)
+    phi, slack = _triple_expansion(F, g)
+    width = (b - a) / cells
+    idx = np.array(list(itertools.combinations_with_replacement(range(cells), 3)))
+    best_val, best_loc, evaluations = -np.inf, None, 0
+    for _ in range(levels + 1):
+        rho = width / 2.0 + _MID_SLACK
+        mids = a + (2 * idx + 1) * (width / 2.0)
+        keep = _upper(_DET, mids, rho) >= 0.0
+        idx, mids = idx[keep], mids[keep]
+        t, u, v = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL].T
+        if t.size:
+            vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v))
+            evaluations += t.size
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_loc = float(vals[j]), (float(t[j]), float(u[j]), float(v[j]))
+        bound = _upper(phi, mids, rho)
+        live = bound > best_val
+        kids = (2 * idx[live][:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
+        idx = kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])]
+        width /= 2.0
     if best_loc is None:
         raise ParameterError(
-            f"D3(T) holds no grid point for T = [{a}, {b}] at step {spec.grid_step:g}"
-        )
-
-    def point_val(p):
-        nonlocal evaluations
-        t, u, v = p
-        if not in_d3(t, u, v, (a, b)):
-            return -np.inf
-        evaluations += 1
-        return float(F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)))
-
-    sample_max, loc = best, best_loc
-    refined_loc = list(best_loc)
-    refined = point_val(refined_loc)
-    for _ in range(max(1, REFINEMENT_DEPTH // 10)):
-        for axis in range(3):
-            lo = max(a, refined_loc[axis] - step)
-            hi = min(b, refined_loc[axis] + step)
-
-            def along(s):
-                q = list(refined_loc)
-                q[axis] = s
-                return point_val(q)
-
-            x, val = _golden_max_1d(along, lo, hi, REFINEMENT_DEPTH)
-            if val > refined:
-                refined = val
-                refined_loc[axis] = float(x)
-    if refined >= best:
-        sample_max, loc = refined, tuple(refined_loc)
-    if spec.certified:
-        bt, bu, bv = F.gradient_bounds()
-        lip = bt + bu + bv + 3.0 * g.derivative_bound()
-        worst = max(relaxed_best + lip * step / 2.0, sample_max)
-    else:
-        worst = sample_max
-    return ViolationReport("triple:F<=g+g+g", spec.mode, worst, loc,
-                           spec.grid_step, spec.certified, sample_max, evaluations)
+            f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
+    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + slack
+    return ViolationReport("triple:F<=g+g+g", spec.mode, worst if spec.certified else best_val,
+                           best_loc, spec.grid_step, spec.certified, best_val, evaluations)

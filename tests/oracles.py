@@ -9,7 +9,8 @@ production paths against bit for bit; the whole-matrix pair sums are
 energy and moment as they stood before tiling. The SLSQP cap polish is
 kept as it stood before its callbacks shared one residual per iterate and
 left eval for Python-float Clenshaw. The maximum of an expansion on a
-cell comes from mpmath interval arithmetic.
+cell comes from mpmath interval arithmetic. Full certificates with known
+margins are built as the benchmark builds its triple workload's.
 """
 
 from __future__ import annotations
@@ -253,3 +254,40 @@ def polish_whole_array(Y: np.ndarray, g, t0: float) -> tuple[np.ndarray | None, 
         out = _project_cap(out, t0)
     feasible = _constraint_violation(out, t0) <= FEASIBILITY_TOL
     return (out if feasible else None), bool(res.success)
+
+
+def dd_certificate(d: int, valid: bool) -> dict:
+    """Full-mode certificate in dimension 4 on T = [-1, 1/2], built as the
+    benchmark's triple workload builds its unperturbed ones.
+
+    H_k = P_k (+ c E0 for k = 0) with P_k = A_k A_k^T positive
+    semidefinite. On realizable triples every kernel entry is at most 1 in
+    size, so |F - c| <= S = sum_k sum |P_k|. g is a negative constant plus
+    a tail of size delta; c, F0 and h0 are then set so that every side
+    condition holds with a margin of S/4. The invalid certificate raises
+    H_0[0,0] until F > g + g + g by S/4 everywhere on D3(T), and raises F0
+    so that H_0 - F0 E0 has a negative diagonal entry.
+    """
+    rng = np.random.default_rng([4, d])
+    H = []
+    for k in range(d + 1):
+        size = d + 1 - k
+        A = rng.normal(size=(size, size))
+        H.append(A @ A.T / (size * size * (k + 1)))
+    S = float(sum(np.abs(h).sum() for h in H))
+    g_tail = rng.normal(size=d) * 0.02 * S / np.arange(1, d + 1)
+    delta = float(np.abs(g_tail).sum())
+    g0 = -delta - 0.05 * S
+    c = 3.0 * (g0 - delta) - 1.25 * S
+    h = rng.normal(size=d + 1) * 0.05 * S / np.arange(1, d + 2)
+    h0 = 2.0 * (g0 - delta) - S - c - float(np.abs(h).sum()) - 0.25 * S
+    p00 = float(H[0][0, 0])
+    H[0][0, 0] += c
+    F0 = c
+    if not valid:
+        lift = 3.0 * (g0 + delta) + S - c + 0.25 * S
+        H[0][0, 0] += lift
+        F0 = c + lift + p00 + 0.25 * S
+    F = {"n": 4, "d": d, "F0": F0, "H": [m.tolist() for m in H]}
+    return {"g": {"n": 4, "coeffs": [g0, *g_tail.tolist()]}, "T": [-1.0, 0.5],
+            "h": {"n": 4, "coeffs": h.tolist()}, "h0": h0, "F": F, "F0": F0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spherecert.bounds import DDCertificate, dd_bound_general, yudin_energy_lower
+from spherecert import cli
 from spherecert.cli import main, manifest_to_argv
 
 DATA = str(Path(__file__).resolve().parent.parent / "src" / "spherecert" / "data")
@@ -171,6 +172,7 @@ def test_bound_full_certificate(tmp_path, capsys):
     f.write_text(json.dumps(_full_cert()))
     code, rep = run(capsys, "bound", str(f), "--N", "24")
     assert code == 0
+    assert rep["M_provenance"] == "derived"
     cert = DDCertificate.from_dict(_full_cert())
     assert rep["sdp_bound"] == dd_bound_general(cert, 24, yudin_energy_lower(cert.h, 24))
     # F0 < 0, h0 < 0 and a negative coefficient of h: (N - M)/(3N) holds
@@ -180,6 +182,19 @@ def test_bound_full_certificate(tmp_path, capsys):
     code, rep = run(capsys, "bound", str(f), "--N", "24")
     assert code == 2
     assert "negative" in rep["error"]
+
+
+def test_too_fine_triple_step_is_refused_before_any_sweep(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep ran")
+
+    for name in ("check_sign", "check_dd_pair_condition", "check_triple_condition"):
+        monkeypatch.setattr(cli, name, refuse)
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(_full_cert()))
+    code, rep = run(capsys, "verify-cert", str(f), "--triple-grid-step", "0.001")
+    assert code == 2
+    assert "too fine" in rep["error"]
 
 
 def test_full_certificate_with_two_f0_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,21 @@ def test_test_imports_are_declared_dependencies():
     third_party = imported - local - set(sys.stdlib_module_names)
     assert {"numpy", "pytest", "mpmath"} <= third_party
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py wraps package names by attribute, so removing or
+    # renaming one (say cli.check_triple_condition) must fail here and not
+    # only in the benchmark's self-test; install() rebinds names in the
+    # package's modules, hence the fresh interpreter
+    root = Path(__file__).resolve().parent.parent
+    code = ("import spans\n"
+            "spans.Tracer().install()\n"
+            "from spherecert import bounds, capopt, cli, codes\n"
+            "for f in (codes.gegenbauer_eval, bounds.energy, capopt.minimize,\n"
+            "          cli.check_triple_condition):\n"
+            "    assert hasattr(f, '__wrapped__'), f\n")
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

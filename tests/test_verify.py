@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import cell_max_exact
+from oracles import cell_max_exact, dd_certificate
 from spherecert import verify
+from spherecert.bounds import DDCertificate
 from spherecert.data import load_expansion
 from spherecert.errors import ParameterError
-from spherecert.gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
+from spherecert.gegenbauer import GegenbauerExpansion, monomial_coeffs, monomial_to_gegenbauer
 from spherecert.threepoint import TripleCertificate
 from spherecert.verify import (
     CERTIFIED,
@@ -149,27 +150,27 @@ def test_triple_condition_trivia():
     assert abs(check_triple_condition(F, g1, T_HALF, spec).worst_violation) < 1e-12
 
 
-def test_triple_condition_wedge_equals_full_grid(monkeypatch):
-    # brute-force the full grid (no wedge reduction) and compare; depth 0
-    # keeps the golden-section refinement from moving off the grid maximum
-    monkeypatch.setattr(verify, "REFINEMENT_DEPTH", 0)
+def test_triple_condition_certified_bound_dominates_full_grid():
+    # the certified bound is above the maximum over the full, unreduced
+    # grid of T^3 (no wedge) restricted to D3(T), and the sampled maximum
+    # is a value of F - g - g - g at a point of D3(T)
     rng = np.random.default_rng(43)
     F = TripleCertificate.from_terms(
         [(2, 0, 0, 0.8), (1, 1, 0, -0.5), (0, 0, 0, 0.3), (1, 1, 1, 1.1)]
     )
     g = GegenbauerExpansion(4, rng.normal(size=4))
     step = 0.05
-    spec = DomainSpec(grid_step=step)
-    rep = check_triple_condition(F, g, T_HALF, spec)
+    rep = check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=step, mode=CERTIFIED))
     ts = np.linspace(-1.0, 0.5, int(np.ceil(1.5 / step)) + 1)
-    best = -np.inf
-    for t in ts:
-        for u in ts:
-            for v in ts:
-                if d3_determinant(t, u, v) >= -1e-12:
-                    val = F.eval(t, u, v) - g.eval(t) - g.eval(u) - g.eval(v)
-                    best = max(best, float(val))
-    assert rep.sample_max == pytest.approx(best, abs=1e-12)
+    t, u, v = (x.ravel() for x in np.meshgrid(ts, ts, ts, indexing="ij"))
+    inside = d3_determinant(t, u, v) >= 0.0
+    t, u, v = t[inside], u[inside], v[inside]
+    best = float(np.max(F.eval(t, u, v) - g.eval(t) - g.eval(u) - g.eval(v)))
+    assert rep.worst_violation >= best
+    assert in_d3(*rep.location, T_HALF)
+    assert rep.sample_max == pytest.approx(
+        F.eval(*rep.location) - sum(g.eval(x) for x in rep.location), abs=1e-12)
+    assert rep.sample_max <= rep.worst_violation
 
 
 def test_triple_condition_empty_region():
@@ -192,15 +193,99 @@ def test_triple_condition_certified_pads():
 
 
 def test_triple_condition_certified_location_in_d3():
-    # F = t^2 + u^2 + v^2 is largest at (-1, -1, 1/2), which passes the
-    # relaxed certified filter but is not realizable; the reported maximum
-    # must still be a value of F - g - g - g at a point of D3(T)
+    # F = t^2 + u^2 + v^2 is largest on T^3 at (-1, -1, 1/2), which is not
+    # realizable; the reported maximum must still be a value of
+    # F - g - g - g at a point of D3(T)
     F = TripleCertificate.from_terms([(2, 0, 0, 3.0)])
     g = GegenbauerExpansion(4, [0.0])
     rep = check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=0.05, mode=CERTIFIED))
     assert in_d3(*rep.location, T_HALF)
     assert rep.sample_max == pytest.approx(F.eval(*rep.location), abs=1e-12)
     assert 1.5 <= rep.sample_max <= rep.worst_violation
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_triple_condition_certifies_valid_certificates(d):
+    # the side conditions of these certificates hold with a margin of S/4,
+    # which a global pad over the cube never showed at d = 8 and 12
+    for step in (0.02, 0.04):
+        spec = DomainSpec(grid_step=step, mode=CERTIFIED)
+        for valid in (True, False):
+            cert = DDCertificate.from_dict(dd_certificate(d, valid))
+            rep = check_triple_condition(cert.F, cert.g, cert.T, spec)
+            assert (rep.worst_violation < 0.0) == valid
+            assert rep.sample_max <= rep.worst_violation
+
+
+def _exact_tensor(c, point):
+    """sum c[i, j, k] t^i u^j v^k in exact rationals."""
+    t, u, v = (Fraction(x) for x in point)
+    out = Fraction(0)
+    for (i, j, k), x in np.ndenumerate(c):
+        if x:
+            out += Fraction(float(x)) * t ** i * u ** j * v ** k
+    return out
+
+
+def _exact_phi(F, g, point):
+    """F(t, u, v) - g(t) - g(u) - g(v) in exact rationals, from the stored
+    tensor and coefficients."""
+    out = _exact_tensor(F.poly(), point)
+    for k, c in enumerate(g.coeffs.tolist()):
+        mono = monomial_coeffs(g.n, k)
+        out -= Fraction(c) * sum(_exact_value(mono, x) for x in point)
+    return out
+
+
+def _d3_points(rng, T, count):
+    a, b = T
+    p = rng.uniform(a, b, size=(20 * count, 3))
+    return p[d3_determinant(*p.T) >= 0.0][:count]
+
+
+def test_certified_triple_bound_dominates_exact_phi():
+    # random certificates, g and T: the bound is above the exact F - g - g - g
+    # at the reported location and at random points of D3(T)
+    rng = np.random.default_rng(46)
+    for _ in range(8):
+        deg = int(rng.integers(1, 6))
+        terms = [(*rng.integers(0, deg + 1, size=3), float(rng.normal())) for _ in range(12)]
+        F = TripleCertificate.from_terms(terms)
+        g = GegenbauerExpansion(int(rng.integers(3, 9)), rng.normal(size=int(rng.integers(1, 8))))
+        T = (float(rng.uniform(-1.0, -0.3)), float(rng.uniform(0.2, 1.0)))
+        rep = check_triple_condition(F, g, T, DomainSpec(grid_step=0.05, mode=CERTIFIED))
+        bound = Fraction(rep.worst_violation)
+        for point in [rep.location, *_d3_points(rng, T, 30).tolist()]:
+            assert bound >= _exact_phi(F, g, point)
+
+
+def test_triple_expansion_is_within_its_slack():
+    # phi's tensor, read at the wedge point sort(x), is within the slack of
+    # the exact F - g - g - g of the stored tensor at any x of [-1, 1]^3,
+    # although summing six transposes left the stored tensor of F
+    # asymmetric in its last bits; the corners show it most
+    rng = np.random.default_rng(47)
+    cert = DDCertificate.from_dict(dd_certificate(12, True))
+    phi, slack = verify._triple_expansion(cert.F, cert.g)
+    for x in [*itertools.product((-1.0, 1.0), repeat=3), *rng.uniform(-1.0, 1.0, (4, 3)).tolist()]:
+        wedge = _exact_tensor(phi, sorted(x))
+        assert abs(wedge - _exact_phi(cert.F, cert.g, x)) <= Fraction(slack)
+
+
+def test_certified_triple_bound_covers_a_bump_between_centres():
+    # F = 1 - 1000 |x - (x0, x0, x0)|^2 peaks at 1 on a corner shared by
+    # eight final boxes, where no sample lands
+    T, step = T_HALF, 0.05
+    cells, levels = verify.triple_cells(T, step)
+    x0 = T[0] + 24 * (T[1] - T[0]) / (cells << levels)
+    assert x0 == 0.125 and in_d3(x0, x0, x0, T)
+    F = TripleCertificate.from_terms(
+        [(0, 0, 0, 1.0 - 3000.0 * x0 ** 2), (1, 0, 0, 6000.0 * x0), (2, 0, 0, -3000.0)])
+    g = GegenbauerExpansion(4, [0.0])
+    assert _exact_phi(F, g, (x0, x0, x0)) == 1
+    rep = check_triple_condition(F, g, T, DomainSpec(grid_step=step, mode=CERTIFIED))
+    assert rep.sample_max < 0.0
+    assert rep.worst_violation >= 1.0
 
 
 def test_domainspec_validation():
@@ -306,9 +391,8 @@ def test_triple_condition_counts_evaluations():
     g = GegenbauerExpansion(4, [0.1, 0.3])
     spec = DomainSpec(grid_step=0.05)
     rep = check_triple_condition(F, g, T_HALF, spec)
-    m = 31  # grid points on [-1, 1/2]
-    refinement = max(1, verify.REFINEMENT_DEPTH // 10) * 3 * (verify.REFINEMENT_DEPTH + 3) + 1
-    assert 0 < rep.evaluations <= m * (m + 1) * (m + 2) // 6 + refinement
+    m = 31  # points per axis of a uniform grid on [-1, 1/2]
+    assert 0 < rep.evaluations <= m * (m + 1) * (m + 2) // 6
     assert rep.evaluations == check_triple_condition(F, g, T_HALF, spec).evaluations
     assert rep.to_dict()["evaluations"] == rep.evaluations
 
@@ -339,13 +423,15 @@ def test_triple_step_too_fine_is_refused_before_evaluating(monkeypatch):
     F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
     g = GegenbauerExpansion(4, [1.0])
     a, b = T_HALF
-    # a grid of m points per axis puts m (m+1) (m+2) / 6 in the wedge
+    # a wedge of m cells per axis holds m (m+1) (m+2) / 6 boxes
     m = verify._MAX_AXIS_3D
     assert m * (m + 1) * (m + 2) // 6 <= 2 ** 24 < (m + 1) * (m + 2) * (m + 3) // 6
     with pytest.raises(ParameterError, match="too fine") as err:
         check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=(b - a) / (m - 0.5)))
     finest = float(str(err.value).rsplit(" ", 1)[1])
     assert np.ceil((b - a) / finest) + 1 <= m
+    cells, levels = verify.triple_cells(T_HALF, finest)
+    assert cells << levels <= m
     assert np.ceil((b - a) / verify.DEFAULT_STEP_3D) + 1 <= m
 
 
