@@ -37,7 +37,8 @@ class DDCertificate:
 
     scalar-M mode stores the single constant M = F(1,1,1) + 3 h(1)
     produced by an external semidefinite solve; full mode carries the
-    pieces (h, h0, F) themselves, and F carries the threshold F0.
+    pieces (h, h0, F) themselves, and F carries the threshold F0; h and a
+    matrix-form F must have g's dimension.
     """
 
     g: GegenbauerExpansion
@@ -61,6 +62,10 @@ class DDCertificate:
         elif self.mode == "full":
             if self.h is None or self.h0 is None or self.F is None:
                 raise ParameterError("full certificate needs h, h0 and F")
+            # the kernels S_k are positive definite only in their own dimension
+            for name, n in (("h", self.h.n), ("F", self.F.n)):
+                if n is not None and n != self.g.n:
+                    raise ParameterError(f"{name} has dimension {n}, g has dimension {self.g.n}")
             self.h0 = float(self.h0)
             self.m_provenance = "derived"
         else:

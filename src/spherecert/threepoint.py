@@ -62,8 +62,11 @@ def _kernel_tensor(n: int, k: int) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average of a cubic tensor over the six orders of its axes."""
-    return sum(a.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+    """Average of a cubic tensor over the six orders of its axes. Each entry
+    adds its six transposes in sorted order, so the result equals each of
+    its transposes bit for bit."""
+    perms = np.stack([a.transpose(p) for p in itertools.permutations(range(3))])
+    return np.sort(perms, axis=0).sum(axis=0) / 6.0
 
 
 def _eval_tensor(c: np.ndarray, t, u, v) -> np.ndarray:

@@ -10,8 +10,9 @@ the triple check, a coefficient tensor of F - g - g - g.
 
 Two modes: 'sampled' reports the best sample and is labeled non-rigorous;
 'lipschitz-certified' reports an upper bound. Both bisect the cells or
-boxes that could hold the maximum down to the grid step, bounding each
-with an a-priori rounding term and the slack.
+boxes that could hold the maximum down to the grid step, sampling their
+centres. The upper bound is max(best sample, largest bound of a cell or
+box not dropped) plus an a-priori rounding term and the slack.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ CERTIFIED = "lipschitz-certified"
 D3_MEMBERSHIP_TOL = 1e-12
 DEFAULT_STEP_1D = 1e-5
 DEFAULT_STEP_3D = 0.01
-# golden-section steps per refinement of a 1-D sweep's maximum
-REFINEMENT_DEPTH = 40
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 # Unit roundoff of float64.
 _U = 2.0 ** -53
 # The 1-D sweeps start from at most this many equal cells, sized so that
@@ -100,8 +97,9 @@ class ViolationReport:
     """Worst violation of a <=-condition: positive means violated.
 
     evaluations counts the points where the checked function was
-    evaluated: ends, cell midpoints and refinement for the 1-D checks, box
-    centres in D3(T) for the triple check.
+    evaluated: ends and cell midpoints for the 1-D checks, box centres in
+    D3(T) for the triple check. location is the best of those points and
+    sample_max the value there.
     """
 
     condition: str
@@ -151,26 +149,6 @@ def _levels(count: int, start: int) -> tuple[int, int]:
     ceil(count / start) <= 2^levels, that cut them into at least count."""
     levels = (-(-count // start) - 1).bit_length()
     return -(-count // (1 << levels)), levels
-
-
-def _golden_max_1d(fun, lo: float, hi: float, depth: int) -> tuple[float, float]:
-    """Golden-section ascent for the maximum of fun on [lo, hi]; calls fun
-    depth + 3 times."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(depth):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = c if fc >= fd else d
-    return x, fun(x)
 
 
 def _clenshaw_err(d: int, size: float) -> float:
@@ -234,12 +212,11 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
     on [-1, 1]. A cell whose bound is at most the largest value
     of f sampled so far plus r is dropped; the others are bisected until
     they are no wider than spec.grid_step. f is also evaluated at both
-    ends, and the best point is refined by golden section within one final
-    cell width.
+    ends, and sample_max is the best end or midpoint.
 
-    In certified mode worst_violation is max(sample_max + r, the largest
-    bound of a final cell that was not dropped), an upper bound of f on
-    the interval; in sampled mode it is sample_max.
+    In certified mode worst_violation is max(sample_max, the largest bound
+    of a final cell that was not dropped) + r, an upper bound of f on the
+    interval; in sampled mode it is sample_max.
     """
     df = f.derivative()
     size = float(np.sum(np.abs(f.coeffs)))
@@ -279,18 +256,9 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
         if idx.size == 0:
             break
         width /= 2.0
-    top = float(np.max(bound[live], initial=-np.inf)) + r
-    width = (b - a) / cells / (1 << levels)
-
-    lo, hi = max(a, best_x - width), min(b, best_x + width)
-    x, refined = _golden_max_1d(lambda s: float(f.eval(np.asarray(s))), lo, hi,
-                                REFINEMENT_DEPTH)
-    evaluations += REFINEMENT_DEPTH + 3
-    sample_max = max(best_val, refined)
-    loc = float(x) if refined >= best_val else best_x
-    worst = max(sample_max + r, top) if spec.certified else sample_max
-    return ViolationReport(condition, spec.mode, worst, (loc,), spec.grid_step,
-                           spec.certified, sample_max, evaluations)
+    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
+    return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
+                           (best_x,), spec.grid_step, spec.certified, best_val, evaluations)
 
 
 def check_sign(g: GegenbauerExpansion, S, spec: DomainSpec | None = None,
@@ -341,9 +309,10 @@ def triple_cells(T, grid_step: float) -> tuple[int, int]:
 
 def _triple_expansion(F: TripleCertificate, g: GegenbauerExpansion) -> tuple[np.ndarray, float]:
     """phi = F(t, u, v) - g(t) - g(u) - g(v) as one tensor, exact from the
-    stored floats and rounded once, and a slack covering [-1, 1]^3 from the
-    wedge t <= u <= v: the roundings (monomials are at most 1 there) plus
-    twice the asymmetry rounding left in F's stored tensor, up one ulp."""
+    stored floats and rounded once, and a slack: the sum of the roundings
+    (monomials are at most 1 on [-1, 1]^3), up one ulp. F's tensor is
+    exactly symmetric, so phi is too, and its value at the wedge point
+    sort(t, u, v) is its value at (t, u, v)."""
     c = F.poly()
     phi = np.zeros((max(c.shape[0], g.coeffs.size),) * 3)
     phi[: c.shape[0], : c.shape[1], : c.shape[2]] = c
@@ -357,8 +326,7 @@ def _triple_expansion(F: TripleCertificate, g: GegenbauerExpansion) -> tuple[np.
             exact = Fraction(phi[pos]) - (x if i else 3 * x)
             phi[pos] = float(exact)
             err += abs(exact - Fraction(phi[pos]))
-    asym = max(np.abs(c - c.transpose(p)).sum() for p in itertools.permutations(range(3)))
-    return phi, math.nextafter(float(err) + 2.0 * float(asym), math.inf)
+    return phi, math.nextafter(float(err), math.inf)
 
 
 def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import dd_certificate
 from spherecert.bounds import (
     DDCertificate,
     dd_bound,
@@ -262,3 +263,14 @@ def test_ddcertificate_json():
         DDCertificate.from_dict({"g": {"n": 4, "coeffs": [1.0]}, "T": [0.0, 1.0]})
     with pytest.raises(ParameterError):
         DDCertificate.from_dict({"g": {"n": 4, "coeffs": [1.0]}})
+
+
+def test_full_certificate_refuses_mixed_dimensions():
+    # S_k kernels are positive definite only on the sphere of their own
+    # dimension, so h and a matrix F must share g's
+    obj = dd_certificate(4, True)
+    DDCertificate.from_dict(obj)
+    for key in ("h", "F"):
+        bad = {**obj, key: {**obj[key], "n": 7}}
+        with pytest.raises(ParameterError, match="dimension"):
+            DDCertificate.from_dict(bad)

@@ -207,6 +207,22 @@ def test_full_certificate_with_two_f0_exits_2(tmp_path, capsys):
         assert "F0" in rep["error"]
 
 
+def test_full_certificate_of_another_dimension_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep ran")
+
+    for name in ("check_sign", "check_dd_pair_condition", "check_triple_condition"):
+        monkeypatch.setattr(cli, name, refuse)
+    f = tmp_path / "cert.json"
+    for changes in ({"F": {**_full_cert()["F"], "n": 7}}, {"h": {"n": 7, "coeffs": [0.1]}}):
+        f.write_text(json.dumps(_full_cert(**changes)))
+        for argv in (["verify-cert", str(f), "--mode", "certified", "--triple-grid-step", "0.05"],
+                     ["bound", str(f), "--N", "24"]):
+            code, rep = run(capsys, *argv)
+            assert code == 2
+            assert "dimension" in rep["error"]
+
+
 def test_non_finite_input_exits_2(tmp_path, capsys):
     cert = json.loads(Path(f"{DATA}/g1_cert.json").read_text())
     f = tmp_path / "cert.json"

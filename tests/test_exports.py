@@ -34,6 +34,41 @@ def test_package_imports_resolve():
         assert hasattr(spherecert, attr), f"spherecert does not bind {attr}"
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads: not as a name, not in a
+    quoted annotation and not in __all__."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+PACKAGE = Path(spherecert.__file__).parent
+
+
+# the package's __init__.py imports names to re-export them
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.rglob("*.py"))
+                                  if path != PACKAGE / "__init__.py"],
+                         ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_modules_use_what_they_import(path):
+    unused = _unused_imports(ast.parse(path.read_text()))
+    assert not unused, f"{path.name} imports but never uses {unused}"
+
+
 def test_oracles_are_not_in_the_package():
     for module in [spherecert] + [importlib.import_module(f"spherecert.{m}") for m in MODULES]:
         for name in ORACLES:

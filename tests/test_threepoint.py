@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,25 @@ def test_triple_eval_permutation_symmetry():
             base = cert.eval(t, u, v)
             for perm in [(t, v, u), (u, t, v), (u, v, t), (v, t, u), (v, u, t)]:
                 assert cert.eval(*perm) == pytest.approx(base, abs=1e-10)
+
+
+def test_poly_is_exactly_symmetric():
+    # every entry of F's tensor equals its transposes bit for bit, so F is
+    # the same function of (t, u, v) in every order
+    rng = np.random.default_rng(25)
+    certs = []
+    for _ in range(12):
+        n, d = int(rng.integers(3, 7)), int(rng.integers(0, 9))
+        certs.append(TripleCertificate.from_matrices(
+            n, d, [random_psd(rng, d + 1 - k) for k in range(d + 1)]))
+        deg = int(rng.integers(0, 9))
+        certs.append(TripleCertificate.from_terms(
+            [(*map(int, rng.integers(0, deg + 1, size=3)), float(rng.normal()))
+             for _ in range(20)]))
+    for cert in certs:
+        c = cert.poly()
+        for perm in itertools.permutations(range(3)):
+            assert c.transpose(perm).tobytes() == c.tobytes()
 
 
 def test_explicit_eval_frozen():

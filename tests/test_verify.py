@@ -261,15 +261,16 @@ def test_certified_triple_bound_dominates_exact_phi():
 
 def test_triple_expansion_is_within_its_slack():
     # phi's tensor, read at the wedge point sort(x), is within the slack of
-    # the exact F - g - g - g of the stored tensor at any x of [-1, 1]^3,
-    # although summing six transposes left the stored tensor of F
-    # asymmetric in its last bits; the corners show it most
+    # the exact F - g - g - g of the stored tensor at any x of [-1, 1]^3:
+    # F's stored tensor is exactly symmetric, so the slack is the rounding
+    # of phi alone and stays below 1e-14 on this d = 12 certificate
     rng = np.random.default_rng(47)
     cert = DDCertificate.from_dict(dd_certificate(12, True))
     phi, slack = verify._triple_expansion(cert.F, cert.g)
     for x in [*itertools.product((-1.0, 1.0), repeat=3), *rng.uniform(-1.0, 1.0, (4, 3)).tolist()]:
         wedge = _exact_tensor(phi, sorted(x))
         assert abs(wedge - _exact_phi(cert.F, cert.g, x)) <= Fraction(slack)
+    assert slack < 1e-14
 
 
 def test_certified_triple_bound_covers_a_bump_between_centres():
@@ -338,10 +339,24 @@ def test_sign_sweep_point_count():
     # take 1.2 million points
     rep = check_sign(load_expansion("g1"), (T0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     assert rep.evaluations <= 60_000
-    # a constant is settled by its first cells: ends, 500 midpoints, refinement
+    # a constant is settled by its first cells: ends and 500 midpoints
     rep = check_sign(GegenbauerExpansion(4, [0.3]), (0.0, 0.5), DomainSpec(grid_step=1e-3))
-    assert rep.evaluations == 2 + 500 + verify.REFINEMENT_DEPTH + 3
+    assert rep.evaluations == 2 + 500
     assert rep.worst_violation == rep.sample_max == 0.3
+
+
+def test_sample_max_is_the_value_at_location():
+    # nothing is refined after the sweep: the reported sample is f at the
+    # reported end or midpoint, bit for bit, in both modes
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        n, d = int(rng.integers(3, 9)), int(rng.integers(0, 41))
+        e = GegenbauerExpansion(n, rng.normal(size=d + 1))
+        interval = tuple(sorted(rng.uniform(-1.0, 1.0, 2)))
+        for mode in ("sampled", CERTIFIED):
+            rep = check_sign(e, interval, DomainSpec(grid_step=1e-4, mode=mode))
+            assert rep.sample_max == e.eval(rep.location[0])
+            assert interval[0] <= rep.location[0] <= interval[1]
 
 
 def test_sign_sweep_worst_case_point_count():
