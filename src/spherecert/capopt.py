@@ -18,7 +18,7 @@ cap optimum, and verdicts derived from them say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -320,23 +320,7 @@ class KissingReport:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "N": self.N,
-            "bound": self.bound,
-            "cap_values": self.cap_values,
-            "best_value": self.best_value,
-            "best_m": self.best_m,
-            "epsilon": self.epsilon,
-            "charged_values": self.charged_values,
-            "charged_best": self.charged_best,
-            "margin": self.margin,
-            "mu": self.mu,
-            "t0": self.t0,
-            "sign_check": self.sign_check.to_dict(),
-            "polish_counts": self.polish_counts,
-            "heuristic": self.heuristic,
-        }
+        return asdict(self)
 
 
 def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,

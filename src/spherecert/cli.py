@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Verbs: eval, code-stats, verify-cert, bound, kissing-check. Every report
-is JSON on stdout and embeds the run manifest that produced it, so a
-report can be reproduced byte-for-byte from its own contents.
+Verbs: eval, code-stats, verify-cert, bound, kissing-check. Each verb
+returns its report and exit code; main alone attaches the run manifest
+that produced the report, writes it to --out and prints it as JSON on
+stdout, so a report can be reproduced byte-for-byte from its own contents.
 
 Exit codes: 0 all requested checks pass; 2 input validation or schema
-failure; 3 certificate failure; 4 contradiction found (kissing-check's
-successful mathematical outcome, flagged distinctly for scripting).
+failure, or an output path that cannot be written (stdout then holds
+only the JSON error); 3 certificate failure; 4 contradiction found
+(kissing-check's successful mathematical outcome, flagged distinctly for
+scripting).
 """
 
 from __future__ import annotations
@@ -71,28 +74,20 @@ def manifest_to_argv(manifest: dict) -> list[str]:
     return argv
 
 
-def _manifest(command: str, inputs: list[str], args) -> dict:
+def _manifest(args) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command", "out") and v is not None
     }
     return {
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": [params[k] for k in _POSITIONAL_PARAMS if k in params],
         "parameters": params,
         "outputs": args.out or "stdout",
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
     }
-
-
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -139,7 +134,7 @@ def _tolerance(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[dict, int]:
     exp = GegenbauerExpansion.from_dict(_load_json(args.expansion))
     rows = [{"t": t, "value": exp.eval(t)} for t in (args.t or [])]
     report = {
@@ -147,7 +142,6 @@ def _cmd_eval(args) -> int:
         "degree": exp.degree,
         "value_at_one": exp.at_one(),
         "values": rows,
-        "manifest": _manifest("eval", [args.expansion], args),
     }
     if args.csv_out:
         ts = np.linspace(-1.0, 1.0, args.samples)
@@ -157,8 +151,7 @@ def _cmd_eval(args) -> int:
             writer.writerow(["t", "value"])
             writer.writerows(zip(ts.tolist(), vals.tolist()))
         report["csv"] = args.csv_out
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _load_code(spec: str) -> SphericalCode:
@@ -167,7 +160,7 @@ def _load_code(spec: str) -> SphericalCode:
     return builtin_code(spec)
 
 
-def _cmd_code_stats(args) -> int:
+def _cmd_code_stats(args) -> tuple[dict, int]:
     if args.degree < 0:
         raise SystemExit2(f"--degree must be >= 0, got {args.degree}")
     code = _load_code(args.code)
@@ -179,7 +172,7 @@ def _cmd_code_stats(args) -> int:
         {"interval": [a, b], "mass": float(dist.interval_mass(a, b))}
         for a, b in (args.interval or [])
     ]
-    report = {
+    return {
         "name": code.name,
         "N": code.size,
         "n": code.n,
@@ -189,13 +182,10 @@ def _cmd_code_stats(args) -> int:
         "total_mass": float(dist.total_mass()),
         "moments": [{"k": k, "value": moment(code, k)} for k in range(args.degree + 1)],
         "interval_masses": intervals,
-        "manifest": _manifest("code-stats", [args.code], args),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_verify_cert(args) -> int:
+def _cmd_verify_cert(args) -> tuple[dict, int]:
     obj = _load_json(args.cert)
     checks: list[dict] = []
     notes: list[str] = []
@@ -237,17 +227,10 @@ def _cmd_verify_cert(args) -> int:
             f"{args.cert}: not a recognizable certificate (need 'g'+'T', 'H' or 'terms')"
         )
     ok = all(c.get("pass", True) for c in checks)
-    report = {
-        "checks": checks,
-        "notes": notes,
-        "ok": ok,
-        "manifest": _manifest("verify-cert", [args.cert], args),
-    }
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    return {"checks": checks, "notes": notes, "ok": ok}, (EXIT_OK if ok else EXIT_CERTIFICATE)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[dict, int]:
     cert = DDCertificate.from_dict(_load_json(args.cert))
     b = dd_bound(cert, args.N)
     report = {
@@ -255,7 +238,6 @@ def _cmd_bound(args) -> int:
         "M": cert.m_constant(),
         "M_provenance": cert.m_provenance,
         "sdp_bound": b,
-        "manifest": _manifest("bound", [args.cert], args),
     }
     try:
         lp = lp_rg_lower(cert.g, args.N)
@@ -268,11 +250,10 @@ def _cmd_bound(args) -> int:
     else:
         report["lp_bound"] = lp
         report["sdp_stronger"] = bool(b > lp)
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_kissing_check(args) -> int:
+def _cmd_kissing_check(args) -> tuple[dict, int]:
     cert = DDCertificate.from_dict(_load_json(args.cert))
     if cert.mode != "scalar-M":
         raise SystemExit2("kissing-check needs a scalar-M certificate")
@@ -282,18 +263,8 @@ def _cmd_kissing_check(args) -> int:
             starts=args.starts, seed=args.seed, margin=args.margin,
         )
     except PreconditionError as exc:
-        report = {
-            "error": str(exc),
-            "manifest": _manifest("kissing-check", [args.cert], args),
-        }
-        _emit(report, args)
-        return EXIT_CERTIFICATE
-    report = {
-        **rep.to_dict(),
-        "manifest": _manifest("kissing-check", [args.cert], args),
-    }
-    _emit(report, args)
-    return EXIT_CONTRADICTION if rep.verdict == "CONTRADICTION" else EXIT_OK
+        return {"error": str(exc)}, EXIT_CERTIFICATE
+    return rep.to_dict(), (EXIT_CONTRADICTION if rep.verdict == "CONTRADICTION" else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +333,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # inside the try: argument errors raise SystemExit2
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        report, code = args.func(args)
+        report["manifest"] = _manifest(args)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:  # written first, so a failed write prints only its error
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except SystemExit2 as exc:
-        print(json.dumps({"error": str(exc)}, indent=2))
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, TypeError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}, indent=2))
-        return EXIT_VALIDATION
+        error = str(exc)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        print(text)
+        return code
+    print(json.dumps({"error": error}, indent=2))
+    return EXIT_VALIDATION
 
 
 def entry() -> None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AmbiguityError, ParameterError
+from .errors import AmbiguityError, ParameterError, integer
 from .gegenbauer import GegenbauerExpansion, gegenbauer_eval
 
 __all__ = [
@@ -82,6 +82,7 @@ class SphericalCode:
     _gram: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.n = integer("code dimension", self.n)
         pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ParameterError(f"points must be an (N, {self.n}) array")
@@ -129,9 +130,9 @@ class SphericalCode:
     @classmethod
     def from_dict(cls, obj: dict, name: str = "custom") -> "SphericalCode":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
             points = obj["points"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParameterError(f"code object needs 'n' and 'points': {exc}")
         return cls(n, points, name=name)
 

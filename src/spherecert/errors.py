@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
 
 
 class ParameterError(ValueError):
@@ -19,3 +20,13 @@ class AmbiguityError(ValueError):
 
 class PreconditionError(ValueError):
     """A documented precondition of the operation does not hold."""
+
+
+def integer(what: str, x) -> int:
+    """x as an int, refusing what is not integral: 4 and 4.0 pass, 4.7 does not."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} must be an integer, got {x!r}")

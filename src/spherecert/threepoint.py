@@ -25,7 +25,7 @@ from math import comb, fsum
 import numpy as np
 
 from .codes import SphericalCode
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, ParameterError, integer
 from .gegenbauer import monomial_coeffs
 
 __all__ = [
@@ -118,6 +118,7 @@ class TripleCertificate:
         if self.form == "matrix":
             if self.n is None or self.d is None or self.H is None:
                 raise ParameterError("matrix certificate needs n, d and H")
+            self.n, self.d = integer("n", self.n), integer("d", self.d)
             if len(self.H) != self.d + 1:
                 raise ParameterError(f"expected {self.d + 1} matrices, got {len(self.H)}")
             mats = []
@@ -136,7 +137,8 @@ class TripleCertificate:
         elif self.form == "explicit":
             if self.terms is None:
                 raise ParameterError("explicit certificate needs terms")
-            self.terms = [(int(i), int(j), int(k), float(a)) for i, j, k, a in self.terms]
+            self.terms = [tuple(integer("term exponent", e) for e in (i, j, k)) + (float(a),)
+                          for i, j, k, a in self.terms]
             if any(min(e[:3]) < 0 for e in self.terms):
                 raise ParameterError("term exponents must be >= 0")
             _require_finite("term coefficients", [a for *_, a in self.terms])
@@ -206,7 +208,7 @@ class TripleCertificate:
         if "H" in obj:
             try:
                 return cls.from_matrices(
-                    int(obj["n"]), int(obj["d"]), obj["H"], float(obj.get("F0", 0.0))
+                    obj["n"], obj["d"], obj["H"], float(obj.get("F0", 0.0))
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParameterError(f"bad matrix certificate: {exc}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -112,16 +112,7 @@ class ViolationReport:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "mode": self.mode,
-            "worst_violation": self.worst_violation,
-            "location": list(self.location) if self.location is not None else None,
-            "grid_step": self.grid_step,
-            "certified": self.certified,
-            "sample_max": self.sample_max,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def d3_determinant(t, u, v):

@@ -374,3 +374,67 @@ def test_stored_manifests_replay(capsys, monkeypatch):
         assert code == 0, path.stem
         golden = (GOLDENS / path.name).read_bytes()
         assert capsys.readouterr().out.encode() == golden, path.stem
+
+
+def _precondition_cert(tmp_path) -> str:
+    # g = 1 > 0 on [t0, 1/2]: kissing-check refuses the cap reduction
+    f = tmp_path / "positive_g.json"
+    f.write_text(json.dumps({"g": {"n": 4, "coeffs": [1.0]}, "T": [-1, 0.5], "M": 20}))
+    return str(f)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["eval", f"{DATA}/g1.json", "--t", "-1"], 0),
+    (["code-stats", "24cell", "--degree", "2"], 0),
+    (["verify-cert", f"{DATA}/g1_cert.json", f"--interval={-np.sqrt(2) / 2},0.5",
+      "--grid-step", "1e-4"], 0),
+    (["bound", f"{DATA}/g2_cert.json", "--N", "24"], 0),
+    (["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}", "--mu", "1",
+      "--N", "24", "--starts", "2"], 0),
+    (["kissing-check", None, "--t0=-0.71", "--mu", "1", "--N", "25"], 3),
+], ids=["eval", "code-stats", "verify-cert", "bound", "kissing-check", "kissing-precondition"])
+def test_out_file_holds_stdout_and_its_manifest_replays(tmp_path, capsys, argv, exit_code):
+    argv = [arg if arg is not None else _precondition_cert(tmp_path) for arg in argv]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == exit_code
+    stdout = capsys.readouterr().out.encode()
+    first = out.read_bytes()
+    assert first == stdout
+    out.unlink()
+    assert main(manifest_to_argv(json.loads(first)["manifest"])) == exit_code
+    assert capsys.readouterr().out.encode() == first
+    assert out.read_bytes() == first
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    # the report is not printed before the failed write: stdout holds only the error
+    missing = tmp_path / "no-such-dir"
+    for argv in (["bound", f"{DATA}/g2_cert.json", "--N", "24", "--out", f"{missing}/x.json"],
+                 ["eval", f"{DATA}/g1.json", "--csv-out", f"{missing}/x.csv"]):
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert list(rep) == ["error"] and str(missing) in rep["error"]
+
+
+_MATRIX_CERT = {"n": 4, "d": 1, "F0": 0.0, "H": [[[1.0, 0.0], [0.0, 1.0]], [[1.0]]]}
+
+
+@pytest.mark.parametrize("verb, make, bad, good, field", [
+    ("code-stats", lambda x: {"n": x, "points": np.eye(4).tolist()}, 4.7, 4.0,
+     "code dimension"),
+    ("verify-cert", lambda x: {**_MATRIX_CERT, "n": x}, 4.9, 4.0, "n"),
+    ("verify-cert", lambda x: {**_MATRIX_CERT, "d": x}, 1.2, 1.0, "d"),
+    ("verify-cert", lambda x: {"terms": [{"i": x, "j": 0, "k": 0, "a": 1.0}]}, 1.5, 1.0,
+     "term exponent"),
+], ids=["code-n", "cert-n", "cert-d", "term-exponent"])
+def test_non_integral_dimensions_and_exponents_exit_2(tmp_path, capsys, verb, make, bad, good,
+                                                       field):
+    # a value is refused, not truncated; the same value as an integral float passes
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(make(bad)))
+    code, rep = run(capsys, verb, str(f))
+    assert code == 2
+    assert f"{field} must be an integer, got {bad}" in rep["error"]
+    f.write_text(json.dumps(make(good)))
+    code, rep = run(capsys, verb, str(f))
+    assert code == 0, rep
