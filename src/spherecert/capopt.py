@@ -19,10 +19,10 @@ cap optimum, and verdicts derived from them say so.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import DDCertificate, dd_bound
 from .errors import CapabilityError, ParameterError, PreconditionError
@@ -87,6 +87,13 @@ class CapResult:
             "configuration": [[float(x) for x in row] for row in self.configuration],
             **self.counts(),
         }
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call. The polish is
+    scipy's only user in the package, so the other verbs never import it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +301,15 @@ class KissingReport:
     N - 1 - m others lies where g <= epsilon, the certified bound of g on
     [t0, 1/2] (never below 0). So R_g <= U' = max_m (cap_m + max(N-1-m, 0)
     epsilon), the charged_best; an m above N - 1 has no one left outside
-    the cap to charge. verdict CONTRADICTION means U' < B(N) -
-    margin: no such code exists provided the multistart maxima cap_m are
-    the true ones. best_value and best_m are the uncharged maximum; the
-    margin and the heuristic status are part of the report, and
-    polish_counts gives each m's CapResult counts.
+    the cap to charge. verdict CONTRADICTION means U' < B(N) - margin
+    with mu >= n and t0 <= -1/sqrt(2), the latter decided exactly: such a
+    cap holds at most n points (_rankin_capacity_applies), so m = 0..mu
+    leaves no configuration out, and no such code exists provided the
+    multistart maxima cap_m are the true ones. With a smaller mu or a
+    higher t0 the verdict is INCONCLUSIVE whatever U' is: the caller's mu
+    may undercount the cap. best_value and best_m are the uncharged
+    maximum; the margin and the heuristic status are part of the report,
+    and polish_counts gives each m's CapResult counts.
     """
 
     verdict: str
@@ -323,6 +334,18 @@ class KissingReport:
         return asdict(self)
 
 
+def _rankin_capacity_applies(t0: float) -> bool:
+    """Whether the open cap e1.y < t0 holds at most n points: t0 <= -1/sqrt(2),
+    decided in exact rationals.
+
+    A code point at exactly t0 counts as outside the cap, since the sign
+    check covers the closed [t0, 1/2] and charges it epsilon. Two cap
+    points then have t_i t_j > t0^2 >= 1/2, so their components
+    orthogonal to e1 make a strictly obtuse angle, and at most n
+    directions in R^(n-1) are pairwise strictly obtuse (Rankin 1955)."""
+    return t0 < 0 and Fraction(t0) ** 2 >= Fraction(1, 2)
+
+
 def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
                   starts: int = DEFAULT_STARTS, seed: int = 0,
                   margin: float = 1e-3) -> KissingReport:
@@ -333,7 +356,8 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
     certified mode at grid step 1e-6 before any optimization; refuses to
     run otherwise. The tolerated excess epsilon is charged to every point
     outside the cap (see KissingReport). Emits CONTRADICTION when
-    U' < B(N) - margin, else INCONCLUSIVE.
+    U' < B(N) - margin, mu >= n and _rankin_capacity_applies(t0), else
+    INCONCLUSIVE.
     """
     if not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and >= 0, got {margin}")
@@ -355,6 +379,7 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
             best_value, best_m = res.value, m
     epsilon = max(sign.worst_violation, 0.0)
     charged = [v + max(N - 1 - m, 0) * epsilon for m, v in enumerate(values)]
-    verdict = "CONTRADICTION" if max(charged) < bound - margin else "INCONCLUSIVE"
+    decided = mu >= g.n and _rankin_capacity_applies(t0)
+    verdict = "CONTRADICTION" if decided and max(charged) < bound - margin else "INCONCLUSIVE"
     return KissingReport(verdict, N, bound, values, best_value, best_m, epsilon,
                          charged, max(charged), margin, mu, t0, sign, counts)

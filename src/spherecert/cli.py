@@ -319,7 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kissing-check", help="cap optimum vs B(N) contradiction test")
     p.add_argument("cert", help="scalar-M certificate JSON file")
     p.add_argument("--t0", type=float, required=True, help="cap height, in (-1, -1/2)")
-    p.add_argument("--mu", type=int, required=True, help="cap capacity")
+    p.add_argument("--mu", type=int, required=True,
+                   help="cap capacity; CONTRADICTION needs mu >= n and t0 <= -1/sqrt(2), "
+                        "where the cap holds at most n points")
     p.add_argument("--N", type=int, required=True, help="hypothetical code size")
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,22 @@ def test_kissing_check_verdicts_smoke(g1):
     assert "multistart" in rep.heuristic
     rep24 = kissing_check(g1, 22.5689, T0, 4, 24, starts=40, seed=5)
     assert rep24.verdict == "INCONCLUSIVE"
+
+
+def test_rankin_capacity_decided_exactly():
+    t0 = -0.7071067811865476  # the double nearest -1/sqrt(2), just below it
+    assert capopt._rankin_capacity_applies(t0)
+    assert not capopt._rankin_capacity_applies(math.nextafter(t0, 0.0))
+    assert capopt._rankin_capacity_applies(-0.99)
+    assert not capopt._rankin_capacity_applies(-0.6)
+
+
+def test_kissing_check_needs_mu_at_least_n(g1):
+    # mu = 3 leaves the four-point caps out: the charged value that decides
+    # N = 25 at mu = 4 no longer gives a verdict
+    rep = kissing_check(g1, 22.5689, T0, 3, 25, starts=4, seed=5)
+    assert rep.charged_best < rep.bound - rep.margin
+    assert rep.verdict == "INCONCLUSIVE"
 
 
 def test_kissing_verdict_charges_epsilon(g1):

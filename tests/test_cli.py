@@ -320,6 +320,18 @@ def test_kissing_check_inconclusive(capsys):
     assert rep["verdict"] == "INCONCLUSIVE"
 
 
+def test_kissing_check_undercounted_mu_is_inconclusive(capsys):
+    # with mu = 0 the sweep sees only the empty cap, and U' falls below
+    # B(24) - margin; the 24-cell exists, so no CONTRADICTION may follow
+    code, rep = run(
+        capsys, "kissing-check", f"{DATA}/g1_cert.json",
+        "--t0=-0.7071067811865476", "--mu", "0", "--N", "24", "--starts", "4",
+    )
+    assert code == 0
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["charged_best"] < rep["bound"] - rep["margin"]
+
+
 def test_kissing_check_precondition_failure(tmp_path, capsys):
     f = tmp_path / "cert.json"
     f.write_text(json.dumps({"g": {"n": 4, "coeffs": [1.0]}, "T": [-1, 0.5], "M": 20}))

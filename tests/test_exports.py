@@ -112,3 +112,24 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_is_imported_at_the_first_polish():
+    # only the cap polish uses scipy: every other verb starts without
+    # importing it, hence the fresh interpreter
+    root = Path(__file__).resolve().parent.parent
+    code = ("import io, sys, contextlib\n"
+            "import spherecert, spherecert.cli\n"
+            "from spherecert import capopt, cli\n"
+            "from spherecert.data import load_expansion\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['eval', {str(PACKAGE / 'data' / 'g1.json')!r}, '--t', '0.5']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded[:5]\n"
+            "g = load_expansion('g1')\n"
+            "capopt.cap_max(capopt.CapProblem(4, g, -0.7071067811865476, 1, 4), starts=2)\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
