@@ -331,6 +331,15 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
     integers times two powers within (m - 1)u each, and the three products
     sum m terms each, so Q errs by (9m + 3)u sum |P| in total and the last
     sum adds m^3 u sum |P|. Twice that, added to each bound, covers the rest.
+
+    The products run in the order t, u, v. The first depends on the t-centre
+    alone and the second on the (t, u) centres alone, so the boxes are
+    sorted by (t, u) and each distinct t-centre and (t, u) pair is
+    contracted once; only the v-product and the sum of |Q| run per box.
+    Each entry of Q is still the same three m-term sums of the same
+    products, so the rounding term above is unchanged. A batch of
+    t-centres, of pairs or of boxes holds at most 2^15 coefficients (one
+    tensor if m^3 is larger), and one batch of each is held at a time.
     """
     m = P.shape[0]
     p = np.arange(m)
@@ -339,12 +348,29 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
     shift = np.maximum(p[None, :] - p[:, None], 0)
     err = 2.0 * (m ** 3 + 9 * m + 3) * _U * float(np.abs(P).sum())
     out = np.empty(len(mids))
-    chunk = max(1, 2 ** 16 // P.size)  # boxes per chunk of about 2^16 coefficients
-    for s in range(0, len(mids), chunk):
-        M = scale * mids[s : s + chunk, :, None, None] ** shift   # (box, axis, i, p)
-        Q = (M[:, 0] @ P.reshape(m, m * m)).reshape(-1, m, m, m)
-        Q = (M[:, None, 1] @ Q @ M[:, None, 2].transpose(0, 1, 3, 2)).reshape(len(M), -1)
-        out[s : s + chunk] = Q[:, 0] + np.abs(Q[:, 1:]).sum(axis=1) + err
+    order = np.lexsort((mids[:, 1], mids[:, 0]))
+    c = mids[order]
+    t_new = np.diff(c[:, 0], prepend=np.nan) != 0
+    pair_new = t_new | (np.diff(c[:, 1], prepend=np.nan) != 0)
+    pair_of_box = np.cumsum(pair_new) - 1
+    box_edges = np.append(np.flatnonzero(pair_new), len(c))   # first box of each pair
+    t_of_pair = np.cumsum(t_new[box_edges[:-1]]) - 1
+    # first pair of each t-centre
+    pair_edges = np.append(np.flatnonzero(t_new[box_edges[:-1]]), len(box_edges) - 1)
+    chunk = max(1, 2 ** 15 // P.size)  # t-centres, pairs or boxes per batch
+    for t0 in range(0, len(pair_edges) - 1, chunk):
+        t1 = min(t0 + chunk, len(pair_edges) - 1)
+        M = scale * c[box_edges[pair_edges[t0:t1]], 0, None, None] ** shift
+        Q1 = (M @ P.reshape(m, m * m)).reshape(-1, m, m, m)
+        for p0 in range(pair_edges[t0], pair_edges[t1], chunk):
+            p1 = min(p0 + chunk, pair_edges[t1])
+            M = scale * c[box_edges[p0:p1], 1, None, None] ** shift
+            Q2 = (M[:, None] @ Q1[t_of_pair[p0:p1] - t0]).reshape(-1, m * m, m)
+            for b0 in range(box_edges[p0], box_edges[p1], chunk):
+                b1 = min(b0 + chunk, box_edges[p1])
+                M = scale * c[b0:b1, 2, None, None] ** shift
+                Q = (Q2[pair_of_box[b0:b1] - p0] @ M.transpose(0, 2, 1)).reshape(b1 - b0, -1)
+                out[order[b0:b1]] = Q[:, 0] + np.abs(Q[:, 1:], out=Q[:, 1:]).sum(axis=1) + err
     return out
 
 

@@ -8,13 +8,16 @@ algorithms as they stood before blocking, kept to check the blocked
 production paths against bit for bit; the whole-matrix pair sums are
 energy and moment as they stood before tiling. The SLSQP cap polish is
 kept as it stood before its callbacks shared one residual per iterate and
-left eval for Python-float Clenshaw. The maximum of an expansion on a
+left eval for Python-float Clenshaw. The Taylor bound of a coefficient
+tensor on boxes is kept as it stood before its t- and (t, u)-products
+were shared between boxes. The maximum of an expansion on a
 cell comes from mpmath interval arithmetic. Full certificates with known
 margins are built as the benchmark builds its triple workload's.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +36,7 @@ from spherecert.capopt import (
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, gegenbauer_eval
 from spherecert.threepoint import _eval_tensor, _kernel_tensor
+from spherecert.verify import _U
 
 MONOMIAL_ORACLE_MAX_DEGREE = 12
 
@@ -291,3 +295,22 @@ def dd_certificate(d: int, valid: bool) -> dict:
     F = {"n": 4, "d": d, "F0": F0, "H": [m.tolist() for m in H]}
     return {"g": {"n": 4, "coeffs": [g0, *g_tail.tolist()]}, "T": [-1.0, 0.5],
             "h": {"n": 4, "coeffs": h.tolist()}, "h0": h0, "F": F, "F0": F0}
+
+
+def upper_per_box(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
+    """verify._upper with all three Taylor-shift products run for every box:
+    the same bound and rounding term, without sharing a t-centre or a
+    (t, u) pair between boxes."""
+    m = P.shape[0]
+    p = np.arange(m)
+    scale = np.array([[math.comb(q, i) for q in p] for i in p], dtype=float) * rho ** p[:, None]
+    shift = np.maximum(p[None, :] - p[:, None], 0)
+    err = 2.0 * (m ** 3 + 9 * m + 3) * _U * float(np.abs(P).sum())
+    out = np.empty(len(mids))
+    chunk = max(1, 2 ** 16 // P.size)
+    for s in range(0, len(mids), chunk):
+        M = scale * mids[s : s + chunk, :, None, None] ** shift   # (box, axis, i, p)
+        Q = (M[:, 0] @ P.reshape(m, m * m)).reshape(-1, m, m, m)
+        Q = (M[:, None, 1] @ Q @ M[:, None, 2].transpose(0, 1, 3, 2)).reshape(len(M), -1)
+        out[s : s + chunk] = Q[:, 0] + np.abs(Q[:, 1:]).sum(axis=1) + err
+    return out

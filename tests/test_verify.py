@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import cell_max_exact, dd_certificate
+from oracles import cell_max_exact, dd_certificate, upper_per_box
 from spherecert import verify
 from spherecert.bounds import DDCertificate
 from spherecert.data import load_expansion
@@ -215,6 +216,76 @@ def test_triple_condition_certifies_valid_certificates(d):
             rep = check_triple_condition(cert.F, cert.g, cert.T, spec)
             assert (rep.worst_violation < 0.0) == valid
             assert rep.sample_max <= rep.worst_violation
+
+
+def test_triple_condition_certifies_the_d24_certificate():
+    # phi has 25 coefficients per axis here; the invalid twin is rejected
+    spec = DomainSpec(grid_step=0.04, mode=CERTIFIED)
+    for valid, bound in ((True, -12.32), (False, 30.87)):
+        cert = DDCertificate.from_dict(dd_certificate(24, valid))
+        rep = check_triple_condition(cert.F, cert.g, cert.T, spec)
+        assert rep.worst_violation == pytest.approx(bound, abs=0.01)
+        assert rep.sample_max <= rep.worst_violation
+
+
+def _symmetric_tensor(rng, m):
+    P = rng.normal(size=(m, m, m))
+    return sum(P.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+
+
+def _scattered_children(rng, parents, cells=232):
+    """The children inside the wedge of up to `parents` random wedge boxes
+    of a cells-per-axis grid, as wedge indices on the 2 * cells grid: few of
+    them share a t-centre or a (t, u) pair."""
+    idx = np.unique(np.sort(rng.integers(0, cells, size=(parents, 3)), axis=1), axis=0)
+    kids = (2 * idx[:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
+    return kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])], 2 * cells
+
+
+def _box_centres(idx, cells, T=T_HALF):
+    """Centres and half-width of wedge boxes, as check_triple_condition
+    computes them."""
+    width = (T[1] - T[0]) / cells
+    return T[0] + (2 * idx + 1) * (width / 2.0), width / 2.0 + verify._MID_SLACK
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 13, "det"])
+def test_upper_matches_the_per_box_oracle(m):
+    # sharing the t- and (t, u)-products between boxes moves no bound by
+    # more than _upper's own rounding term
+    rng = np.random.default_rng([48, 0 if m == "det" else m])
+    P = verify._DET if m == "det" else _symmetric_tensor(rng, m)
+    k = P.shape[0]
+    err = 2.0 * (k ** 3 + 9 * k + 3) * verify._U * float(np.abs(P).sum())
+    box_sets = [
+        (np.array(list(itertools.combinations_with_replacement(range(12), 3))), 12),
+        _scattered_children(rng, 150),
+        (np.array([[3, 5, 9]]), 16),
+        (np.empty((0, 3), dtype=int), 16),
+    ]
+    for idx, cells in box_sets:
+        mids, rho = _box_centres(idx, cells)
+        got = verify._upper(P, mids, rho)
+        assert got.shape == (len(idx),)
+        assert np.all(np.abs(got - upper_per_box(P, mids, rho)) <= err)
+
+
+def test_upper_memory_is_bounded():
+    # about 24k boxes at m = 13 that share few centres: the shared products
+    # are batched within the same coefficient budget as the boxes, so no
+    # tensor is held for every (t, u) pair at once (that would take 0.2 GB)
+    rng = np.random.default_rng(49)
+    idx, cells = _scattered_children(rng, 3200)
+    mids, rho = _box_centres(idx, cells)
+    P = _symmetric_tensor(rng, 13)
+    assert 20_000 < len(mids) < 30_000
+    tracemalloc.start()
+    try:
+        verify._upper(P, mids, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def _exact_tensor(c, point):
