@@ -8,9 +8,11 @@ of that value plus max(N - 1 - m, 0) epsilon: each of the N - 1 - m
 points outside the cap around -u contributes at most epsilon to the
 energy seen from u, and an average never exceeds a maximum.
 
-The cap constraints are written once, in _residuals, over (..., m, n)
-arrays of configurations; the ranking of all starts and the two stacked
-SLSQP constraints of the polish are built from it.
+The cap constraints are written in _residuals over (..., m, n) arrays of
+configurations, which rank all starts and judge feasibility. The SLSQP
+polish writes the same entries, from the same Gram product, in place
+into the buffers of scipy's compiled SLSQP core, which minimize drives
+without scipy's per-iterate wrappers.
 
 Multistart local search only: found maxima are lower estimates of the true
 cap optimum, and verdicts derived from them say so.
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,11 +92,58 @@ class CapResult:
         }
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call. The polish is
-    scipy's only user in the package, so the other verbs never import it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
+             meq: int, maxiter: int, ftol: float) -> SimpleNamespace:
+    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) from x0 under d[:meq] == 0 and
+    d[meq:] >= 0: the loop scipy.optimize's _minimize_slsqp runs around
+    the compiled core, with its state, workspace sizes and NaN (absent)
+    bounds, but without its per-iterate wrappers.
+
+    values(x) writes the constraint values into d and returns the
+    objective; normals(x) writes the constraint rows into C (Fortran order,
+    d.size by x0.size) and returns the objective's gradient. The core reads
+    both buffers and writes neither, so a callback is skipped while its
+    buffers hold the numbers of an x equal in value to the current one.
+    values runs when scipy's ScalarFunction would evaluate the objective,
+    after any move of x, and nfev counts it as scipy does; normals runs
+    when x differs from where it last ran, which saves the rows when the
+    core returns to its iterate after a failed line search. scipy is
+    imported on the first call: the polish is its only user in the package.
+    The core, scipy.optimize._slsqplib.slsqp, is private and has this
+    signature from scipy 1.16 on; tests compare runs of this loop on
+    seeded cap problems with scipy.optimize.minimize, bit for bit.
+    """
+    from scipy.optimize._slsqplib import slsqp
+    x = np.array(x0, dtype=float)  # the core iterates in place
+    n, m = x.size, d.size
+    state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+             "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0,
+             "inconsistent": 0, "reset": 0, "iter": 0, "itermax": maxiter, "line": 0,
+             "m": m, "meq": meq, "mode": 0, "n": n}
+    size = (n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * meq + 9 * m + 8 * n * n
+            + 35 * n + meq * meq + 28 + (2 * n * (n + 1) if m == meq else 0))
+    buffer = np.zeros(max(size, 1))
+    indices = np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32)
+    mult = np.zeros(max(1, m + 2 * n + 2))
+    xl = np.full(n, np.nan)
+    xu = np.full(n, np.nan)
+    fx, grad = values(x), normals(x)
+    nfev, seen, f_fresh, g_at = 1, x.tolist(), True, x.tolist()
+    while True:
+        slsqp(state, fx, grad, C, d, x, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if abs(mode) != 1:
+            break
+        # list equality is array_equal's: NaN differs from itself, -0.0 == 0.0
+        if (now := x.tolist()) != seen:
+            seen, f_fresh = now, False
+        if mode == 1 and not f_fresh:
+            fx, f_fresh = values(x), True
+            nfev += 1
+        elif mode == -1 and now != g_at:
+            grad, g_at = normals(x), now
+    return SimpleNamespace(x=x, status=mode, success=mode == 0, nit=state["iter"],
+                           nfev=nfev)
 
 
 @lru_cache(maxsize=None)
@@ -112,23 +162,6 @@ def _residuals(Y: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray]:
     eq = np.diagonal(gram, axis1=-2, axis2=-1) - 1.0
     ineq = np.concatenate([t0 - Y[..., 0], 0.5 - gram[..., iu, ju]], axis=-1)
     return eq, ineq
-
-
-def _residual_jacobians(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of both parts of _residuals for one (m, n) configuration,
-    with respect to its flattened coordinates: (m, m*n) and
-    (m + m(m-1)/2, m*n)."""
-    m, n = Y.shape
-    rows = np.arange(m)
-    iu, ju = _pairs(m)
-    pair_rows = np.arange(m, m + iu.size)
-    eq = np.zeros((m, m, n))
-    eq[rows, rows] = 2.0 * Y
-    ineq = np.zeros((m + iu.size, m, n))
-    ineq[rows, rows, 0] = -1.0
-    ineq[pair_rows, iu] = -Y[ju]
-    ineq[pair_rows, ju] = -Y[iu]
-    return eq.reshape(m, m * n), ineq.reshape(-1, m * n)
 
 
 def _constraint_violation(Y: np.ndarray, t0: float) -> np.ndarray:
@@ -180,55 +213,63 @@ def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
     return Y
 
 
-def _last_iterate(fun, shape):
-    """fun(x.reshape(shape)), recomputed only when the bytes of x change.
-
-    SLSQP asks for the eq and the ineq part at the same x one after the
-    other, and writes its iterates into one reused buffer, so the key is a
-    copy of x's bytes, never the array's identity."""
-    key = value = None
-
-    def call(x):
-        nonlocal key, value
-        if (k := x.tobytes()) != key:
-            key, value = k, fun(x.reshape(shape))
-        return value
-
-    return call
-
-
 def _polish(Y: np.ndarray, g: GegenbauerExpansion,
             t0: float) -> tuple[np.ndarray | None, bool]:
-    """SLSQP refinement of one (m, n) configuration under the two stacked
-    constraints of _residuals. Returns the configuration, or None unless
-    feasible to FEASIBILITY_TOL, and whether SLSQP reported success.
+    """SLSQP refinement of one (m, n) configuration under the constraints
+    of _residuals. Returns the configuration, or None unless feasible to
+    FEASIBILITY_TOL, and whether SLSQP reported success.
 
-    Each iterate costs one _residuals, one _residual_jacobians when SLSQP
-    asks for normals, and one Python-float Clenshaw pass over the m
-    heights for the objective and one for its gradient: the same values,
-    bit for bit, as _value and eval on arrays, so SLSQP takes the same path."""
+    minimize drives the core with two callbacks that write its buffers in
+    place. values fills d with _residuals' entries, from the same Gram
+    product, and returns -sum_j g(h_j), summed left to right as np.sum
+    sums fewer than 8 values. normals returns the gradient and rewrites
+    only the 2 y and -y entries of C: the cap rows' -1 and the zeros are
+    set once per polish. Both evaluate g or g' by one Python-float
+    Clenshaw pass over the m heights, the same values, bit for bit, as
+    _value and eval on arrays, so SLSQP takes the same path."""
     shape = Y.shape
-    n = shape[1]
+    m, n = shape
     dg = g.derivative()
+    iu, ju = _pairs(m)
+    rows = 2 * m + iu.size
+    d = np.empty(rows)
+    eq, cap, pair = d[:m], d[m:2 * m], d[2 * m:]
+    C = np.zeros((rows, m * n), order="F")
+    C[m + np.arange(m), np.arange(m) * n] = -1.0
+    # the entries normals rewrites, at C_flat[at] = x[src] * scale: eq row j
+    # holds 2 y_j in block j, pair row (i, j) holds -y_j in block i and -y_i
+    # in block j; C is Fortran-ordered, so row r, column c is at r + c rows
+    block = np.arange(m * n).reshape(m, n)
+    pair_rows = np.repeat(np.arange(2 * m, rows), n)
+    at = np.concatenate([np.repeat(np.arange(m), n) + block.ravel() * rows,
+                         pair_rows + block[iu].ravel() * rows,
+                         pair_rows + block[ju].ravel() * rows])
+    src = np.concatenate([block.ravel(), block[ju].ravel(), block[iu].ravel()])
+    scale = np.repeat([2.0, -1.0], [m * n, 2 * iu.size * n])
+    C_flat = C.reshape(-1, order="F")
+    grad = np.zeros(m * n)
 
     def heights(x):
         # np.clip(x[0::n], -1, 1) in Python floats; a NaN stays NaN
         return [min(max(h, -1.0), 1.0) for h in x[0::n].tolist()]
 
-    def neg_obj_grad(x):
-        out = np.zeros(shape)
-        out[:, 0] = [-v for v in _eval_floats(dg, heights(x))]
-        return out.ravel()
+    def values(x):
+        cfg = x.reshape(shape)
+        gram = cfg @ cfg.T
+        np.subtract(gram.diagonal(), 1.0, out=eq)
+        np.subtract(t0, x[0::n], out=cap)
+        np.subtract(0.5, gram[iu, ju], out=pair)
+        total = 0.0
+        for v in _eval_floats(g, heights(x)):
+            total += v
+        return -total
 
-    residuals = _last_iterate(lambda cfg: _residuals(cfg, t0), shape)
-    jacobians = _last_iterate(_residual_jacobians, shape)
-    cons = [{"type": "eq", "fun": lambda x: residuals(x)[0],
-             "jac": lambda x: jacobians(x)[0]},
-            {"type": "ineq", "fun": lambda x: residuals(x)[1],
-             "jac": lambda x: jacobians(x)[1]}]
-    res = minimize(lambda x: -float(np.sum(_eval_floats(g, heights(x)))), Y.ravel(),
-                   jac=neg_obj_grad, method="SLSQP", constraints=cons,
-                   options={"maxiter": 300, "ftol": 1e-14})
+    def normals(x):
+        grad[0::n] = [-v for v in _eval_floats(dg, heights(x))]
+        C_flat[at] = x[src] * scale
+        return grad
+
+    res = minimize(values, normals, Y.ravel(), C, d, m, maxiter=300, ftol=1e-14)
     out = res.x.reshape(shape)
     out = out / np.linalg.norm(out, axis=1, keepdims=True)
     # pull marginal cap violations (rounding scale) back onto the boundary

@@ -335,11 +335,13 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
     The products run in the order t, u, v. The first depends on the t-centre
     alone and the second on the (t, u) centres alone, so the boxes are
     sorted by (t, u) and each distinct t-centre and (t, u) pair is
-    contracted once; only the v-product and the sum of |Q| run per box.
+    contracted once; only the v-product and the sum of |Q| run per box,
+    with the v-axis matrix built once per distinct v-centre and gathered.
     Each entry of Q is still the same three m-term sums of the same
     products, so the rounding term above is unchanged. A batch of
     t-centres, of pairs or of boxes holds at most 2^15 coefficients (one
-    tensor if m^3 is larger), and one batch of each is held at a time.
+    tensor if m^3 is larger), and one batch of each is held at a time,
+    beside the m^2 entries of each distinct v-centre's matrix.
     """
     m = P.shape[0]
     p = np.arange(m)
@@ -357,6 +359,8 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
     t_of_pair = np.cumsum(t_new[box_edges[:-1]]) - 1
     # first pair of each t-centre
     pair_edges = np.append(np.flatnonzero(t_new[box_edges[:-1]]), len(box_edges) - 1)
+    v_centres, v_of_box = np.unique(c[:, 2], return_inverse=True)
+    Mv = scale * v_centres[:, None, None] ** shift
     chunk = max(1, 2 ** 15 // P.size)  # t-centres, pairs or boxes per batch
     for t0 in range(0, len(pair_edges) - 1, chunk):
         t1 = min(t0 + chunk, len(pair_edges) - 1)
@@ -368,7 +372,7 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
             Q2 = (M[:, None] @ Q1[t_of_pair[p0:p1] - t0]).reshape(-1, m * m, m)
             for b0 in range(box_edges[p0], box_edges[p1], chunk):
                 b1 = min(b0 + chunk, box_edges[p1])
-                M = scale * c[b0:b1, 2, None, None] ** shift
+                M = Mv[v_of_box[b0:b1]]
                 Q = (Q2[pair_of_box[b0:b1] - p0] @ M.transpose(0, 2, 1)).reshape(b1 - b0, -1)
                 out[order[b0:b1]] = Q[:, 0] + np.abs(Q[:, 1:], out=Q[:, 1:]).sum(axis=1) + err
     return out

@@ -7,8 +7,9 @@ production Q_k tensors. The whole-array loops are the evaluation
 algorithms as they stood before blocking, kept to check the blocked
 production paths against bit for bit; the whole-matrix pair sums are
 energy and moment as they stood before tiling. The SLSQP cap polish is
-kept as it stood before its callbacks shared one residual per iterate and
-left eval for Python-float Clenshaw. The Taylor bound of a coefficient
+kept twice: as it stood before its callbacks shared one residual per
+iterate and left eval for Python-float Clenshaw, and as it stood before
+it drove scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The maximum of an expansion on a
 cell comes from mpmath interval arithmetic. Full certificates with known
@@ -28,13 +29,13 @@ from scipy.special import roots_gegenbauer
 from spherecert.capopt import (
     FEASIBILITY_TOL,
     _constraint_violation,
+    _pairs,
     _project_cap,
-    _residual_jacobians,
     _residuals,
     _value,
 )
 from spherecert.errors import CapabilityError, DomainError, ParameterError
-from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, gegenbauer_eval
+from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, _eval_floats, gegenbauer_eval
 from spherecert.threepoint import _eval_tensor, _kernel_tensor
 from spherecert.verify import _U
 
@@ -232,6 +233,69 @@ def cell_max_exact(n: int, coeffs, lo: float, hi: float, samples: int = 16):
         return max(mp.make_mpf(f(x)._mpi_[0]) for x in candidates)
     finally:
         iv.prec = old
+
+
+def _residual_jacobians(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians of both parts of capopt._residuals for one (m, n)
+    configuration, with respect to its flattened coordinates: (m, m*n) and
+    (m + m(m-1)/2, m*n)."""
+    m, n = Y.shape
+    rows = np.arange(m)
+    iu, ju = _pairs(m)
+    pair_rows = np.arange(m, m + iu.size)
+    eq = np.zeros((m, m, n))
+    eq[rows, rows] = 2.0 * Y
+    ineq = np.zeros((m + iu.size, m, n))
+    ineq[rows, rows, 0] = -1.0
+    ineq[pair_rows, iu] = -Y[ju]
+    ineq[pair_rows, ju] = -Y[iu]
+    return eq.reshape(m, m * n), ineq.reshape(-1, m * n)
+
+
+def _last_iterate(fun, shape):
+    """fun(x.reshape(shape)), recomputed only when the bytes of x change.
+
+    SLSQP asks for the eq and the ineq part at the same x one after the
+    other, and writes its iterates into one reused buffer, so the key is a
+    copy of x's bytes, never the array's identity."""
+    key = value = None
+
+    def call(x):
+        nonlocal key, value
+        if (k := x.tobytes()) != key:
+            key, value = k, fun(x.reshape(shape))
+        return value
+
+    return call
+
+
+def slsqp_scipy_minimize(Y: np.ndarray, g, t0: float):
+    """The SLSQP run of capopt._polish through scipy.optimize.minimize, as it
+    stood before the polish drove scipy's compiled core itself: the eq and
+    ineq constraints as two dicts sharing one _residuals and one
+    _residual_jacobians per iterate, and Python-float Clenshaw callbacks.
+    Returns scipy's OptimizeResult."""
+    shape = Y.shape
+    n = shape[1]
+    dg = g.derivative()
+
+    def heights(x):
+        return [min(max(h, -1.0), 1.0) for h in x[0::n].tolist()]
+
+    def neg_obj_grad(x):
+        out = np.zeros(shape)
+        out[:, 0] = [-v for v in _eval_floats(dg, heights(x))]
+        return out.ravel()
+
+    residuals = _last_iterate(lambda cfg: _residuals(cfg, t0), shape)
+    jacobians = _last_iterate(_residual_jacobians, shape)
+    cons = [{"type": "eq", "fun": lambda x: residuals(x)[0],
+             "jac": lambda x: jacobians(x)[0]},
+            {"type": "ineq", "fun": lambda x: residuals(x)[1],
+             "jac": lambda x: jacobians(x)[1]}]
+    return minimize(lambda x: -float(np.sum(_eval_floats(g, heights(x)))), Y.ravel(),
+                    jac=neg_obj_grad, method="SLSQP", constraints=cons,
+                    options={"maxiter": 300, "ftol": 1e-14})
 
 
 def polish_whole_array(Y: np.ndarray, g, t0: float) -> tuple[np.ndarray | None, bool]:

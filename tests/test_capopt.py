@@ -9,7 +9,6 @@ from spherecert.capopt import (
     CapProblem,
     _constraint_violation,
     _project_cap,
-    _residual_jacobians,
     _residuals,
     cap_max,
     kissing_check,
@@ -18,7 +17,7 @@ from spherecert.data import load_expansion
 from spherecert.errors import DomainError, ParameterError, PreconditionError
 from spherecert.gegenbauer import GegenbauerExpansion
 
-from oracles import polish_whole_array
+from oracles import _residual_jacobians, polish_whole_array, slsqp_scipy_minimize
 
 T0 = -np.sqrt(2) / 2
 
@@ -134,37 +133,64 @@ def test_polish_matches_reference(monkeypatch):
 
 
 def test_polish_evaluates_each_iterate_once(g1, monkeypatch):
-    # the eq and ineq constraints, and their Jacobians, share one
-    # evaluation per iterate: no two calls in a row see the same x. SLSQP
-    # may come back to an earlier x after a failed line search; the memo
-    # holds the last iterate only, so such a return is evaluated again
-    seen = {"residuals": [], "jacobians": []}
-    inside = []
+    # values writes every constraint of an iterate from one Gram product
+    # and runs once per objective evaluation nfev counts; neither callback
+    # runs twice in a row at the same x, not even when SLSQP comes back to
+    # its iterate after a failed line search and asks for rows again
+    seen = {"values": [], "normals": []}
+    runs = []
     minimize = capopt.minimize
 
     def counted(name, fun):
-        def call(Y, *args):
-            if inside:
-                seen[name].append(Y.tobytes())
-            return fun(Y, *args)
+        def call(x):
+            seen[name].append(x.tobytes())
+            return fun(x)
         return call
 
-    def minimize_inside(*args, **kwargs):
-        inside.append(True)
-        try:
-            return minimize(*args, **kwargs)
-        finally:
-            inside.clear()
+    def minimize_counted(values, normals, *args, **kwargs):
+        before = len(seen["values"])
+        res = minimize(counted("values", values), counted("normals", normals), *args, **kwargs)
+        runs.append((len(seen["values"]) - before, res.nfev))
+        return res
 
-    monkeypatch.setattr(capopt, "_residuals", counted("residuals", capopt._residuals))
-    monkeypatch.setattr(capopt, "_residual_jacobians",
-                        counted("jacobians", capopt._residual_jacobians))
-    monkeypatch.setattr(capopt, "minimize", minimize_inside)
+    monkeypatch.setattr(capopt, "minimize", minimize_counted)
     for m in (2, 4):
         cap_max(CapProblem(4, g1, T0, m, 4), starts=3, seed=0)
+    assert len(runs) == 6
+    assert all(calls == nfev for calls, nfev in runs)
     for keys in seen.values():
         assert len(keys) > 6
         assert all(a != b for a, b in zip(keys, keys[1:]))
+
+
+def test_minimize_matches_scipy_minimize(g1, monkeypatch):
+    # the driver hands scipy's compiled SLSQP core the numbers scipy's own
+    # minimize hands it, so each run ends on the same bits after the same
+    # iterations and objective evaluations; a change in the core's contract
+    # shows here. m = 3 ends runs in status 8 (positive directional
+    # derivative in the line search) and 9 (iteration limit)
+    runs = []
+    minimize = capopt.minimize
+
+    def recording(values, normals, x0, *args, **kwargs):
+        start = np.array(x0)
+        res = minimize(values, normals, x0, *args, **kwargs)
+        runs.append((start, res))
+        return res
+
+    monkeypatch.setattr(capopt, "minimize", recording)
+    statuses = set()
+    for m in (1, 2, 3, 4):
+        runs.clear()
+        cap_max(CapProblem(4, g1, T0, m, 4), starts=200, seed=3)
+        assert len(runs) == 20
+        for start, res in runs:
+            ref = slsqp_scipy_minimize(start.reshape(m, 4), g1, T0)
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert (res.success, res.status, res.nit, res.nfev) == (
+                ref.success, ref.status, ref.nit, ref.nfev)
+            statuses.add(res.status)
+    assert statuses == {0, 8, 9}
 
 
 def test_polish_rejects_nan_height(g1):

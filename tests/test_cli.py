@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +380,8 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys):
 def test_stored_manifests_replay(capsys, monkeypatch):
     # every non-kissing manifest reproduces its stored report byte for byte
     # from the repo root (inputs are repo-relative); the kissing reports'
-    # last bits depend on the BLAS thread count, so demo 06 compares those
+    # last bits depend on the BLAS thread count, so the next test replays
+    # those with one BLAS thread
     monkeypatch.chdir(MANIFESTS.parent.parent)
     paths = [p for p in sorted(MANIFESTS.glob("*.json")) if not p.stem.startswith("kissing")]
     assert len(paths) == 9
@@ -386,6 +390,23 @@ def test_stored_manifests_replay(capsys, monkeypatch):
         assert code == 0, path.stem
         golden = (GOLDENS / path.name).read_bytes()
         assert capsys.readouterr().out.encode() == golden, path.stem
+
+
+@pytest.mark.parametrize("name, exit_code", [("kissing_N24", 0), ("kissing_N25", 4)])
+def test_kissing_manifests_replay_with_one_blas_thread(name, exit_code):
+    # with one BLAS thread the kissing reports keep every bit as well; the
+    # thread count is read when numpy loads, hence the fresh interpreter
+    root = MANIFESTS.parent.parent
+    code = ("import json, sys\n"
+            "from spherecert.cli import main, manifest_to_argv\n"
+            "sys.exit(main(manifest_to_argv(json.load(open(sys.argv[1])))))\n")
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(MANIFESTS / f"{name}.json")],
+                          cwd=root, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == exit_code, proc.stderr.decode()
+    assert proc.stdout == (GOLDENS / f"{name}.json").read_bytes()
 
 
 def _precondition_cert(tmp_path) -> str:
