@@ -83,14 +83,6 @@ class CapResult:
         return {"polished": self.polished, "feasible": self.feasible,
                 "failed": self.failed, "at_best": self.at_best}
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "value": self.value,
-            "configuration": [[float(x) for x in row] for row in self.configuration],
-            **self.counts(),
-        }
-
 
 def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
              meq: int, maxiter: int, ftol: float) -> SimpleNamespace:

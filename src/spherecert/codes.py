@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -147,9 +148,7 @@ class DistanceDistribution:
     """
 
     entries: dict
-    size: int
     exact: bool = False
-    per_point: list[dict] | None = None
 
     def total_mass(self):
         return sum(self.entries.values())
@@ -180,26 +179,16 @@ def distance_distribution(
     """
     N = code.size
     if code.exact_products is not None:
-        counts: dict[Fraction, int] = {}
-        per_point: list[dict] = []
-        for i in range(N):
-            row: dict[Fraction, int] = {}
-            for j in range(N):
-                if i == j:
-                    continue
-                t = code.exact_products[i][j]
-                row[t] = row.get(t, 0) + 1
-                counts[t] = counts.get(t, 0) + 1
-            per_point.append(row)
+        counts = Counter(code.exact_products[i][j] for i in range(N) for j in range(N) if i != j)
         entries = {t: Fraction(c, N) for t, c in sorted(counts.items())}
-        return DistanceDistribution(entries, N, exact=True, per_point=per_point)
+        return DistanceDistribution(entries, exact=True)
 
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol}")
     g = code.gram()
     off = g[~np.eye(N, dtype=bool)]
     if off.size == 0:
-        return DistanceDistribution({}, N, exact=False, per_point=[{}])
+        return DistanceDistribution({})
     order = np.sort(off)
     splits = np.where(np.diff(order) > tol)[0]
     clusters = np.split(order, splits + 1)
@@ -210,16 +199,7 @@ def distance_distribution(
                 f"clusters at {a} and {b} are closer than 2*tol; rerun with tol < {(b - a) / 2:g}"
             )
     entries = {rep: len(c) / N for rep, c in zip(reps, clusters)}
-    # gaps between clusters exceed tol, so each product lies in exactly one
-    # cluster: the last one starting at or below it
-    labels = np.searchsorted([c[0] for c in clusters], off, side="right") - 1
-    rows = np.repeat(np.arange(N), N - 1)
-    keys, counts = np.unique(rows * len(reps) + labels, return_counts=True)
-    per_point: list[dict] = [{} for _ in range(N)]
-    for key, cnt in zip(keys.tolist(), counts.tolist()):
-        row, label = divmod(key, len(reps))
-        per_point[row][reps[label]] = cnt
-    return DistanceDistribution(entries, N, exact=False, per_point=per_point)
+    return DistanceDistribution(entries)
 
 
 def moment(code: SphericalCode, k: int) -> float:

@@ -233,22 +233,24 @@ class TripleSumParts:
 
 def triple_sum(code: SphericalCode, F: TripleCertificate) -> float:
     """S_F: sum of F(x.y, x.z, y.z) over all N^3 ordered triples."""
-    return triple_sum_parts(code, F).total
-
-
-def triple_sum_parts(code: SphericalCode, F: TripleCertificate) -> TripleSumParts:
     if F.form == "matrix" and F.n != code.n:
         raise ParameterError(
             f"certificate dimension {F.n} does not match code dimension {code.n}"
         )
     gram = code.gram()
-    N = code.size
     total = 0.0
     # chunk over the first index to keep memory at O(N^2)
-    for a in range(N):
+    for a in range(code.size):
         t = gram[a][:, None]          # t = x_a . x_b
         u = gram[a][None, :]          # u = x_a . x_c
         total += float(np.sum(F.eval(t, u, gram)))
+    return total
+
+
+def triple_sum_parts(code: SphericalCode, F: TripleCertificate) -> TripleSumParts:
+    total = triple_sum(code, F)
+    gram = code.gram()
+    N = code.size
     diagonal = N * F.at_diagonal_one()
     off = ~np.eye(N, dtype=bool)
     paired = 3.0 * float(np.sum(F.eval(1.0, gram[off], gram[off])))

@@ -8,16 +8,16 @@ Every check sweeps one function built exactly and rounded once: a
 GegenbauerExpansion (g, or a pair check's left minus right side) or, for
 the triple check, a coefficient tensor of F - g - g - g.
 
-Two modes: 'sampled' reports the best sample and is labeled non-rigorous;
-'lipschitz-certified' reports an upper bound. Both bisect the cells or
-boxes that could hold the maximum down to the grid step, sampling their
-centres. The upper bound is max(best sample, largest bound of a cell or
-box not dropped) plus an a-priori rounding term and the slack.
+One bisection loop, _bisect, runs every sweep: over cells of an interval
+for the 1-D checks and over boxes of the wedge t <= u <= v for the triple
+check. Two modes: 'sampled' reports the best sample and is labeled
+non-rigorous; 'lipschitz-certified' reports an upper bound, max(best
+sample, largest bound of a cell or box not dropped) plus an a-priori
+rounding term and the slack.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -184,30 +184,55 @@ def _pair_expansion(n: int, F: TripleCertificate, parts) -> tuple[GegenbauerExpa
     return GegenbauerExpansion(n, coeffs), math.nextafter(float(err), math.inf)
 
 
+def _bisect(level, a: float, width: float, cells: int, levels: int, dim: int, r: float,
+            spec: DomainSpec, condition: str, start=(-np.inf, None, 0)) -> ViolationReport:
+    """The sweep of every check: bisect the cells (dim = 1) or the boxes of
+    the wedge t <= u <= v (dim = 3) that could hold the maximum.
+
+    level(mids, rho) gets the centres of a level's live cells and their
+    half-width, widened by _MID_SLACK, and returns the points it sampled,
+    their values and a bound on each cell (-inf where it rules one out). A
+    cell whose bound is at most the best sample so far (from start: value,
+    location, count) is dropped, and the others are halved along every
+    axis. In certified mode worst_violation is max(best sample, the
+    largest final bound not dropped) + r, the charged rounding and slack.
+    """
+    best_val, best_loc, evaluations = start
+    halves = np.indices((2,) * dim).reshape(dim, -1).T
+    idx = np.indices((cells,) * dim).reshape(dim, -1).T
+    for _ in range(levels + 1):
+        if dim > 1:  # keep the wedge t <= u <= v
+            idx = idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
+        if idx.size == 0:
+            break
+        rho = width / 2.0 + _MID_SLACK
+        points, vals, bound = level(a + (2 * idx + 1) * (width / 2.0), rho)
+        evaluations += len(vals)
+        if len(vals):
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_loc = float(vals[j]), tuple(float(x) for x in points[j])
+        # dropped when bound + r <= best_val + r
+        live = bound > best_val
+        idx = (2 * idx[live][:, None] + halves).reshape(-1, dim)
+        width /= 2.0
+    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
+    return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
+                           best_loc, spec.grid_step, spec.certified, best_val, evaluations)
+
+
 def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str,
               slack: float = 0.0) -> ViolationReport:
-    """Maximum of f on the interval by adaptively bisected cells.
+    """Maximum of f on the interval by _bisect, starting from both ends.
 
-    The interval is cut into at most _START_CELLS equal cells. At each cell
-    midpoint c, f and f' are evaluated, and a cell of width h gets the
-    bound
-
-        f(c) + |f'(c)| h/2 + L2 h^2/8 + r,
-
-    which holds on the whole cell by Taylor's theorem (h/2 is widened by
-    _MID_SLACK); L2 is the derivative_bound() of f'. r is fixed before the
-    sweep: the rounding bounds of f and of f' (whose coefficients carry
-    3u relative error) times the largest h/2, plus (d + 16)u times the size
-    of the bound's terms for the roundings of L2 and of the bound's own
-    arithmetic, plus slack, how far the function checked may lie from f
-    on [-1, 1]. A cell whose bound is at most the largest value
-    of f sampled so far plus r is dropped; the others are bisected until
-    they are no wider than spec.grid_step. f is also evaluated at both
-    ends, and sample_max is the best end or midpoint.
-
-    In certified mode worst_violation is max(sample_max, the largest bound
-    of a final cell that was not dropped) + r, an upper bound of f on the
-    interval; in sampled mode it is sample_max.
+    At each cell midpoint c, f and f' are evaluated, and a cell of width h
+    gets the bound f(c) + |f'(c)| h/2 + L2 h^2/8, which holds on the whole
+    cell by Taylor's theorem (h/2 is widened by _MID_SLACK); L2 is the
+    derivative_bound() of f'. r is fixed before the sweep: the rounding
+    bounds of f and of f' (whose coefficients carry 3u relative error)
+    times the largest h/2, plus (d + 16)u times the size of the bound's
+    terms for the roundings of L2 and of the bound's own arithmetic, plus
+    slack, how far the function checked may lie from f on [-1, 1].
     """
     df = f.derivative()
     size = float(np.sum(np.abs(f.coeffs)))
@@ -226,30 +251,15 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
          + (_clenshaw_err(f.degree - 1, slope_size) + 4.0 * _U * slope_size) * rho
          + (f.degree + 16) * _U * (size + slope_size * rho + curvature * rho * rho / 2.0) + slack)
 
+    def level(mids, rho):
+        vals = f.eval(mids[:, 0])
+        return mids, vals, vals + np.abs(df.eval(mids[:, 0])) * rho + curvature * (rho * rho / 2.0)
+
     ends = np.array([a, b])
     vals = f.eval(ends)
     best = int(np.argmax(vals))
-    best_val, best_x = float(vals[best]), float(ends[best])
-    evaluations = 2
-    idx = np.arange(cells)
-    for _ in range(levels + 1):
-        mids = a + (2 * idx + 1) * (width / 2.0)
-        vals = f.eval(mids)
-        evaluations += idx.size
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_x = float(vals[j]), float(mids[j])
-        rho = width / 2.0 + _MID_SLACK
-        bound = vals + np.abs(df.eval(mids)) * rho + curvature * (rho * rho / 2.0)
-        # dropped when bound + r <= best_val + r
-        live = bound > best_val
-        idx = (2 * idx[live][:, None] + np.array([0, 1])).ravel()
-        if idx.size == 0:
-            break
-        width /= 2.0
-    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
-    return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
-                           (best_x,), spec.grid_step, spec.certified, best_val, evaluations)
+    return _bisect(level, a, width, cells, levels, 1, r, spec, condition,
+                   (float(vals[best]), (float(ends[best]),), 2))
 
 
 def check_sign(g: GegenbauerExpansion, S, spec: DomainSpec | None = None,
@@ -382,40 +392,29 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
                            spec: DomainSpec | None = None) -> ViolationReport:
     """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T).
 
-    The 1-D sweep in three variables, on boxes of the wedge t <= u <= v cut
-    by triple_cells. A box is dropped when the _upper bound of its Gram
-    determinant is negative, or that of phi (_triple_expansion) is at most
-    the best sample, F - g - g - g at a centre in D3(T) (evaluations counts
-    them). Certified mode reports max(sample_max, the largest final bound)
-    plus phi's slack. Raises ParameterError when no centre lies in D3(T).
+    _bisect over the boxes of the wedge t <= u <= v cut by triple_cells. A
+    box is ruled out when the _upper bound of its Gram determinant is
+    negative; the others get the _upper bound of phi (_triple_expansion),
+    whose slack is r, and F - g - g - g is sampled at their centres in
+    D3(T). Raises ParameterError when no centre lies in D3(T).
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
-    width = (b - a) / cells
-    idx = np.array(list(itertools.combinations_with_replacement(range(cells), 3)))
-    best_val, best_loc, evaluations = -np.inf, None, 0
-    for _ in range(levels + 1):
-        rho = width / 2.0 + _MID_SLACK
-        mids = a + (2 * idx + 1) * (width / 2.0)
+
+    def level(mids, rho):
+        bound = np.full(len(mids), -np.inf)
         keep = _upper(_DET, mids, rho) >= 0.0
-        idx, mids = idx[keep], mids[keep]
-        t, u, v = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL].T
-        if t.size:
-            vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v))
-            evaluations += t.size
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val, best_loc = float(vals[j]), (float(t[j]), float(u[j]), float(v[j]))
-        bound = _upper(phi, mids, rho)
-        live = bound > best_val
-        kids = (2 * idx[live][:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
-        idx = kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])]
-        width /= 2.0
-    if best_loc is None:
+        mids = mids[keep]
+        bound[keep] = _upper(phi, mids, rho)
+        points = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL]
+        t, u, v = points.T
+        vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)) if t.size else t
+        return points, vals, bound
+
+    report = _bisect(level, a, (b - a) / cells, cells, levels, 3, slack, spec, "triple:F<=g+g+g")
+    if report.location is None:
         raise ParameterError(
             f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
-    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + slack
-    return ViolationReport("triple:F<=g+g+g", spec.mode, worst if spec.certified else best_val,
-                           best_loc, spec.grid_step, spec.certified, best_val, evaluations)
+    return report

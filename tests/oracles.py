@@ -11,13 +11,16 @@ kept twice: as it stood before its callbacks shared one residual per
 iterate and left eval for Python-float Clenshaw, and as it stood before
 it drove scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
-were shared between boxes. The maximum of an expansion on a
-cell comes from mpmath interval arithmetic. Full certificates with known
-margins are built as the benchmark builds its triple workload's.
+were shared between boxes. The 1-D sweep and the triple sweep are kept
+as they stood before they shared one bisection loop. The maximum of an
+expansion on a cell comes from mpmath interval arithmetic. Full
+certificates with known margins are built as the benchmark builds its
+triple workload's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,7 +40,20 @@ from spherecert.capopt import (
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, _eval_floats, gegenbauer_eval
 from spherecert.threepoint import _eval_tensor, _kernel_tensor
-from spherecert.verify import _U
+from spherecert.verify import (
+    _DET,
+    _MID_SLACK,
+    _START_CELLS,
+    _U,
+    D3_MEMBERSHIP_TOL,
+    ViolationReport,
+    _clenshaw_err,
+    _levels,
+    _triple_expansion,
+    _upper,
+    d3_determinant,
+    triple_cells,
+)
 
 MONOMIAL_ORACLE_MAX_DEGREE = 12
 
@@ -378,3 +394,78 @@ def upper_per_box(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
         Q = (M[:, None, 1] @ Q @ M[:, None, 2].transpose(0, 1, 3, 2)).reshape(len(M), -1)
         out[s : s + chunk] = Q[:, 0] + np.abs(Q[:, 1:]).sum(axis=1) + err
     return out
+
+
+def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0):
+    """verify._sweep_1d as it stood before the 1-D and triple checks shared
+    one bisection loop: the same cells, bounds and ViolationReport from a
+    loop of its own."""
+    df = f.derivative()
+    size = float(np.sum(np.abs(f.coeffs)))
+    slope_size = f.derivative_bound()
+    curvature = df.derivative_bound()
+    a, b = float(interval[0]), float(interval[1])
+    cells, levels = _levels(max(1, math.ceil((b - a) / spec.grid_step)), _START_CELLS)
+    width = (b - a) / cells
+    rho = width / 2.0 + _MID_SLACK
+    r = (_clenshaw_err(f.degree, size)
+         + (_clenshaw_err(f.degree - 1, slope_size) + 4.0 * _U * slope_size) * rho
+         + (f.degree + 16) * _U * (size + slope_size * rho + curvature * rho * rho / 2.0) + slack)
+    ends = np.array([a, b])
+    vals = f.eval(ends)
+    best = int(np.argmax(vals))
+    best_val, best_x = float(vals[best]), float(ends[best])
+    evaluations = 2
+    idx = np.arange(cells)
+    for _ in range(levels + 1):
+        mids = a + (2 * idx + 1) * (width / 2.0)
+        vals = f.eval(mids)
+        evaluations += idx.size
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_x = float(vals[j]), float(mids[j])
+        rho = width / 2.0 + _MID_SLACK
+        bound = vals + np.abs(df.eval(mids)) * rho + curvature * (rho * rho / 2.0)
+        live = bound > best_val
+        idx = (2 * idx[live][:, None] + np.array([0, 1])).ravel()
+        if idx.size == 0:
+            break
+        width /= 2.0
+    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
+    return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
+                           (best_x,), spec.grid_step, spec.certified, best_val, evaluations)
+
+
+def triple_sweep_loop(F, g, T, spec):
+    """verify.check_triple_condition as it stood before the 1-D and triple
+    checks shared one bisection loop: the same boxes, bounds and
+    ViolationReport from a loop of its own."""
+    a, b = float(T[0]), float(T[1])
+    cells, levels = triple_cells((a, b), spec.grid_step)
+    phi, slack = _triple_expansion(F, g)
+    width = (b - a) / cells
+    idx = np.array(list(itertools.combinations_with_replacement(range(cells), 3)))
+    best_val, best_loc, evaluations = -np.inf, None, 0
+    for _ in range(levels + 1):
+        rho = width / 2.0 + _MID_SLACK
+        mids = a + (2 * idx + 1) * (width / 2.0)
+        keep = _upper(_DET, mids, rho) >= 0.0
+        idx, mids = idx[keep], mids[keep]
+        t, u, v = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL].T
+        if t.size:
+            vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v))
+            evaluations += t.size
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_loc = float(vals[j]), (float(t[j]), float(u[j]), float(v[j]))
+        bound = _upper(phi, mids, rho)
+        live = bound > best_val
+        kids = (2 * idx[live][:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
+        idx = kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])]
+        width /= 2.0
+    if best_loc is None:
+        raise ParameterError(
+            f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
+    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + slack
+    return ViolationReport("triple:F<=g+g+g", spec.mode, worst if spec.certified else best_val,
+                           best_loc, spec.grid_step, spec.certified, best_val, evaluations)

@@ -103,9 +103,8 @@ def test_multistart_statistics(g1, monkeypatch):
         assert res.feasible == len(values) >= 1
         assert res.value == max(values)
         assert res.at_best == sum(v >= res.value - 1e-6 for v in values) >= 1
-        d = res.to_dict()
-        assert (d["polished"], d["feasible"], d["failed"], d["at_best"]) == (
-            res.polished, res.feasible, res.failed, res.at_best)
+        assert res.counts() == {"polished": res.polished, "feasible": res.feasible,
+                                "failed": res.failed, "at_best": res.at_best}
 
 
 def test_polish_matches_reference(monkeypatch):

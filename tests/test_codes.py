@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
@@ -53,9 +52,6 @@ def test_24cell_distribution_exact():
     assert d.exact
     assert d.entries == {Q(-1): Q(1), Q(-1, 2): Q(8), Q(0): Q(6), Q(1, 2): Q(8)}
     assert d.total_mass() == 23
-    # every point sees the same pattern
-    for row in d.per_point:
-        assert row == {Q(-1): 1, Q(-1, 2): 8, Q(0): 6, Q(1, 2): 8}
     assert max(t for t in d.entries) == Q(1, 2)
 
 
@@ -158,23 +154,6 @@ def test_float_code_clustering():
     assert not d.exact
     assert sorted(d.entries) == pytest.approx([-1.0, -0.5, 0.0, 0.5], abs=1e-12)
     assert sorted(d.entries.values()) == pytest.approx([1.0, 6.0, 8.0, 8.0])
-    # a rotated copy has no exact products; every point still sees the
-    # 24-cell pattern
-    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))
-    d = distance_distribution(SphericalCode(4, pts @ q), tol=1e-9)
-    assert len(d.per_point) == 24
-    for row in d.per_point:
-        assert list(row) == pytest.approx([-1.0, -0.5, 0.0, 0.5], abs=1e-12)
-        assert list(row.values()) == [1, 8, 6, 8]
-    # per-point counts on a random code against labelling each product by
-    # its nearest cluster representative
-    pts = np.random.default_rng(8).normal(size=(30, 3))
-    code = SphericalCode(3, pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    d = distance_distribution(code)
-    reps = np.array(sorted(d.entries))
-    for i, row in enumerate(d.per_point):
-        nearest = reps[np.argmin(np.abs(np.delete(code.gram()[i], i)[:, None] - reps), axis=1)]
-        assert row == Counter(nearest.tolist())
 
 
 def test_cluster_ambiguity():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import cell_max_exact, dd_certificate, upper_per_box
+from oracles import (
+    cell_max_exact,
+    dd_certificate,
+    sweep_1d_loop,
+    triple_sweep_loop,
+    upper_per_box,
+)
 from spherecert import verify
 from spherecert.bounds import DDCertificate
 from spherecert.data import load_expansion
@@ -181,6 +187,46 @@ def test_triple_condition_empty_region():
     for spec in (DomainSpec(grid_step=0.01), DomainSpec(grid_step=0.01, mode=CERTIFIED)):
         with pytest.raises(ParameterError, match="no grid point"):
             check_triple_condition(F, g, (-1.0, -0.9), spec)
+
+
+def test_one_loop_keeps_every_report():
+    # the checks share one bisection loop; each report keeps the bits of
+    # the loop of its own it had before (tests/oracles.py), in both modes
+    g1, g2 = load_expansion("g1"), load_expansion("g2")
+    rng = np.random.default_rng(19)
+    seeded = []
+    for n in range(3, 9):
+        lo = float(rng.uniform(-1.0, 0.0))
+        hi = lo if n == 5 else float(rng.uniform(lo, 1.0))
+        seeded.append((GegenbauerExpansion(n, rng.normal(size=n + 5) / np.arange(1, n + 6)),
+                       (lo, hi)))
+    full = DDCertificate.from_dict(dd_certificate(4, True))
+    F, g, h, h0 = full.F, full.g, full.h, full.h0
+    certs = [DDCertificate.from_dict(dd_certificate(d, valid))
+             for d in (4, 8, 12) for valid in (True, False)]
+    for mode in (verify.SAMPLED, CERTIFIED):
+        fine, spec = DomainSpec(1e-6, mode), DomainSpec(1e-5, mode)
+        pairs = [(check_sign(e, S, fine), sweep_1d_loop(e, S, fine, "sign:g<=0"))
+                 for e, S in ((g1, (T0, 0.5)), (g2, (-0.73, 0.5)))]
+        pairs += [(check_sign(e, S, spec), sweep_1d_loop(e, S, spec, "sign:g<=0"))
+                  for e, S in seeded]
+        e, slack = verify._pair_expansion(4, F, [(-1, g)])
+        pairs.append((check_pair_condition(F, g, T_HALF, spec),
+                      sweep_1d_loop(e, T_HALF, spec, "pair:F(1,t,t)<=f", slack)))
+        e, slack = verify._pair_expansion(4, F, [(1, h), (1, GegenbauerExpansion(4, [h0])), (-2, g)])
+        pairs.append((check_dd_pair_condition(h, h0, F, g, T_HALF, spec),
+                      sweep_1d_loop(e, T_HALF, spec, "pair:h+h0+F(1,t,t)<=2g", slack)))
+        for step in (0.01, 0.02, 0.04):
+            pairs += [(check_triple_condition(c.F, c.g, c.T, DomainSpec(step, mode)),
+                       triple_sweep_loop(c.F, c.g, c.T, DomainSpec(step, mode))) for c in certs]
+        for got, want in pairs:
+            assert got.to_dict() == want.to_dict()
+        one, zero = TripleCertificate.from_terms([(0, 0, 0, 1.0)]), GegenbauerExpansion(4, [0.0])
+        for check in (check_triple_condition, triple_sweep_loop):
+            with pytest.raises(ParameterError) as err:
+                check(one, zero, (-1.0, -0.9), DomainSpec(0.01, mode))
+            assert str(err.value) == ("D3(T) holds no grid point (box centre) "
+                                      "for T = [-1.0, -0.9] at step 0.01")
 
 
 def test_triple_condition_certified_pads():
