@@ -1,6 +1,6 @@
-"""Cap-configuration maximization and the kissing-number contradiction check.
+"""The kissing-number contradiction check, and multistart cap maximization.
 
-The optimization: place m unit vectors y_1..y_m inside the spherical cap
+The cap problem: place m unit vectors y_1..y_m inside the spherical cap
 e1 . y <= t0, with pairwise inner products at most 1/2, to maximize
 sum_j g(e1 . y_j). For any N-point code with products in [-1, 1/2] and
 g <= epsilon on [t0, 1/2], R_g(C) is at most the maximum over m = 0..mu
@@ -8,19 +8,25 @@ of that value plus max(N - 1 - m, 0) epsilon: each of the N - 1 - m
 points outside the cap around -u contributes at most epsilon to the
 energy seen from u, and an average never exceeds a maximum.
 
-The cap constraints are written in _residuals over (..., m, n) arrays of
-configurations, which rank all starts and judge feasibility. The SLSQP
-polish writes the same entries, from the same Gram product, in place
-into the buffers of scipy's compiled SLSQP core, which minimize drives
-without scipy's per-iterate wrappers.
+kissing_check bounds each cap maximum by a certified sweep over the
+heights t_j = e1 . y_j alone (_cap_sweep). For t0 <= -1/sqrt(2), heights
+t_1..t_m are those of a configuration if and only if the matrix C(t) of
+_cap_matrix is positive semidefinite (m <= n), and C grows entrywise in
+every t_j; so a box of heights is empty when C at its upper corner is
+certified not PSD, and a box centre whose C is certified positive
+definite is a feasible configuration, a lower witness.
 
-Multistart local search only: found maxima are lower estimates of the true
-cap optimum, and verdicts derived from them say so.
+cap_max is a multistart search: batched penalty ascent, then an SLSQP
+polish that writes the constraints of _residuals, from the same Gram
+product, in place into the buffers of scipy's compiled SLSQP core, which
+minimize drives without scipy's per-iterate wrappers. Its maxima are
+lower estimates of the true cap optimum; no verb runs it, and the tests
+compare it with the sweep's bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -30,7 +36,17 @@ import numpy as np
 from .bounds import DDCertificate, dd_bound
 from .errors import CapabilityError, ParameterError, PreconditionError
 from .gegenbauer import GegenbauerExpansion, _eval_floats
-from .verify import CERTIFIED, DomainSpec, ViolationReport, check_sign
+from .verify import (
+    _MID_SLACK,
+    _U,
+    CERTIFIED,
+    DomainSpec,
+    ViolationReport,
+    _bisect,
+    _clenshaw_err,
+    _taylor,
+    check_sign,
+)
 
 __all__ = ["CapProblem", "CapResult", "cap_max", "kissing_check", "KissingReport"]
 
@@ -38,6 +54,15 @@ SIGN_CHECK_TOL = 5e-3
 FEASIBILITY_TOL = 1e-9
 AT_BEST_TOL = 1e-6
 DEFAULT_STARTS = 200
+# The height sweep starts from the one box [-1, t0]^m, so that no level
+# before the budget's check is large, and halves it at most _CAP_LEVELS
+# times; the envelope of g holds its bounds on all 2^13 = 8,192 finest
+# cells (64 KB, 128 KB with the coarser levels; building it peaks at about
+# 0.5 MB).
+_CAP_LEVELS = 13
+# Most boxes one level of a height sweep may hold: at m = 4 each box costs
+# about 1 KB while its level runs.
+_CAP_BUDGET = 2 ** 14
 
 
 @dataclass
@@ -325,6 +350,170 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
                      feasible=len(values), failed=failed, at_best=at_best)
 
 
+
+
+def _cap_matrix(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(t) for a (batch, m) array of heights in (-1, t0], t0 <= -1/sqrt(2),
+    and a bound on the rounding error of each of its entries.
+
+    C has unit diagonal and c_ij = (1/2 - t_i t_j)/(s_i s_j), s_j^2 =
+    1 - t_j^2, computed as (1 - t)(1 + t). Rounding: 1 + t is exact
+    (Sterbenz), so s_j^2 carries relative error 2u; the product of two and
+    its square root put s_i s_j within 4u relatively. t_i t_j lies in
+    [1/2, 1], so it errs by at most u and 1/2 minus it is exact (Sterbenz).
+    The quotient then errs by at most u/(s_i s_j) + 6u|c_ij| plus terms of
+    order u^2, which 2u/den + 8u|c| covers, den the computed s_i s_j.
+    """
+    s2 = (1.0 - t) * (1.0 + t)
+    den = np.sqrt(s2[:, :, None] * s2[:, None, :])
+    C = (0.5 - t[:, :, None] * t[:, None, :]) / den
+    err = 2.0 * _U / den + 8.0 * _U * np.abs(C)
+    diag = np.arange(t.shape[1])
+    C[:, diag, diag] = 1.0
+    err[:, diag, diag] = 0.0
+    return C, err
+
+
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floating-point Cholesky A = R^T R of a (batch, m, m) stack, in
+    elementwise numpy (no BLAS or LAPACK, so no thread count changes a
+    bit). Returns R and, per matrix, the first index whose pivot is not
+    positive (m where there is none); such pivots are replaced by 1 in R,
+    which keeps the rest of R finite."""
+    m = A.shape[1]
+    R = np.zeros_like(A)
+    fail = np.full(len(A), m)
+    for j in range(m):
+        pivot = A[:, j, j] - np.sum(R[:, :j, j] ** 2, axis=1)
+        fail[(fail == m) & ~(pivot > 0.0)] = j
+        R[:, j, j] = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        R[:, j, j + 1:] = (A[:, j, j + 1:] - np.sum(R[:, :j, j, None] * R[:, :j, j + 1:], axis=1)
+                           ) / R[:, j, j, None]
+    return R, fail
+
+
+def _certified_pd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Whether each exact matrix within err of the unit-diagonal C is
+    positive definite.
+
+    The shift tau = u + 2 sum err bounds ||exact - C||_2 <= ||.||_F <=
+    sum err, plus the u of rounding 1 - tau, so H, C with diagonal
+    fl(1 - tau), is PD only if the exact matrix is. H is proven PD by S.
+    M. Rump's test (BIT 46, 2006): floating-point Cholesky of fl(H - cI)
+    runs to completion, with c = gamma_{m+1}/(1 - 2 gamma_{m+1}) tr(H) +
+    4(m+1)(2(m+2) + max h_ii) eta, eta the smallest subnormal; tr(H) <= m
+    and h_ii <= 1, so 2(m+1) m u exceeds it."""
+    m = C.shape[1]
+    tau = _U + 2.0 * np.sum(err, axis=(1, 2))
+    H = C.copy()
+    diag = np.arange(m)
+    H[:, diag, diag] = ((1.0 - tau) - 2.0 * (m + 1) * m * _U)[:, None]
+    return _cholesky(H)[1] == m
+
+
+def _certified_not_psd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Whether each exact matrix within err of C is certified not PSD by a
+    vector x with x^T C x < 0.
+
+    Where C's Cholesky stops at pivot k, x = (y, 1, 0, ...) with R y =
+    -R[:k, k] on the leading block minimizes x^T C x to that pivot in
+    exact arithmetic. x is then checked whatever its own rounding: the
+    computed q = sum x_i x_j c_ij errs by at most (m^2 + 2)u sum |x_i x_j
+    c_ij|, and the exact matrix adds at most sum |x_i x_j| err_ij; q plus
+    twice both still below 0 proves it."""
+    m = C.shape[1]
+    R, stop = _cholesky(C)
+    x = (np.arange(m) == stop[:, None]).astype(float)  # e_k; 0 where none stopped
+    for j in reversed(range(m)):
+        y = -np.sum(R[:, j, j + 1:] * x[:, j + 1:], axis=1) / R[:, j, j]
+        x[:, j] = np.where(j < stop, y, x[:, j])
+    xx = x[:, :, None] * x[:, None, :]
+    q = np.sum(C * xx, axis=(1, 2))
+    slack = np.sum(((m * m + 2) * _U * np.abs(C) + err) * np.abs(xx), axis=(1, 2))
+    return q + 2.0 * slack < 0.0
+
+
+def _envelope(g: GegenbauerExpansion, t0: float) -> list[np.ndarray]:
+    """Certified upper bounds of g on the dyadic cells of [-1, t0], level
+    by level: entry i of level k bounds g on cell i of 2^k.
+
+    The finest level has w = (t0 + 1)/cells; 1 + t0 is exact (Sterbenz)
+    and so is the division by a power of two, so its cell i is exactly
+    [-1 + i w, -1 + (i + 1) w], as is every cell of the sweep at its own
+    level. Each gets verify._taylor's bound at its midpoint plus r, rounded
+    up by one ulp, which covers the rounding of that sum. A coarser entry
+    is the max of the two below it, which is exact.
+    """
+    cells = 1 << _CAP_LEVELS
+    width = (t0 + 1.0) / cells
+    rho = width / 2.0 + _MID_SLACK
+    taylor, r = _taylor(g, rho)
+    _, bound = taylor(-1.0 + (2 * np.arange(cells) + 1) * (width / 2.0), rho)
+    levels = [np.nextafter(bound + r, np.inf)]
+    while len(levels[-1]) > 1:
+        levels.append(np.maximum(levels[-1][0::2], levels[-1][1::2]))
+    return levels[::-1]
+
+
+def _cap_sweep(g: GegenbauerExpansion, envelope: list[np.ndarray], t0: float, m: int,
+               threshold: float) -> tuple[ViolationReport, dict]:
+    """Decide whether the m-point cap value, m <= n, can exceed threshold,
+    by verify._bisect over the sorted boxes t_1 <= ... <= t_m of [-1, t0]^m.
+
+    A box is pruned when C at its upper corner (the centre plus the
+    widened half-width, at most t0: above the exact corner) is
+    _certified_not_psd. On [-1, t0] C is a Z-matrix and grows entrywise in
+    every t_j. Feasible heights t have C(t) entrywise above the PSD Gram
+    matrix W of their directions (W_ij <= c_ij <= 0), and a Z-matrix
+    entrywise above a PSD Z-matrix is PSD; so C(t), and then C at the
+    corner, would be PSD. The other boxes are bounded by the sum of their
+    axes' envelope entries; the sum of m floats errs by at most (m - 1)u
+    times their sum of magnitudes, and r = 2 m^2 u max |envelope| covers
+    that and the final + r in _bisect. A box whose bound is at most
+    threshold is dropped.
+
+    A centre t with C(t) _certified_pd is a configuration: for m < n, C is
+    itself the Gram matrix, of rank at most n - 1, of directions on
+    S^(n-2); for m = n, lowering its off-diagonal entries together until it
+    first turns singular gives one. Its value sum_j g(t_j) is lowered by
+    m Clenshaw bounds plus the sum's rounding, doubled, and one ulp, so the
+    sample is a certified lower bound. The sweep stops at the first above
+    threshold. It also stops, with its sound upper bound, before a level
+    of over _CAP_BUDGET boxes or after the finest level.
+
+    Returns _bisect's report, whose worst_violation is the certified upper
+    bound and sample_max the best witness, and the sweep's counts.
+    """
+    size = float(np.sum(np.abs(g.coeffs)))
+    lowered = 2.0 * m * (_clenshaw_err(g.degree, size) + m * _U * size)
+    counts = {"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0}
+    left = 0  # boxes of the last level bounded above the threshold
+
+    def level(mids, rho, idx):
+        nonlocal left
+        upper = np.sum(envelope[counts["levels"]][idx], axis=1)
+        pruned = _certified_not_psd(*_cap_matrix(np.minimum(mids + rho, t0)))
+        bound = np.where(pruned, -np.inf, upper)
+        points = mids[_certified_pd(*_cap_matrix(mids))]
+        vals = np.sum(g.eval(points), axis=1)
+        counts["boxes"] += len(mids)
+        counts["levels"] += 1
+        counts["psd_prunes"] += int(np.sum(pruned))
+        counts["value_prunes"] += int(np.sum(~pruned & (upper <= threshold)))
+        left = int(np.sum(bound > threshold))
+        return points, np.nextafter(vals - lowered, -np.inf), bound
+
+    r = 2.0 * m * m * _U * float(np.max(np.abs(envelope[-1])))
+    spec = DomainSpec(grid_step=(t0 + 1.0) / len(envelope[-1]), mode=CERTIFIED)
+    report = _bisect(level, -1.0, t0 + 1.0, 1, _CAP_LEVELS, m, r, spec, f"cap:m={m}",
+                     drop=threshold, stop=threshold, budget=_CAP_BUDGET)
+    if report.sample_max > threshold:
+        counts["ended"] = "refuted"
+    else:
+        counts["ended"] = "budget" if left else "decided"
+    return report, counts
+
+
 @dataclass
 class KissingReport:
     """Outcome of the cap-versus-distance-distribution comparison.
@@ -334,34 +523,43 @@ class KissingReport:
     N - 1 - m others lies where g <= epsilon, the certified bound of g on
     [t0, 1/2] (never below 0). So R_g <= U' = max_m (cap_m + max(N-1-m, 0)
     epsilon), the charged_best; an m above N - 1 has no one left outside
-    the cap to charge. verdict CONTRADICTION means U' < B(N) - margin
-    with mu >= n and t0 <= -1/sqrt(2), the latter decided exactly: such a
-    cap holds at most n points (_rankin_capacity_applies), so m = 0..mu
-    leaves no configuration out, and no such code exists provided the
-    multistart maxima cap_m are the true ones. With a smaller mu or a
-    higher t0 the verdict is INCONCLUSIVE whatever U' is: the caller's mu
-    may undercount the cap. best_value and best_m are the uncharged
-    maximum; the margin and the heuristic status are part of the report,
-    and polish_counts gives each m's CapResult counts.
+    the cap to charge.
+
+    cap_values holds, for m = 0..mu, the certified upper bound of cap_m
+    from _cap_sweep, or null where no m points fit: above n, and where the
+    sweep pruned every box. So best_value and best_m are the largest bound
+    and its first m, uncharged. Each sweep only decides whether cap_m +
+    max(N-1-m, 0) epsilon can reach B(N) - margin, so a bound lies anywhere
+    below that threshold, not at cap_m. sweeps gives each m's boxes,
+    levels, PSD and value prunes, its best witness (lower; null if none)
+    and how it ended: decided (every box pruned), refuted (a witness above
+    the threshold) or budget. cap_lower is the witness, m >= 1, with the
+    largest charged value: its m, value and heights, or null.
+
+    verdict CONTRADICTION means U' < B(N) - margin with mu >= n: t0 <=
+    -1/sqrt(2) is required, so the open cap holds at most n points
+    (_rankin_capacity_applies) and m = 0..mu leaves no configuration out.
+    Then no such code exists. With a smaller mu the verdict is
+    INCONCLUSIVE whatever U' is. M_max = N - 3N(U' + margin) is the largest
+    M for which U' < B(N) - margin would hold.
     """
 
     verdict: str
     N: int
     bound: float
-    cap_values: list[float]
+    cap_values: list[float | None]
     best_value: float
     best_m: int
     epsilon: float
-    charged_values: list[float]
+    charged_values: list[float | None]
     charged_best: float
     margin: float
     mu: int
     t0: float
     sign_check: ViolationReport
-    polish_counts: list[dict]
-    heuristic: str = field(
-        default="cap maxima are multistart estimates, not certified global optima"
-    )
+    cap_lower: dict | None
+    sweeps: list[dict]
+    M_max: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -380,21 +578,27 @@ def _rankin_capacity_applies(t0: float) -> bool:
 
 
 def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
-                  starts: int = DEFAULT_STARTS, seed: int = 0,
+                  starts: int | None = None, seed: int | None = None,
                   margin: float = 1e-3) -> KissingReport:
-    """Compare the charged cap optimum U' against B(N) = (N - M)/(3N).
+    """Compare the charged cap bound U' against B(N) = (N - M)/(3N).
 
     B(N) is bounds.dd_bound of the scalar certificate (g, [-1, 1/2], M).
-    Requires g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in
-    certified mode at grid step 1e-6 before any optimization; refuses to
-    run otherwise. The tolerated excess epsilon is charged to every point
-    outside the cap (see KissingReport). Emits CONTRADICTION when
-    U' < B(N) - margin, mu >= n and _rankin_capacity_applies(t0), else
-    INCONCLUSIVE.
+    Requires t0 <= -1/sqrt(2), decided exactly (ParameterError otherwise),
+    and g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in certified
+    mode at grid step 1e-6; refuses to run otherwise. Each m = 1..mu then
+    gets one _cap_sweep against the threshold B(N) - margin - max(N - 1 -
+    m, 0) epsilon, all sharing one _envelope of g. Emits CONTRADICTION when
+    U' < B(N) - margin and mu >= n, else INCONCLUSIVE (see KissingReport).
+    starts and seed are ignored: they seeded the multistart search the
+    check ran before.
     """
     if not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and >= 0, got {margin}")
     CapProblem(g.n, g, t0, 0, mu)  # checks t0 and mu before the sweep
+    if not _rankin_capacity_applies(t0):
+        raise ParameterError(
+            f"t0 must be at most -1/sqrt(2), got {t0}: above it the cap has no capacity "
+            f"bound and its heights do not decide feasibility")
     bound = dd_bound(DDCertificate(g, (-1.0, 0.5), M=M), N)
     sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     if sign.worst_violation > SIGN_CHECK_TOL:
@@ -402,17 +606,37 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
             f"g exceeds 0 by {sign.worst_violation:g} on [{t0}, 0.5] "
             f"(tolerance {SIGN_CHECK_TOL:g}); the cap reduction does not apply"
         )
-    values, counts = [], []
-    best_value, best_m = -np.inf, 0
-    for m in range(mu + 1):
-        res = cap_max(CapProblem(g.n, g, t0, m, mu), starts=starts, seed=seed + m)
-        values.append(res.value)
-        counts.append(res.counts())
-        if res.value > best_value:
-            best_value, best_m = res.value, m
     epsilon = max(sign.worst_violation, 0.0)
-    charged = [v + max(N - 1 - m, 0) * epsilon for m, v in enumerate(values)]
-    decided = mu >= g.n and _rankin_capacity_applies(t0)
-    verdict = "CONTRADICTION" if decided and max(charged) < bound - margin else "INCONCLUSIVE"
-    return KissingReport(verdict, N, bound, values, best_value, best_m, epsilon,
-                         charged, max(charged), margin, mu, t0, sign, counts)
+    envelope = _envelope(g, t0) if mu else []
+    thresholds = [bound - margin - max(N - 1 - m, 0) * epsilon for m in range(mu + 1)]
+    unswept = {"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0}
+    # the empty cap is a configuration of value 0
+    values = [0.0]
+    sweeps = [{**unswept, "ended": "refuted" if 0.0 > thresholds[0] else "decided",
+               "lower": 0.0}]
+    witnesses = []  # (charged value, m, value, heights) of each m's best witness
+    for m in range(1, mu + 1):
+        if m > g.n:  # the open cap holds at most n points (_rankin_capacity_applies)
+            values.append(None)
+            sweeps.append({**unswept, "ended": "decided", "lower": None})
+            continue
+        report, counts = _cap_sweep(g, envelope, t0, m, thresholds[m])
+        upper = report.worst_violation
+        values.append(upper if upper > -np.inf else None)
+        lower = report.sample_max if report.location is not None else None
+        sweeps.append({**counts, "lower": lower})
+        if lower is not None:
+            witnesses.append((lower + max(N - 1 - m, 0) * epsilon, m, lower, report.location))
+    cap_lower = None
+    if witnesses:
+        _, m, lower, heights = max(witnesses)
+        cap_lower = {"m": m, "value": lower, "heights": list(heights)}
+    charged = [None if v is None else v + max(N - 1 - m, 0) * epsilon
+               for m, v in enumerate(values)]
+    best_m = max((m for m, v in enumerate(values) if v is not None), key=values.__getitem__)
+    charged_best = max(c for c in charged if c is not None)
+    verdict = ("CONTRADICTION" if mu >= g.n and charged_best < bound - margin
+               else "INCONCLUSIVE")
+    return KissingReport(verdict, N, bound, values, values[best_m], best_m, epsilon, charged,
+                         charged_best, margin, mu, t0, sign, cap_lower, sweeps,
+                         N - 3 * N * (charged_best + margin))

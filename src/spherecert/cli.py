@@ -258,10 +258,7 @@ def _cmd_kissing_check(args) -> tuple[dict, int]:
     if cert.mode != "scalar-M":
         raise SystemExit2("kissing-check needs a scalar-M certificate")
     try:
-        rep = kissing_check(
-            cert.g, cert.M, args.t0, args.mu, args.N,
-            starts=args.starts, seed=args.seed, margin=args.margin,
-        )
+        rep = kissing_check(cert.g, cert.M, args.t0, args.mu, args.N, margin=args.margin)
     except PreconditionError as exc:
         return {"error": str(exc)}, EXIT_CERTIFICATE
     return rep.to_dict(), (EXIT_CONTRADICTION if rep.verdict == "CONTRADICTION" else EXIT_OK)
@@ -316,15 +313,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("kissing-check", help="cap optimum vs B(N) contradiction test")
+    p = sub.add_parser("kissing-check", help="cap bound vs B(N) contradiction test")
     p.add_argument("cert", help="scalar-M certificate JSON file")
-    p.add_argument("--t0", type=float, required=True, help="cap height, in (-1, -1/2)")
+    p.add_argument("--t0", type=float, required=True,
+                   help="cap height, at most -1/sqrt(2), where the cap holds at most n points")
     p.add_argument("--mu", type=int, required=True,
-                   help="cap capacity; CONTRADICTION needs mu >= n and t0 <= -1/sqrt(2), "
-                        "where the cap holds at most n points")
+                   help="largest cap point count swept; CONTRADICTION needs mu >= n")
     p.add_argument("--N", type=int, required=True, help="hypothetical code size")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    for flag in ("--starts", "--seed"):
+        p.add_argument(flag, type=int, help="ignored; seeded the former multistart search")
     p.add_argument("--margin", type=float, default=1e-3)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_kissing_check)

@@ -9,11 +9,12 @@ GegenbauerExpansion (g, or a pair check's left minus right side) or, for
 the triple check, a coefficient tensor of F - g - g - g.
 
 One bisection loop, _bisect, runs every sweep: over cells of an interval
-for the 1-D checks and over boxes of the wedge t <= u <= v for the triple
-check. Two modes: 'sampled' reports the best sample and is labeled
-non-rigorous; 'lipschitz-certified' reports an upper bound, max(best
-sample, largest bound of a cell or box not dropped) plus an a-priori
-rounding term and the slack.
+for the 1-D checks, over boxes of the wedge t <= u <= v for the triple
+check, and over sorted boxes of cap heights for capopt.kissing_check. Two
+modes: 'sampled' reports the best sample and is labeled non-rigorous;
+'lipschitz-certified' reports an upper bound, max(best sample, largest
+bound of a cell or box not dropped) plus an a-priori rounding term and
+the slack.
 """
 
 from __future__ import annotations
@@ -185,59 +186,85 @@ def _pair_expansion(n: int, F: TripleCertificate, parts) -> tuple[GegenbauerExpa
 
 
 def _bisect(level, a: float, width: float, cells: int, levels: int, dim: int, r: float,
-            spec: DomainSpec, condition: str, start=(-np.inf, None, 0)) -> ViolationReport:
+            spec: DomainSpec, condition: str, start=(-np.inf, None, 0), drop: float = -np.inf,
+            stop: float = np.inf, budget: float = np.inf) -> ViolationReport:
     """The sweep of every check: bisect the cells (dim = 1) or the boxes of
-    the wedge t <= u <= v (dim = 3) that could hold the maximum.
+    the sorted wedge t_1 <= ... <= t_dim that could hold the maximum.
 
-    level(mids, rho) gets the centres of a level's live cells and their
-    half-width, widened by _MID_SLACK, and returns the points it sampled,
-    their values and a bound on each cell (-inf where it rules one out). A
-    cell whose bound is at most the best sample so far (from start: value,
-    location, count) is dropped, and the others are halved along every
-    axis. In certified mode worst_violation is max(best sample, the
-    largest final bound not dropped) + r, the charged rounding and slack.
+    level(mids, rho, idx) gets the centres of a level's live cells, their
+    half-width, widened by _MID_SLACK, and their integer cell indices, and
+    returns the points it sampled, their values and a bound on each cell
+    (-inf where it rules one out). A cell whose bound is at most the best
+    sample so far (from start: value, location, count) or at most drop is
+    dropped, and the others are halved along every axis. The sweep stops
+    early after a level whose best sample exceeds stop, or before a level
+    of more than budget cells. In certified mode worst_violation is
+    max(best sample, the largest bound dropped, the largest bound not
+    dropped) + r, the charged rounding and slack; with the default drop
+    every bound dropped is at most the best sample.
     """
     best_val, best_loc, evaluations = start
+    settled = -np.inf
+    bound, live = np.array([np.inf]), np.array([True])  # nothing bounded yet
     halves = np.indices((2,) * dim).reshape(dim, -1).T
     idx = np.indices((cells,) * dim).reshape(dim, -1).T
     for _ in range(levels + 1):
-        if dim > 1:  # keep the wedge t <= u <= v
+        if dim > 1:  # keep the wedge
             idx = idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
-        if idx.size == 0:
+        if idx.size == 0 or len(idx) > budget:
             break
         rho = width / 2.0 + _MID_SLACK
-        points, vals, bound = level(a + (2 * idx + 1) * (width / 2.0), rho)
+        points, vals, bound = level(a + (2 * idx + 1) * (width / 2.0), rho, idx)
         evaluations += len(vals)
         if len(vals):
             j = int(np.argmax(vals))
             if vals[j] > best_val:
                 best_val, best_loc = float(vals[j]), tuple(float(x) for x in points[j])
-        # dropped when bound + r <= best_val + r
-        live = bound > best_val
+        # dropped when bound + r <= max(best_val, drop) + r
+        live = bound > max(best_val, drop)
+        if drop > best_val:  # else what is dropped stays below the best sample
+            settled = max(settled, float(np.max(bound[~live], initial=-np.inf)))
+        if best_val > stop:
+            break
         idx = (2 * idx[live][:, None] + halves).reshape(-1, dim)
         width /= 2.0
-    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
+    worst = max(best_val, settled, float(np.max(bound[live], initial=-np.inf))) + r
     return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
                            best_loc, spec.grid_step, spec.certified, best_val, evaluations)
 
 
-def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str,
-              slack: float = 0.0) -> ViolationReport:
-    """Maximum of f on the interval by _bisect, starting from both ends.
+def _taylor(f: GegenbauerExpansion, rho: float):
+    """Second-order Taylor bounds of f on cells of half-width at most rho.
 
-    At each cell midpoint c, f and f' are evaluated, and a cell of width h
-    gets the bound f(c) + |f'(c)| h/2 + L2 h^2/8, which holds on the whole
-    cell by Taylor's theorem (h/2 is widened by _MID_SLACK); L2 is the
-    derivative_bound() of f'. r is fixed before the sweep: the rounding
-    bounds of f and of f' (whose coefficients carry 3u relative error)
-    times the largest h/2, plus (d + 16)u times the size of the bound's
-    terms for the roundings of L2 and of the bound's own arithmetic, plus
-    slack, how far the function checked may lie from f on [-1, 1].
+    bound(c, rho) evaluates f and f' at the centres c and returns f(c) and
+    f(c) + |f'(c)| rho + L2 rho^2/2, which holds on the whole cell by
+    Taylor's theorem; L2 is the derivative_bound() of f'. Each computed
+    bound is within r of the exact one: r is the rounding bounds of f and
+    of f' (whose coefficients carry 3u relative error) times rho, plus
+    (d + 16)u times the size of the bound's terms for the roundings of L2
+    and of the bound's own arithmetic.
     """
     df = f.derivative()
     size = float(np.sum(np.abs(f.coeffs)))
     slope_size = f.derivative_bound()
     curvature = df.derivative_bound()
+    r = (_clenshaw_err(f.degree, size)
+         + (_clenshaw_err(f.degree - 1, slope_size) + 4.0 * _U * slope_size) * rho
+         + (f.degree + 16) * _U * (size + slope_size * rho + curvature * rho * rho / 2.0))
+
+    def bound(c, rho):
+        vals = f.eval(c)
+        return vals, vals + np.abs(df.eval(c)) * rho + curvature * (rho * rho / 2.0)
+
+    return bound, r
+
+
+def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str,
+              slack: float = 0.0) -> ViolationReport:
+    """Maximum of f on the interval by _bisect, starting from both ends,
+    with the _taylor bound on each cell; r is _taylor's for the widest
+    cell plus slack, how far the function checked may lie from f on
+    [-1, 1]."""
     a, b = float(interval[0]), float(interval[1])
     if not a <= b:
         raise ParameterError(f"empty interval [{a}, {b}]")
@@ -246,19 +273,12 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
             f"grid_step {spec.grid_step:g} is too fine for [{a}, {b}]: over 2^48 cells")
     cells, levels = _levels(max(1, math.ceil((b - a) / spec.grid_step)), _START_CELLS)
     width = (b - a) / cells
-    rho = width / 2.0 + _MID_SLACK
-    r = (_clenshaw_err(f.degree, size)
-         + (_clenshaw_err(f.degree - 1, slope_size) + 4.0 * _U * slope_size) * rho
-         + (f.degree + 16) * _U * (size + slope_size * rho + curvature * rho * rho / 2.0) + slack)
-
-    def level(mids, rho):
-        vals = f.eval(mids[:, 0])
-        return mids, vals, vals + np.abs(df.eval(mids[:, 0])) * rho + curvature * (rho * rho / 2.0)
-
+    taylor, r = _taylor(f, width / 2.0 + _MID_SLACK)
     ends = np.array([a, b])
     vals = f.eval(ends)
     best = int(np.argmax(vals))
-    return _bisect(level, a, width, cells, levels, 1, r, spec, condition,
+    return _bisect(lambda mids, rho, idx: (mids, *taylor(mids[:, 0], rho)), a, width, cells,
+                   levels, 1, r + slack, spec, condition,
                    (float(vals[best]), (float(ends[best]),), 2))
 
 
@@ -403,7 +423,7 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
 
-    def level(mids, rho):
+    def level(mids, rho, idx):
         bound = np.full(len(mids), -np.inf)
         keep = _upper(_DET, mids, rho) >= 0.0
         mids = mids[keep]

@@ -111,16 +111,20 @@ def test_criterion_5_24cell_facts():
 
 
 def test_criterion_6_kissing_pipeline():
-    with criterion(6, "cap maxima, contradiction at N=25, inconclusive at N=24", 60.0):
+    with criterion(6, "cap bounds, contradiction at N=25, inconclusive at N=24", 60.0):
         g1 = load_expansion("g1")
-        rep25 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=25, starts=200, seed=0)
-        assert rep25.best_value == pytest.approx(0.0266, abs=1e-3)
-        assert rep25.best_m == 2
+        # best_value is the largest certified upper bound; the best witness
+        # is a two-point cap at the multistart maximum 0.0266
+        rep25 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=25)
+        assert rep25.cap_lower["value"] == pytest.approx(0.0266, abs=1e-3)
+        assert rep25.cap_lower["m"] == 2
         assert rep25.verdict == "CONTRADICTION"
         assert rep25.best_value < rep25.bound
-        rep24 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=24, starts=200, seed=0)
+        rep24 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=24)
         assert rep24.verdict == "INCONCLUSIVE"
         assert rep24.best_value > rep24.bound
+        m = rep24.cap_lower["m"]
+        assert rep24.cap_lower["value"] + (23 - m) * rep24.epsilon > rep24.bound - rep24.margin
 
 
 def _random_valid_cert(rng, n, d):

@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +17,14 @@ from spherecert.capopt import (
 )
 from spherecert.data import load_expansion
 from spherecert.errors import DomainError, ParameterError, PreconditionError
-from spherecert.gegenbauer import GegenbauerExpansion
+from spherecert.gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
 
-from oracles import _residual_jacobians, polish_whole_array, slsqp_scipy_minimize
+from oracles import (
+    _residual_jacobians,
+    cell_max_exact,
+    polish_whole_array,
+    slsqp_scipy_minimize,
+)
 
 T0 = -np.sqrt(2) / 2
 
@@ -289,14 +296,18 @@ def test_kissing_check_m_at_least_n_inconclusive(g1):
 
 
 def test_kissing_check_verdicts_smoke(g1):
+    # every sweep decides N = 25; best_value is the largest certified bound,
+    # which a decision sweep leaves anywhere below its threshold
     rep = kissing_check(g1, 22.5689, T0, 4, 25, starts=40, seed=5)
     assert rep.verdict == "CONTRADICTION"
-    assert rep.best_m == 2
-    assert rep.best_value == pytest.approx(0.0266, abs=1e-3)
+    assert [s["ended"] for s in rep.sweeps] == ["decided"] * 5
+    assert rep.best_value == max(rep.cap_values) < rep.bound - rep.margin
+    assert rep.cap_values[rep.best_m] == rep.best_value
     assert rep.margin > 0
-    assert "multistart" in rep.heuristic
+    assert not hasattr(rep, "heuristic") and "heuristic" not in json.dumps(rep.to_dict())
     rep24 = kissing_check(g1, 22.5689, T0, 4, 24, starts=40, seed=5)
     assert rep24.verdict == "INCONCLUSIVE"
+    assert [s["ended"] for s in rep24.sweeps] == ["decided"] + ["refuted"] * 4
 
 
 def test_rankin_capacity_decided_exactly():
@@ -323,9 +334,11 @@ def test_kissing_verdict_charges_epsilon(g1):
     assert rep.charged_values == [v + (24 - m) * rep.epsilon
                                   for m, v in enumerate(rep.cap_values)]
     assert rep.charged_best == max(rep.charged_values)
-    # U' = 0.031026 against B(25) - margin = 0.031415
-    assert rep.charged_best == pytest.approx(0.031026, abs=5e-6)
-    assert rep.charged_best < rep.bound - rep.margin
+    # the sweep decides U' < B(25) - margin = 0.031415; the multistart
+    # maxima gave U' = 0.031026, and no upper bound may be below them
+    assert 0.031026 <= rep.charged_best < rep.bound - rep.margin
+    assert rep.M_max == 25 - 3 * 25 * (rep.charged_best + rep.margin)
+    assert 22.5689 < rep.M_max < 22.598
     out = rep.to_dict()
     assert out["epsilon"] == rep.epsilon and out["charged_best"] == rep.charged_best
     assert out["sign_check"]["evaluations"] == rep.sign_check.evaluations
@@ -339,24 +352,178 @@ def test_charged_values_never_below_cap_values(g1):
         assert all(c >= v for c, v in zip(rep.charged_values, rep.cap_values))
         assert rep.charged_values == [v + max(N - 1 - m, 0) * rep.epsilon
                                       for m, v in enumerate(rep.cap_values)]
-    # the report carries each m's polish counts, as cap_max returns them
-    assert rep.to_dict()["polish_counts"] == [
-        cap_max(CapProblem(4, g1, T0, m, 4), starts=2, seed=m).counts() for m in range(5)]
+    # the report carries each m's sweep counts
+    assert [s["boxes"] for s in rep.to_dict()["sweeps"]][0] == 0
+    assert all(s["ended"] == "refuted" for s in rep.sweeps)
 
 
 def test_planted_excess_flips_the_verdict(g1):
-    # raising c0 by 3e-4 keeps g within SIGN_CHECK_TOL on [t0, 1/2] and the
-    # uncharged best cap value below B(25) - margin; charged for the excess
-    # on the 24 - m points outside the cap, the contradiction is gone
+    # raising c0 by 3e-4 keeps g within SIGN_CHECK_TOL on [t0, 1/2] and its
+    # best cap configurations below B(25) - margin; charged for the excess
+    # on the 24 - m points outside the cap, a witness refutes the
+    # contradiction (the sweep stops there, so its upper bounds are loose)
     raised = GegenbauerExpansion(4, g1.coeffs + np.eye(g1.coeffs.size)[0] * 3e-4)
     rep = kissing_check(raised, 22.5689, T0, 4, 25, starts=40, seed=5)
     assert 0.0 < rep.epsilon <= capopt.SIGN_CHECK_TOL
-    assert rep.best_value < rep.bound - rep.margin
+    m, value = rep.cap_lower["m"], rep.cap_lower["value"]
+    assert value < rep.bound - rep.margin
+    assert value + (24 - m) * rep.epsilon > rep.bound - rep.margin
+    assert rep.sweeps[m]["ended"] == "refuted"
     assert rep.charged_best >= rep.bound - rep.margin
     assert rep.verdict == "INCONCLUSIVE"
 
 
 def test_kissing_check_rejects_bad_n_before_optimizing(g1, monkeypatch):
     monkeypatch.setattr(capopt, "cap_max", lambda *a, **k: pytest.fail("optimized"))
+    monkeypatch.setattr(capopt, "_envelope", lambda *a, **k: pytest.fail("swept"))
     with pytest.raises(ParameterError, match="N must be"):
         kissing_check(g1, 22.5689, T0, 4, 0, starts=2)
+
+
+def configuration_from_heights(t, n=4):
+    """A cap configuration with heights t whose C(t) is PSD, built with
+    LAPACK as an independent check of the sweep's witness argument: C
+    itself for m < n, and for m = n, C with its off-diagonal entries
+    lowered together by the largest s that keeps it PSD."""
+    m = len(t)
+    C = capopt._cap_matrix(np.array([t]))[0][0]
+    off = np.ones((m, m)) - np.eye(m)
+    if m == n:
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if np.linalg.eigvalsh(C - mid * off)[0] >= 0 else (lo, mid)
+        C = C - lo * off
+    lam, vec = np.linalg.eigh(C)
+    w = (vec * np.sqrt(np.maximum(lam, 0.0)))[:, -(n - 1):]
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s = np.sqrt(1.0 - np.asarray(t) ** 2)
+    return np.column_stack([t, s[:, None] * w])
+
+
+def test_envelope_bounds_g_on_every_level(g1):
+    # each entry bounds the exact maximum of g on its cell, and the finest
+    # cells' Taylor slack keeps even the coarse entries within 1e-5 of it
+    env = capopt._envelope(g1, T0)
+    assert len(env) == capopt._CAP_LEVELS + 1
+    rng = np.random.default_rng(8)
+    for k in (0, 4, capopt._CAP_LEVELS):
+        width = (T0 + 1.0) / len(env[k])
+        for i in rng.choice(len(env[k]), min(3, len(env[k])), replace=False):
+            exact = float(cell_max_exact(4, g1.coeffs, -1.0 + i * width, -1.0 + (i + 1) * width))
+            assert exact <= env[k][i] <= exact + 1e-5
+
+
+def test_cap_max_below_the_certified_upper_bound():
+    # no multistart maximum exceeds the sweep's certified upper bound; a
+    # threshold 1e-4 above it (1e-3 at m = 4, where 1e-4 overruns the box
+    # budget) is decided, putting the bound within that gap of it, unless
+    # a witness beats the multistart by more than the gap
+    decided = 0
+    for name, t0 in (("g1", T0), ("g2", -0.73)):
+        g = load_expansion(name)
+        env = capopt._envelope(g, t0)
+        for m in (1, 2, 3, 4):
+            for seed in (0, 1, 2):
+                res = cap_max(CapProblem(4, g, t0, m, 4), starts=20, seed=seed)
+                gap = 1e-3 if m == 4 else 1e-4
+                rep, counts = capopt._cap_sweep(g, env, t0, m, res.value + gap)
+                assert res.value <= rep.worst_violation
+                if counts["ended"] == "decided":
+                    decided += 1
+                    assert rep.worst_violation <= res.value + gap + 1e-15
+                    assert rep.sample_max <= res.value + 1e-9
+                else:
+                    assert counts["ended"] == "refuted"
+                    assert rep.sample_max > res.value + gap
+    assert decided >= 20
+
+
+def test_corner_psd_decision_agrees_with_random_configurations():
+    # a feasible configuration's heights are never certified not PSD, heights
+    # certified PD hold a configuration, and the two decisions leave only
+    # heights within 1e-9 of the PSD boundary undecided. The directions are
+    # a randomly turned regular tetrahedron's, perturbed, and half the
+    # heights lie in [-0.85, t0], so that four points fit often enough.
+    rng = np.random.default_rng(11)
+    tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    for m in (2, 3, 4):
+        turn = np.linalg.qr(rng.normal(size=(20_000, 3, 3)))[0]
+        w = np.einsum("ik,bkj->bij", tetrahedron[:m], turn) + 0.1 * rng.normal(size=(20_000, m, 3))
+        w /= np.linalg.norm(w, axis=2, keepdims=True)
+        t = rng.uniform([[-1.0]] * 10_000 + [[-0.85]] * 10_000, T0, size=(20_000, m))
+        Y = np.concatenate([t[:, :, None], np.sqrt(1.0 - t * t)[:, :, None] * w], axis=2)
+        iu, ju = np.triu_indices(m, 1)
+        feasible = np.all(np.einsum("bik,bjk->bij", Y, Y)[:, iu, ju] <= 0.5, axis=1)
+        C, err = capopt._cap_matrix(t)
+        pd = capopt._certified_pd(C, err)
+        not_psd = capopt._certified_not_psd(C, err)
+        lam = np.linalg.eigvalsh(C)[:, 0]
+        assert feasible.sum() >= 100 and not_psd.sum() >= 1000
+        assert not np.any(feasible & not_psd)
+        assert np.all(lam[pd] > 0) and np.all(lam[not_psd] < 0)
+        assert np.all((pd | not_psd)[np.abs(lam) > 1e-9])
+        for heights in t[pd][:40]:
+            cfg = configuration_from_heights(heights)
+            assert feasibility_violation(cfg, T0) <= 1e-12
+
+
+def test_planted_bump_inside_the_cap_yields_a_refuting_witness(g1):
+    # b = -(t + 0.708)(t - 1/2)^2 / 100 is <= 0 on [t0, 1/2], so the sign
+    # check still passes, and positive inside the cap, where it lifts the
+    # cap configurations above the N = 25 threshold
+    a = Fraction(708, 1000)
+    bump = [-Fraction(1, 100) * c for c in (a / 4, Fraction(1, 4) - a, a - 1, 1)]
+    coeffs = g1.coeffs.copy()
+    coeffs[:4] += [float(c) for c in monomial_to_gegenbauer(4, bump)]
+    g = GegenbauerExpansion(4, coeffs)
+    rep = kissing_check(g, 22.5689, T0, 4, 25)
+    assert rep.epsilon <= kissing_check(g1, 22.5689, T0, 4, 25).epsilon
+    assert rep.verdict == "INCONCLUSIVE"
+    m, value, heights = rep.cap_lower["m"], rep.cap_lower["value"], rep.cap_lower["heights"]
+    assert rep.sweeps[m]["ended"] == "refuted" and rep.sweeps[m]["lower"] == value
+    assert value + (24 - m) * rep.epsilon > rep.bound - rep.margin
+    cfg = configuration_from_heights(heights)
+    assert feasibility_violation(cfg, T0) <= 1e-12
+    assert value <= float(np.sum(g.eval(cfg[:, 0])))
+
+
+def test_kissing_check_never_runs_multistart(g1, monkeypatch):
+    for name in ("cap_max", "minimize"):
+        monkeypatch.setattr(capopt, name, lambda *a, **k: pytest.fail("multistart ran"))
+    assert kissing_check(g1, 22.5689, T0, 4, 25).verdict == "CONTRADICTION"
+
+
+def test_sweep_stops_at_its_box_budget():
+    # g = -1/4 puts every feasible box's bound above the threshold m g, its
+    # own cap maximum, and every witness below it: nothing is dropped by
+    # value or refutes, so the sweep stops before a level of over
+    # _CAP_BUDGET boxes, with a bound at or above the maximum
+    g = GegenbauerExpansion(4, [-0.25])
+    env = capopt._envelope(g, T0)
+    for m in (2, 3):
+        rep, counts = capopt._cap_sweep(g, env, T0, m, -0.25 * m)
+        assert counts["ended"] == "budget"
+        assert counts["levels"] < capopt._CAP_LEVELS + 1
+        assert counts["boxes"] <= counts["levels"] * capopt._CAP_BUDGET
+        assert counts["value_prunes"] == 0
+        assert rep.sample_max <= -0.25 * m <= rep.worst_violation
+    # through the check: B(2) - margin = -1/2 with M = 5 and margin 0 is
+    # the two-point cap's maximum, and its budget stop leaves INCONCLUSIVE
+    rep = kissing_check(g, 5.0, T0, 4, 2, margin=0.0)
+    assert rep.bound == -0.5 and rep.epsilon == 0.0
+    assert [s["ended"] for s in rep.sweeps] == ["refuted", "refuted", "budget", "decided",
+                                                "decided"]
+    assert rep.cap_values[2] >= -0.5
+    assert rep.verdict == "INCONCLUSIVE"
+
+
+def test_caps_above_n_are_empty(g1):
+    # t0 <= -1/sqrt(2) leaves room for at most n = 4 points in the open cap,
+    # so m = 5 is reported empty without a sweep, and the verdict stands
+    rep = kissing_check(g1, 22.5689, T0, 5, 25)
+    assert rep.cap_values[5] is None and rep.charged_values[5] is None
+    assert rep.sweeps[5] == {"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0,
+                             "ended": "decided", "lower": None}
+    assert rep.cap_values[:5] == kissing_check(g1, 22.5689, T0, 4, 25).cap_values
+    assert rep.verdict == "CONTRADICTION"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -308,9 +309,13 @@ def test_kissing_check_contradiction(capsys):
     )
     assert code == 4
     assert rep["verdict"] == "CONTRADICTION"
-    assert rep["best_value"] == pytest.approx(0.0266, abs=1e-3)
-    assert rep["best_m"] == 2
+    # best_value is the largest certified upper bound, at m = 4, just under
+    # its threshold; the best witness is the two-point cap's
+    assert rep["best_value"] == max(rep["cap_values"]) == rep["cap_values"][rep["best_m"]]
+    assert rep["cap_lower"]["m"] == 2
+    assert rep["cap_lower"]["value"] == pytest.approx(0.0266, abs=1e-3)
     assert rep["charged_best"] < rep["bound"] - rep["margin"]
+    assert rep["M_max"] > 22.5689
 
 
 def test_kissing_check_inconclusive(capsys):
@@ -343,14 +348,32 @@ def test_kissing_check_precondition_failure(tmp_path, capsys):
     assert "does not apply" in rep["error"]
 
 
-def test_kissing_check_infeasible_cap_exits_2(tmp_path, capsys):
-    # two points 60 degrees apart do not fit in the cap e1.y <= -0.99
+def test_kissing_check_certifies_an_empty_cap(tmp_path, capsys):
+    # two points 60 degrees apart do not fit in the cap e1.y <= -0.99: the
+    # sweep prunes every box of m >= 2 by its corner matrix, and those caps
+    # print null, never -Infinity
     f = tmp_path / "cert.json"
     f.write_text(json.dumps({"g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, 0.5], "M": 1.0}))
     code, rep = run(capsys, "kissing-check", str(f), "--t0=-0.99", "--mu", "4", "--N", "25",
                     "--starts", "4")
-    assert code == 2
-    assert rep["error"].startswith("CapabilityError: no feasible configuration found for m=2")
+    assert code == 4
+    assert rep["cap_values"][:2] == [0.0, pytest.approx(-1.0)]
+    assert rep["cap_values"][2:] == rep["charged_values"][2:] == [None] * 3
+    assert (rep["best_value"], rep["best_m"]) == (0.0, 0)
+    for sweep in rep["sweeps"][2:]:
+        assert sweep["psd_prunes"] == sweep["boxes"] > 0 and sweep["lower"] is None
+        assert sweep["ended"] == "decided"
+
+
+def test_kissing_check_refuses_t0_above_rankin(capsys):
+    # above -1/sqrt(2) the cap has no capacity bound and its heights do not
+    # decide feasibility; the double just above the one nearest -1/sqrt(2)
+    # is refused, decided in exact rationals
+    for t0 in ("-0.7", repr(math.nextafter(-0.7071067811865476, 0.0))):
+        code, rep = run(capsys, "kissing-check", f"{DATA}/g1_cert.json", f"--t0={t0}",
+                        "--mu", "4", "--N", "25")
+        assert code == 2
+        assert rep["error"].startswith("ParameterError: t0 must be at most -1/sqrt(2)")
 
 
 def test_reports_are_reproducible(capsys):
@@ -378,35 +401,43 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys):
 
 
 def test_stored_manifests_replay(capsys, monkeypatch):
-    # every non-kissing manifest reproduces its stored report byte for byte
-    # from the repo root (inputs are repo-relative); the kissing reports'
-    # last bits depend on the BLAS thread count, so the next test replays
-    # those with one BLAS thread
+    # every manifest reproduces its stored report byte for byte from the
+    # repo root (inputs are repo-relative)
     monkeypatch.chdir(MANIFESTS.parent.parent)
-    paths = [p for p in sorted(MANIFESTS.glob("*.json")) if not p.stem.startswith("kissing")]
-    assert len(paths) == 9
+    paths = sorted(MANIFESTS.glob("*.json"))
+    assert len(paths) == 11
     for path in paths:
         code = main(manifest_to_argv(json.loads(path.read_text())))
-        assert code == 0, path.stem
+        assert code == (4 if path.stem == "kissing_N25" else 0), path.stem
         golden = (GOLDENS / path.name).read_bytes()
         assert capsys.readouterr().out.encode() == golden, path.stem
 
 
-@pytest.mark.parametrize("name, exit_code", [("kissing_N24", 0), ("kissing_N25", 4)])
-def test_kissing_manifests_replay_with_one_blas_thread(name, exit_code):
-    # with one BLAS thread the kissing reports keep every bit as well; the
-    # thread count is read when numpy loads, hence the fresh interpreter
+def _replay_kissing(name: str, exit_code: int, threads: str) -> None:
+    # the thread count is read when numpy loads, hence the fresh interpreter
     root = MANIFESTS.parent.parent
     code = ("import json, sys\n"
             "from spherecert.cli import main, manifest_to_argv\n"
             "sys.exit(main(manifest_to_argv(json.load(open(sys.argv[1])))))\n")
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, str(MANIFESTS / f"{name}.json")],
                           cwd=root, env=env, capture_output=True, timeout=300)
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == (GOLDENS / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, exit_code", [("kissing_N24", 0), ("kissing_N25", 4)])
+def test_kissing_manifests_replay_with_one_blas_thread(name, exit_code):
+    _replay_kissing(name, exit_code, "1")
+
+
+@pytest.mark.parametrize("name, exit_code", [("kissing_N24", 0), ("kissing_N25", 4)])
+def test_kissing_manifests_replay_with_two_blas_threads(name, exit_code):
+    # the sweep's PSD decisions use elementwise numpy only, so no BLAS thread
+    # count moves a bit of the kissing reports
+    _replay_kissing(name, exit_code, "2")
 
 
 def _precondition_cert(tmp_path) -> str:

@@ -7,9 +7,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the demos that run in a second or two; 04 and 06 rerun the kissing pipeline
+# every demo runs in a second or two
 FAST_DEMOS = ["01_gegenbauer_basis", "02_codes_and_distributions",
-              "03_bounds_lp_vs_sdp", "05_certificate_checks"]
+              "03_bounds_lp_vs_sdp", "04_kissing_contradiction", "05_certificate_checks",
+              "06_reproduce_reports"]
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)

@@ -115,8 +115,8 @@ def test_benchmark_tracer_installs():
 
 
 def test_scipy_is_imported_at_the_first_polish():
-    # only the cap polish uses scipy: every other verb starts without
-    # importing it, hence the fresh interpreter
+    # only the multistart cap polish uses scipy: every verb, kissing-check
+    # too, runs without importing it, hence the fresh interpreter
     root = Path(__file__).resolve().parent.parent
     code = ("import io, sys, contextlib\n"
             "import spherecert, spherecert.cli\n"
@@ -124,6 +124,8 @@ def test_scipy_is_imported_at_the_first_polish():
             "from spherecert.data import load_expansion\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['eval', {str(PACKAGE / 'data' / 'g1.json')!r}, '--t', '0.5']) == 0\n"
+            f"    assert cli.main(['kissing-check', {str(PACKAGE / 'data' / 'g1_cert.json')!r},\n"
+            "                     '--t0=-0.7071067811865476', '--mu', '4', '--N', '25']) == 4\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded[:5]\n"
             "g = load_expansion('g1')\n"
