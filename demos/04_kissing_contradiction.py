@@ -33,7 +33,7 @@ def show(values):
 
 
 for N in (25, 24):
-    rep = kissing_check(cert.g, cert.M, t0=t0, mu=4, N=N)
+    rep = kissing_check(cert.g, cert.M, t0=t0, N=N)
     print(f"N = {N}")
     print(f"  certificate lower bound B({N}) = {rep.bound:.4f}")
     print(f"  epsilon = certified max of g1 on [t0, 1/2] = {rep.epsilon:.5e} "
@@ -56,4 +56,4 @@ for N in (25, 24):
 
 print("same pipeline from the command line:")
 print("  spherecert kissing-check src/spherecert/data/g1_cert.json \\")
-print("      --t0=-0.7071067811865476 --mu 4 --N 25   # exits 4 on contradiction")
+print("      --t0=-0.7071067811865476 --N 25   # exits 4 on contradiction")

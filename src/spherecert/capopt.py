@@ -3,10 +3,11 @@
 The cap problem: place m unit vectors y_1..y_m inside the spherical cap
 e1 . y <= t0, with pairwise inner products at most 1/2, to maximize
 sum_j g(e1 . y_j). For any N-point code with products in [-1, 1/2] and
-g <= epsilon on [t0, 1/2], R_g(C) is at most the maximum over m = 0..mu
-of that value plus max(N - 1 - m, 0) epsilon: each of the N - 1 - m
-points outside the cap around -u contributes at most epsilon to the
-energy seen from u, and an average never exceeds a maximum.
+g <= epsilon on [t0, 1/2], R_g(C) is at most the maximum over m = 0..n
+of that value plus max(N - 1 - m, 0) epsilon: for t0 <= -1/sqrt(2) the
+open cap around -u holds at most n points of the code, each of the
+N - 1 - m others contributes at most epsilon to the energy seen from u,
+and an average never exceeds a maximum.
 
 kissing_check bounds each cap maximum by a certified sweep over the
 heights t_j = e1 . y_j alone (_cap_sweep). For t0 <= -1/sqrt(2), heights
@@ -52,7 +53,6 @@ __all__ = ["CapProblem", "CapResult", "cap_max", "kissing_check", "KissingReport
 
 SIGN_CHECK_TOL = 5e-3
 FEASIBILITY_TOL = 1e-9
-AT_BEST_TOL = 1e-6
 DEFAULT_STARTS = 200
 # The height sweep starts from the one box [-1, t0]^m, so that no level
 # before the budget's check is large, and halves it at most _CAP_LEVELS
@@ -68,7 +68,7 @@ _CAP_BUDGET = 2 ** 14
 @dataclass
 class CapProblem:
     """m points in the cap e1.y <= t0 of the unit sphere in R^n, pairwise
-    products at most 1/2; mu is the externally supplied cap capacity."""
+    products at most 1/2; m may not exceed the cap capacity mu."""
 
     n: int
     g: GegenbauerExpansion
@@ -91,22 +91,11 @@ class CapProblem:
 
 @dataclass
 class CapResult:
-    """Best configuration found, with counts over the SLSQP polishes that
-    gauge how far to trust the multistart maximum: runs made, runs ending
-    feasible to FEASIBILITY_TOL, runs SLSQP itself reported as failed, and
-    feasible runs within AT_BEST_TOL of the best value."""
+    """Best configuration cap_max found, and its value."""
 
     value: float
     configuration: np.ndarray  # (m, n) unit vectors
     m: int
-    polished: int = 0
-    feasible: int = 0
-    failed: int = 0
-    at_best: int = 0
-
-    def counts(self) -> dict:
-        return {"polished": self.polished, "feasible": self.feasible,
-                "failed": self.failed, "at_best": self.at_best}
 
 
 def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
@@ -230,11 +219,10 @@ def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
     return Y
 
 
-def _polish(Y: np.ndarray, g: GegenbauerExpansion,
-            t0: float) -> tuple[np.ndarray | None, bool]:
+def _polish(Y: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray | None:
     """SLSQP refinement of one (m, n) configuration under the constraints
     of _residuals. Returns the configuration, or None unless feasible to
-    FEASIBILITY_TOL, and whether SLSQP reported success.
+    FEASIBILITY_TOL.
 
     minimize drives the core with two callbacks that write its buffers in
     place. values fills d with _residuals' entries, from the same Gram
@@ -292,8 +280,7 @@ def _polish(Y: np.ndarray, g: GegenbauerExpansion,
     # pull marginal cap violations (rounding scale) back onto the boundary
     if _constraint_violation(out, t0) <= 1e-7:
         out = _project_cap(out, t0)
-    feasible = _constraint_violation(out, t0) <= FEASIBILITY_TOL
-    return (out if feasible else None), bool(res.success)
+    return out if _constraint_violation(out, t0) <= FEASIBILITY_TOL else None
 
 
 def _sample_cap(rng: np.random.Generator, count: int, m: int, n: int,
@@ -331,25 +318,18 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
     candidates = order[: max(10, starts // 10)]
     best_val = -np.inf
     best_cfg = None
-    values, failed = [], 0
     for idx in candidates:
-        cfg, success = _polish(Y[idx], g, t0)
-        failed += not success
+        cfg = _polish(Y[idx], g, t0)
         if cfg is None:
             continue
         val = float(_value(cfg, g))
-        values.append(val)
         if val > best_val:
             best_val, best_cfg = val, cfg
     if best_cfg is None:
         raise CapabilityError(
             f"no feasible configuration found for m={m}; try more starts"
         )
-    at_best = sum(v >= best_val - AT_BEST_TOL for v in values)
-    return CapResult(best_val, best_cfg, m, polished=len(candidates),
-                     feasible=len(values), failed=failed, at_best=at_best)
-
-
+    return CapResult(best_val, best_cfg, m)
 
 
 def _cap_matrix(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,23 +505,23 @@ class KissingReport:
     epsilon), the charged_best; an m above N - 1 has no one left outside
     the cap to charge.
 
-    cap_values holds, for m = 0..mu, the certified upper bound of cap_m
-    from _cap_sweep, or null where no m points fit: above n, and where the
-    sweep pruned every box. So best_value and best_m are the largest bound
-    and its first m, uncharged. Each sweep only decides whether cap_m +
-    max(N-1-m, 0) epsilon can reach B(N) - margin, so a bound lies anywhere
-    below that threshold, not at cap_m. sweeps gives each m's boxes,
-    levels, PSD and value prunes, its best witness (lower; null if none)
-    and how it ended: decided (every box pruned), refuted (a witness above
-    the threshold) or budget. cap_lower is the witness, m >= 1, with the
-    largest charged value: its m, value and heights, or null.
+    t0 <= -1/sqrt(2) is required, so the open cap holds at most mu = n
+    points (_rankin_capacity_applies). cap_values holds, for m = 0..n, the
+    certified upper bound of cap_m from _cap_sweep, or null where the sweep
+    pruned every box: no m points fit. So best_value and best_m are the
+    largest bound and its first m, uncharged. Each sweep only decides
+    whether cap_m + max(N-1-m, 0) epsilon can reach B(N) - margin, so a
+    bound lies anywhere below that threshold, not at cap_m; after a refuted
+    sweep, cap_values and M_max are sound but show only where the sweep
+    stopped. sweeps gives each m's boxes, levels, PSD and value prunes, its
+    best witness (lower; null if none) and how it ended: decided (every box
+    pruned), refuted (a witness above the threshold) or budget. cap_lower
+    is the witness, m >= 1, with the largest charged value: its m, value
+    and heights, or null.
 
-    verdict CONTRADICTION means U' < B(N) - margin with mu >= n: t0 <=
-    -1/sqrt(2) is required, so the open cap holds at most n points
-    (_rankin_capacity_applies) and m = 0..mu leaves no configuration out.
-    Then no such code exists. With a smaller mu the verdict is
-    INCONCLUSIVE whatever U' is. M_max = N - 3N(U' + margin) is the largest
-    M for which U' < B(N) - margin would hold.
+    verdict CONTRADICTION means U' < B(N) - margin: then no such code
+    exists. M_max = N - 3N(U' + margin) is the largest M for which U' <
+    B(N) - margin would hold.
     """
 
     verdict: str
@@ -577,28 +557,26 @@ def _rankin_capacity_applies(t0: float) -> bool:
     return t0 < 0 and Fraction(t0) ** 2 >= Fraction(1, 2)
 
 
-def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
-                  starts: int | None = None, seed: int | None = None,
+def kissing_check(g: GegenbauerExpansion, M: float, t0: float, N: int,
                   margin: float = 1e-3) -> KissingReport:
     """Compare the charged cap bound U' against B(N) = (N - M)/(3N).
 
     B(N) is bounds.dd_bound of the scalar certificate (g, [-1, 1/2], M).
-    Requires t0 <= -1/sqrt(2), decided exactly (ParameterError otherwise),
-    and g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in certified
-    mode at grid step 1e-6; refuses to run otherwise. Each m = 1..mu then
-    gets one _cap_sweep against the threshold B(N) - margin - max(N - 1 -
-    m, 0) epsilon, all sharing one _envelope of g. Emits CONTRADICTION when
-    U' < B(N) - margin and mu >= n, else INCONCLUSIVE (see KissingReport).
-    starts and seed are ignored: they seeded the multistart search the
-    check ran before.
+    Requires -1 < t0 <= -1/sqrt(2), decided exactly (ParameterError
+    otherwise), and g <= 0 (within SIGN_CHECK_TOL) on [t0, 1/2], checked in
+    certified mode at grid step 1e-6; refuses to run otherwise. Each m =
+    1..n then gets one _cap_sweep against the threshold B(N) - margin -
+    max(N - 1 - m, 0) epsilon, all sharing one _envelope of g. Emits
+    CONTRADICTION when U' < B(N) - margin, else INCONCLUSIVE (see
+    KissingReport).
     """
     if not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and >= 0, got {margin}")
-    CapProblem(g.n, g, t0, 0, mu)  # checks t0 and mu before the sweep
-    if not _rankin_capacity_applies(t0):
+    # -1 < t0 first: it refuses NaN, and Fraction(-inf) would overflow
+    if not (-1.0 < t0 and _rankin_capacity_applies(t0)):
         raise ParameterError(
-            f"t0 must be at most -1/sqrt(2), got {t0}: above it the cap has no capacity "
-            f"bound and its heights do not decide feasibility")
+            f"t0 must lie in (-1, -1/sqrt(2)], got {t0}: above -1/sqrt(2) the cap has no "
+            f"capacity bound and its heights do not decide feasibility")
     bound = dd_bound(DDCertificate(g, (-1.0, 0.5), M=M), N)
     sign = check_sign(g, (t0, 0.5), DomainSpec(grid_step=1e-6, mode=CERTIFIED))
     if sign.worst_violation > SIGN_CHECK_TOL:
@@ -607,19 +585,14 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
             f"(tolerance {SIGN_CHECK_TOL:g}); the cap reduction does not apply"
         )
     epsilon = max(sign.worst_violation, 0.0)
-    envelope = _envelope(g, t0) if mu else []
-    thresholds = [bound - margin - max(N - 1 - m, 0) * epsilon for m in range(mu + 1)]
-    unswept = {"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0}
+    envelope = _envelope(g, t0)
+    thresholds = [bound - margin - max(N - 1 - m, 0) * epsilon for m in range(g.n + 1)]
     # the empty cap is a configuration of value 0
     values = [0.0]
-    sweeps = [{**unswept, "ended": "refuted" if 0.0 > thresholds[0] else "decided",
-               "lower": 0.0}]
+    sweeps = [{"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0,
+               "ended": "refuted" if 0.0 > thresholds[0] else "decided", "lower": 0.0}]
     witnesses = []  # (charged value, m, value, heights) of each m's best witness
-    for m in range(1, mu + 1):
-        if m > g.n:  # the open cap holds at most n points (_rankin_capacity_applies)
-            values.append(None)
-            sweeps.append({**unswept, "ended": "decided", "lower": None})
-            continue
+    for m in range(1, g.n + 1):
         report, counts = _cap_sweep(g, envelope, t0, m, thresholds[m])
         upper = report.worst_violation
         values.append(upper if upper > -np.inf else None)
@@ -635,8 +608,7 @@ def kissing_check(g: GegenbauerExpansion, M: float, t0: float, mu: int, N: int,
                for m, v in enumerate(values)]
     best_m = max((m for m, v in enumerate(values) if v is not None), key=values.__getitem__)
     charged_best = max(c for c in charged if c is not None)
-    verdict = ("CONTRADICTION" if mu >= g.n and charged_best < bound - margin
-               else "INCONCLUSIVE")
+    verdict = "CONTRADICTION" if charged_best < bound - margin else "INCONCLUSIVE"
     return KissingReport(verdict, N, bound, values, values[best_m], best_m, epsilon, charged,
-                         charged_best, margin, mu, t0, sign, cap_lower, sweeps,
+                         charged_best, margin, g.n, t0, sign, cap_lower, sweeps,
                          N - 3 * N * (charged_best + margin))

@@ -258,7 +258,7 @@ def _cmd_kissing_check(args) -> tuple[dict, int]:
     if cert.mode != "scalar-M":
         raise SystemExit2("kissing-check needs a scalar-M certificate")
     try:
-        rep = kissing_check(cert.g, cert.M, args.t0, args.mu, args.N, margin=args.margin)
+        rep = kissing_check(cert.g, cert.M, args.t0, args.N, margin=args.margin)
     except PreconditionError as exc:
         return {"error": str(exc)}, EXIT_CERTIFICATE
     return rep.to_dict(), (EXIT_CONTRADICTION if rep.verdict == "CONTRADICTION" else EXIT_OK)
@@ -316,10 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kissing-check", help="cap bound vs B(N) contradiction test")
     p.add_argument("cert", help="scalar-M certificate JSON file")
     p.add_argument("--t0", type=float, required=True,
-                   help="cap height, at most -1/sqrt(2), where the cap holds at most n points")
-    p.add_argument("--mu", type=int, required=True,
-                   help="largest cap point count swept; CONTRADICTION needs mu >= n")
+                   help="cap height in (-1, -1/sqrt(2)], where the cap holds at most n points")
     p.add_argument("--N", type=int, required=True, help="hypothetical code size")
+    p.add_argument("--mu", type=int,
+                   help="ignored; the cap capacity is n, since t0 <= -1/sqrt(2)")
     for flag in ("--starts", "--seed"):
         p.add_argument(flag, type=int, help="ignored; seeded the former multistart search")
     p.add_argument("--margin", type=float, default=1e-3)

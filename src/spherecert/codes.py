@@ -163,10 +163,6 @@ class DistanceDistribution:
                 total += mass
         return total
 
-    def r_value(self, g: GegenbauerExpansion) -> float:
-        """R_g = sum_t A_t g(t), the per-point g-energy off the diagonal."""
-        return float(sum(float(m) * g.eval(float(t)) for t, m in self.entries.items()))
-
 
 def distance_distribution(
     code: SphericalCode, tol: float = DEFAULT_CLUSTER_TOL

@@ -314,7 +314,7 @@ def slsqp_scipy_minimize(Y: np.ndarray, g, t0: float):
                     options={"maxiter": 300, "ftol": 1e-14})
 
 
-def polish_whole_array(Y: np.ndarray, g, t0: float) -> tuple[np.ndarray | None, bool]:
+def polish_whole_array(Y: np.ndarray, g, t0: float) -> np.ndarray | None:
     """capopt._polish with each callback computed afresh through eval on
     arrays: the eq and ineq parts each rebuild the Gram matrix at the same x."""
     shape = Y.shape
@@ -336,8 +336,7 @@ def polish_whole_array(Y: np.ndarray, g, t0: float) -> tuple[np.ndarray | None, 
     out = out / np.linalg.norm(out, axis=1, keepdims=True)
     if _constraint_violation(out, t0) <= 1e-7:
         out = _project_cap(out, t0)
-    feasible = _constraint_violation(out, t0) <= FEASIBILITY_TOL
-    return (out if feasible else None), bool(res.success)
+    return out if _constraint_violation(out, t0) <= FEASIBILITY_TOL else None
 
 
 def dd_certificate(d: int, valid: bool) -> dict:

@@ -115,12 +115,12 @@ def test_criterion_6_kissing_pipeline():
         g1 = load_expansion("g1")
         # best_value is the largest certified upper bound; the best witness
         # is a two-point cap at the multistart maximum 0.0266
-        rep25 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=25)
+        rep25 = kissing_check(g1, 22.5689, -SQRT2_2, N=25)
         assert rep25.cap_lower["value"] == pytest.approx(0.0266, abs=1e-3)
         assert rep25.cap_lower["m"] == 2
         assert rep25.verdict == "CONTRADICTION"
         assert rep25.best_value < rep25.bound
-        rep24 = kissing_check(g1, 22.5689, -SQRT2_2, mu=4, N=24)
+        rep24 = kissing_check(g1, 22.5689, -SQRT2_2, N=24)
         assert rep24.verdict == "INCONCLUSIVE"
         assert rep24.best_value > rep24.bound
         m = rep24.cap_lower["m"]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -89,31 +90,6 @@ def test_pinned_g1_cap_values(g1_caps):
         assert res.value == pytest.approx(expected, abs=1e-10)
 
 
-def test_multistart_statistics(g1, monkeypatch):
-    # recount the polish outcomes cap_max summarizes
-    outcomes = []
-    polish = capopt._polish
-
-    def recording_polish(Y, g, t0):
-        cfg, success = polish(Y, g, t0)
-        outcomes.append((cfg, success))
-        return cfg, success
-
-    monkeypatch.setattr(capopt, "_polish", recording_polish)
-    # at m = 1 half the polishes stop at another local maximum
-    for m in (1, 2):
-        outcomes.clear()
-        res = cap_max(CapProblem(4, g1, T0, m, 4), starts=60, seed=0)
-        values = [float(np.sum(g1.eval(cfg[:, 0]))) for cfg, _ in outcomes if cfg is not None]
-        assert res.polished == len(outcomes) == 10
-        assert res.failed == sum(not success for _, success in outcomes)
-        assert res.feasible == len(values) >= 1
-        assert res.value == max(values)
-        assert res.at_best == sum(v >= res.value - 1e-6 for v in values) >= 1
-        assert res.counts() == {"polished": res.polished, "feasible": res.feasible,
-                                "failed": res.failed, "at_best": res.at_best}
-
-
 def test_polish_matches_reference(monkeypatch):
     # the polish keeps every bit of the reference on the penalty-ascent
     # outputs cap_max hands it, so SLSQP takes the same path
@@ -121,13 +97,12 @@ def test_polish_matches_reference(monkeypatch):
     compared = []
 
     def against_reference(Y, g, t0):
-        cfg, success = polish(Y, g, t0)
-        ref_cfg, ref_success = polish_whole_array(Y, g, t0)
-        assert success == ref_success
+        cfg = polish(Y, g, t0)
+        ref_cfg = polish_whole_array(Y, g, t0)
         assert (cfg is None) == (ref_cfg is None)
         assert cfg is None or cfg.tobytes() == ref_cfg.tobytes()
         compared.append(cfg is not None)
-        return cfg, success
+        return cfg
 
     monkeypatch.setattr(capopt, "_polish", against_reference)
     for name, t0 in (("g1", T0), ("g2", -0.73)):
@@ -286,26 +261,29 @@ def test_problem_validation(g1):
 
 def test_kissing_check_refuses_positive_g():
     with pytest.raises(PreconditionError):
-        kissing_check(GegenbauerExpansion(4, [1.0]), 20.0, T0, 1, 25, starts=2)
+        kissing_check(GegenbauerExpansion(4, [1.0]), 20.0, T0, 25)
 
 
 def test_kissing_check_m_at_least_n_inconclusive(g1):
-    rep = kissing_check(g1, 30.0, T0, 1, 25, starts=10, seed=0)
+    # M > N puts B(N) below the empty cap's value 0: the sweep over m = 0..n
+    # is refuted at m = 0
+    rep = kissing_check(g1, 30.0, T0, 25)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.bound <= 0.0 <= rep.best_value + 1e-12
+    assert rep.sweeps[0]["ended"] == "refuted"
 
 
 def test_kissing_check_verdicts_smoke(g1):
     # every sweep decides N = 25; best_value is the largest certified bound,
     # which a decision sweep leaves anywhere below its threshold
-    rep = kissing_check(g1, 22.5689, T0, 4, 25, starts=40, seed=5)
+    rep = kissing_check(g1, 22.5689, T0, 25)
     assert rep.verdict == "CONTRADICTION"
     assert [s["ended"] for s in rep.sweeps] == ["decided"] * 5
     assert rep.best_value == max(rep.cap_values) < rep.bound - rep.margin
     assert rep.cap_values[rep.best_m] == rep.best_value
     assert rep.margin > 0
     assert not hasattr(rep, "heuristic") and "heuristic" not in json.dumps(rep.to_dict())
-    rep24 = kissing_check(g1, 22.5689, T0, 4, 24, starts=40, seed=5)
+    rep24 = kissing_check(g1, 22.5689, T0, 24)
     assert rep24.verdict == "INCONCLUSIVE"
     assert [s["ended"] for s in rep24.sweeps] == ["decided"] + ["refuted"] * 4
 
@@ -319,15 +297,17 @@ def test_rankin_capacity_decided_exactly():
 
 
 def test_kissing_check_needs_mu_at_least_n(g1):
-    # mu = 3 leaves the four-point caps out: the charged value that decides
-    # N = 25 at mu = 4 no longer gives a verdict
-    rep = kissing_check(g1, 22.5689, T0, 3, 25, starts=4, seed=5)
-    assert rep.charged_best < rep.bound - rep.margin
-    assert rep.verdict == "INCONCLUSIVE"
+    # the verdict needs every cap up to the capacity: the check takes no mu
+    # and sweeps m = 0..n itself, as t0 <= -1/sqrt(2) caps the open cap at n
+    assert list(inspect.signature(kissing_check).parameters) == ["g", "M", "t0", "N", "margin"]
+    rep = kissing_check(g1, 22.5689, T0, 25)
+    assert rep.mu == g1.n == 4
+    assert len(rep.cap_values) == len(rep.charged_values) == len(rep.sweeps) == 5
+    assert all(s["boxes"] > 0 for s in rep.sweeps[1:])
 
 
 def test_kissing_verdict_charges_epsilon(g1):
-    rep = kissing_check(g1, 22.5689, T0, 4, 25, starts=40, seed=5)
+    rep = kissing_check(g1, 22.5689, T0, 25)
     assert rep.bound == dd_bound(DDCertificate(g1, (-1.0, 0.5), M=22.5689), 25)
     assert rep.epsilon == max(rep.sign_check.worst_violation, 0.0)
     assert 1.999e-4 < rep.epsilon < 2.0e-4
@@ -345,9 +325,9 @@ def test_kissing_verdict_charges_epsilon(g1):
 
 
 def test_charged_values_never_below_cap_values(g1):
-    # with N <= mu, an m above N - 1 leaves no point outside the cap to charge
+    # with N <= n, an m above N - 1 leaves no point outside the cap to charge
     for N in (1, 3):
-        rep = kissing_check(g1, 22.5689, T0, 4, N, starts=2, seed=0)
+        rep = kissing_check(g1, 22.5689, T0, N)
         assert len(rep.charged_values) == len(rep.cap_values) == 5
         assert all(c >= v for c, v in zip(rep.charged_values, rep.cap_values))
         assert rep.charged_values == [v + max(N - 1 - m, 0) * rep.epsilon
@@ -363,7 +343,7 @@ def test_planted_excess_flips_the_verdict(g1):
     # on the 24 - m points outside the cap, a witness refutes the
     # contradiction (the sweep stops there, so its upper bounds are loose)
     raised = GegenbauerExpansion(4, g1.coeffs + np.eye(g1.coeffs.size)[0] * 3e-4)
-    rep = kissing_check(raised, 22.5689, T0, 4, 25, starts=40, seed=5)
+    rep = kissing_check(raised, 22.5689, T0, 25)
     assert 0.0 < rep.epsilon <= capopt.SIGN_CHECK_TOL
     m, value = rep.cap_lower["m"], rep.cap_lower["value"]
     assert value < rep.bound - rep.margin
@@ -377,7 +357,7 @@ def test_kissing_check_rejects_bad_n_before_optimizing(g1, monkeypatch):
     monkeypatch.setattr(capopt, "cap_max", lambda *a, **k: pytest.fail("optimized"))
     monkeypatch.setattr(capopt, "_envelope", lambda *a, **k: pytest.fail("swept"))
     with pytest.raises(ParameterError, match="N must be"):
-        kissing_check(g1, 22.5689, T0, 4, 0, starts=2)
+        kissing_check(g1, 22.5689, T0, 0)
 
 
 def configuration_from_heights(t, n=4):
@@ -477,8 +457,8 @@ def test_planted_bump_inside_the_cap_yields_a_refuting_witness(g1):
     coeffs = g1.coeffs.copy()
     coeffs[:4] += [float(c) for c in monomial_to_gegenbauer(4, bump)]
     g = GegenbauerExpansion(4, coeffs)
-    rep = kissing_check(g, 22.5689, T0, 4, 25)
-    assert rep.epsilon <= kissing_check(g1, 22.5689, T0, 4, 25).epsilon
+    rep = kissing_check(g, 22.5689, T0, 25)
+    assert rep.epsilon <= kissing_check(g1, 22.5689, T0, 25).epsilon
     assert rep.verdict == "INCONCLUSIVE"
     m, value, heights = rep.cap_lower["m"], rep.cap_lower["value"], rep.cap_lower["heights"]
     assert rep.sweeps[m]["ended"] == "refuted" and rep.sweeps[m]["lower"] == value
@@ -491,7 +471,7 @@ def test_planted_bump_inside_the_cap_yields_a_refuting_witness(g1):
 def test_kissing_check_never_runs_multistart(g1, monkeypatch):
     for name in ("cap_max", "minimize"):
         monkeypatch.setattr(capopt, name, lambda *a, **k: pytest.fail("multistart ran"))
-    assert kissing_check(g1, 22.5689, T0, 4, 25).verdict == "CONTRADICTION"
+    assert kissing_check(g1, 22.5689, T0, 25).verdict == "CONTRADICTION"
 
 
 def test_sweep_stops_at_its_box_budget():
@@ -510,7 +490,7 @@ def test_sweep_stops_at_its_box_budget():
         assert rep.sample_max <= -0.25 * m <= rep.worst_violation
     # through the check: B(2) - margin = -1/2 with M = 5 and margin 0 is
     # the two-point cap's maximum, and its budget stop leaves INCONCLUSIVE
-    rep = kissing_check(g, 5.0, T0, 4, 2, margin=0.0)
+    rep = kissing_check(g, 5.0, T0, 2, margin=0.0)
     assert rep.bound == -0.5 and rep.epsilon == 0.0
     assert [s["ended"] for s in rep.sweeps] == ["refuted", "refuted", "budget", "decided",
                                                 "decided"]
@@ -518,12 +498,30 @@ def test_sweep_stops_at_its_box_budget():
     assert rep.verdict == "INCONCLUSIVE"
 
 
-def test_caps_above_n_are_empty(g1):
-    # t0 <= -1/sqrt(2) leaves room for at most n = 4 points in the open cap,
-    # so m = 5 is reported empty without a sweep, and the verdict stands
-    rep = kissing_check(g1, 22.5689, T0, 5, 25)
-    assert rep.cap_values[5] is None and rep.charged_values[5] is None
-    assert rep.sweeps[5] == {"boxes": 0, "levels": 0, "psd_prunes": 0, "value_prunes": 0,
-                             "ended": "decided", "lower": None}
-    assert rep.cap_values[:5] == kissing_check(g1, 22.5689, T0, 4, 25).cap_values
-    assert rep.verdict == "CONTRADICTION"
+def test_caps_above_n_are_empty():
+    # t0 <= -1/sqrt(2) leaves room for at most n points in the open cap, so
+    # the report ends at m = n, in dimension 5 as in 4; at t0 = -0.99 no two
+    # points fit, and every sweep above m = 1 prunes all its boxes
+    for n in (4, 5):
+        rep = kissing_check(GegenbauerExpansion(n, [-1.0]), 1.0, -0.99, 25)
+        assert rep.mu == n
+        assert rep.cap_values == [0.0, pytest.approx(-1.0)] + [None] * (n - 1)
+        assert all(s["psd_prunes"] == s["boxes"] > 0 for s in rep.sweeps[2:])
+        assert rep.verdict == "CONTRADICTION"
+
+
+def test_closed_cap_points_are_charged_epsilon(g1):
+    # at t0 = -0.7071067811865476 the six points (t0, +-e_i/sqrt(2)) have
+    # pairwise products at most 1/2 (to 2.2e-16), more than the n = 4 the
+    # open cap holds; they lie at exactly t0, outside the open cap, where
+    # the sign check's epsilon bounds g
+    t0 = -0.7071067811865476
+    s = math.sqrt(1.0 - t0 * t0)
+    Y = np.array([[t0] + list(sign * s * e) for e in np.eye(3) for sign in (1.0, -1.0)])
+    gram = Y @ Y.T
+    assert np.all(gram[np.triu_indices(6, 1)] <= 0.5 + 2.2e-16)
+    assert np.allclose(np.diag(gram), 1.0, rtol=0, atol=2.2e-16)
+    assert not np.any(Y[:, 0] < t0)
+    rep = kissing_check(g1, 22.5689, t0, 25)
+    assert rep.mu == 4 and rep.verdict == "CONTRADICTION"
+    assert g1.eval(t0) <= rep.epsilon

@@ -236,8 +236,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
     assert "M must be finite" in rep["error"]
     cert["g"]["coeffs"][3] = float("nan")
     f.write_text(json.dumps(cert))
-    code, rep = run(capsys, "kissing-check", str(f), "--t0", str(-np.sqrt(2) / 2),
-                    "--mu", "1", "--N", "25", "--starts", "4")
+    code, rep = run(capsys, "kissing-check", str(f), "--t0", str(-np.sqrt(2) / 2), "--N", "25")
     assert code == 2
     assert "finite" in rep["error"]
     for argv in (["eval", f"{DATA}/g1.json", "--t", "nan"],
@@ -255,20 +254,18 @@ def test_non_positive_step_and_bad_margin_exit_2(capsys):
         assert "grid_step must be positive" in rep["error"]
     for margin in ("nan", "inf", "-1e-3"):
         assert main(["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}",
-                     "--mu", "1", "--N", "25", "--starts", "4", f"--margin={margin}"]) == 2
+                     "--N", "25", f"--margin={margin}"]) == 2
         out = capsys.readouterr().out
         assert "NaN" not in out and "margin must be finite" in json.loads(out)["error"]
 
 
-def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch):
-    # NaN and negative tolerances, a negative moment degree and a negative
-    # cap capacity are validation failures, never a pass or a traceback
+def test_out_of_range_numbers_exit_2(tmp_path, capsys):
+    # NaN and negative tolerances and a negative moment degree are
+    # validation failures, never a pass or a traceback
     rng = np.random.default_rng(60)
     points = rng.normal(size=(6, 4))
     code = tmp_path / "code.json"
     code.write_text(json.dumps({"n": 4, "points": points.tolist()}))
-    # mu is checked before the certified sign sweep starts
-    monkeypatch.setattr("spherecert.capopt.check_sign", None)
     for argv in (["verify-cert", f"{DATA}/g1_cert.json", "--tol", "nan"],
                  ["verify-cert", f"{DATA}/g1_cert.json", "--psd-tol", "nan"],
                  ["verify-cert", f"{DATA}/g1_cert.json", "--tol=-1e-3"],
@@ -276,13 +273,10 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch):
                  ["code-stats", str(code), "--tol", "0"],
                  ["code-stats", "24cell", "--tol=-1"],
                  ["code-stats", "24cell", "--tol", "inf"],
-                 ["code-stats", "24cell", "--degree=-3"],
-                 ["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}",
-                  "--mu=-1", "--N", "25"]):
+                 ["code-stats", "24cell", "--degree=-3"]):
         assert main(argv) == 2, argv
         out = capsys.readouterr().out
         assert "NaN" not in out and "error" in json.loads(out), argv
-    assert "mu must be >= 0" in json.loads(out)["error"]
 
 
 def test_argument_errors_are_json(capsys):
@@ -304,8 +298,7 @@ def test_argument_errors_are_json(capsys):
 def test_kissing_check_contradiction(capsys):
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",
-        "--t0", str(-np.sqrt(2) / 2), "--mu", "4", "--N", "25",
-        "--starts", "40", "--seed", "3",
+        "--t0", str(-np.sqrt(2) / 2), "--N", "25",
     )
     assert code == 4
     assert rep["verdict"] == "CONTRADICTION"
@@ -321,29 +314,46 @@ def test_kissing_check_contradiction(capsys):
 def test_kissing_check_inconclusive(capsys):
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",
-        "--t0", str(-np.sqrt(2) / 2), "--mu", "1", "--N", "24",
-        "--starts", "10", "--seed", "3",
+        "--t0", str(-np.sqrt(2) / 2), "--N", "24",
     )
     assert code == 0
     assert rep["verdict"] == "INCONCLUSIVE"
 
 
 def test_kissing_check_undercounted_mu_is_inconclusive(capsys):
-    # with mu = 0 the sweep sees only the empty cap, and U' falls below
-    # B(24) - margin; the 24-cell exists, so no CONTRADICTION may follow
+    # --mu 0 is ignored: the sweep still covers every cap up to n = 4, where
+    # witnesses refute N = 24; the 24-cell exists, so no CONTRADICTION may follow
     code, rep = run(
         capsys, "kissing-check", f"{DATA}/g1_cert.json",
-        "--t0=-0.7071067811865476", "--mu", "0", "--N", "24", "--starts", "4",
+        "--t0=-0.7071067811865476", "--mu", "0", "--N", "24",
     )
     assert code == 0
     assert rep["verdict"] == "INCONCLUSIVE"
-    assert rep["charged_best"] < rep["bound"] - rep["margin"]
+    assert rep["mu"] == 4 and len(rep["cap_values"]) == 5
+    assert rep["charged_best"] >= rep["bound"] - rep["margin"]
+
+
+def test_kissing_check_ignores_mu(capsys, monkeypatch):
+    # any --mu, or none, gives the stored kissing reports outside their manifest
+    monkeypatch.chdir(MANIFESTS.parent.parent)
+    for name in ("kissing_N24", "kissing_N25"):
+        manifest = json.loads((MANIFESTS / f"{name}.json").read_text())
+        golden = json.loads((GOLDENS / f"{name}.json").read_text())
+        del golden["manifest"]
+        for mu in (0, -1, 9, None):
+            manifest["parameters"].pop("mu", None)
+            if mu is not None:
+                manifest["parameters"]["mu"] = mu
+            assert main(manifest_to_argv(manifest)) == (4 if name == "kissing_N25" else 0)
+            rep = json.loads(capsys.readouterr().out)
+            del rep["manifest"]
+            assert rep == golden, (name, mu)
 
 
 def test_kissing_check_precondition_failure(tmp_path, capsys):
     f = tmp_path / "cert.json"
     f.write_text(json.dumps({"g": {"n": 4, "coeffs": [1.0]}, "T": [-1, 0.5], "M": 20}))
-    code, rep = run(capsys, "kissing-check", str(f), "--t0", "-0.71", "--mu", "1", "--N", "25")
+    code, rep = run(capsys, "kissing-check", str(f), "--t0", "-0.71", "--N", "25")
     assert code == 3
     assert "does not apply" in rep["error"]
 
@@ -354,8 +364,7 @@ def test_kissing_check_certifies_an_empty_cap(tmp_path, capsys):
     # print null, never -Infinity
     f = tmp_path / "cert.json"
     f.write_text(json.dumps({"g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, 0.5], "M": 1.0}))
-    code, rep = run(capsys, "kissing-check", str(f), "--t0=-0.99", "--mu", "4", "--N", "25",
-                    "--starts", "4")
+    code, rep = run(capsys, "kissing-check", str(f), "--t0=-0.99", "--N", "25")
     assert code == 4
     assert rep["cap_values"][:2] == [0.0, pytest.approx(-1.0)]
     assert rep["cap_values"][2:] == rep["charged_values"][2:] == [None] * 3
@@ -365,15 +374,19 @@ def test_kissing_check_certifies_an_empty_cap(tmp_path, capsys):
         assert sweep["ended"] == "decided"
 
 
-def test_kissing_check_refuses_t0_above_rankin(capsys):
+def test_kissing_check_refuses_t0_above_rankin(capsys, monkeypatch):
     # above -1/sqrt(2) the cap has no capacity bound and its heights do not
     # decide feasibility; the double just above the one nearest -1/sqrt(2)
-    # is refused, decided in exact rationals
-    for t0 in ("-0.7", repr(math.nextafter(-0.7071067811865476, 0.0))):
+    # is refused, decided in exact rationals. t0 <= -1 leaves no cap, and
+    # Fraction(-inf) would overflow. Each is refused before the sign sweep
+    monkeypatch.setattr("spherecert.capopt.check_sign",
+                        lambda *a, **k: pytest.fail("sign sweep ran"))
+    for t0 in ("-0.7", repr(math.nextafter(-0.7071067811865476, 0.0)),
+               "-1", "-1.5", "-inf", "nan"):
         code, rep = run(capsys, "kissing-check", f"{DATA}/g1_cert.json", f"--t0={t0}",
-                        "--mu", "4", "--N", "25")
-        assert code == 2
-        assert rep["error"].startswith("ParameterError: t0 must be at most -1/sqrt(2)")
+                        "--N", "25")
+        assert code == 2, t0
+        assert rep["error"].startswith("ParameterError: t0 must lie in (-1, -1/sqrt(2)]"), t0
 
 
 def test_reports_are_reproducible(capsys):
@@ -453,9 +466,8 @@ def _precondition_cert(tmp_path) -> str:
     (["verify-cert", f"{DATA}/g1_cert.json", f"--interval={-np.sqrt(2) / 2},0.5",
       "--grid-step", "1e-4"], 0),
     (["bound", f"{DATA}/g2_cert.json", "--N", "24"], 0),
-    (["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}", "--mu", "1",
-      "--N", "24", "--starts", "2"], 0),
-    (["kissing-check", None, "--t0=-0.71", "--mu", "1", "--N", "25"], 3),
+    (["kissing-check", f"{DATA}/g1_cert.json", f"--t0={-np.sqrt(2) / 2}", "--N", "24"], 0),
+    (["kissing-check", None, "--t0=-0.71", "--N", "25"], 3),
 ], ids=["eval", "code-stats", "verify-cert", "bound", "kissing-check", "kissing-precondition"])
 def test_out_file_holds_stdout_and_its_manifest_replays(tmp_path, capsys, argv, exit_code):
     argv = [arg if arg is not None else _precondition_cert(tmp_path) for arg in argv]
