@@ -49,20 +49,72 @@ def _tiles(N: int):
             yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
-def _pair_sum(gram: np.ndarray, fn) -> float:
-    """Sum of fn over every entry of a symmetric Gram matrix.
+def _gram_tile(code: SphericalCode, rows: slice, cols: slice, buf: np.ndarray) -> np.ndarray:
+    """The (rows, cols) tile of the code's inner-product matrix, at most
+    _TILE x _TILE.
 
-    fn sees each tile on and above the diagonal once, and a tile above it
-    counts twice, for itself and its transposed copy below, which fn must
-    allow by acting entrywise. np.sum adds
-    each tile and math.fsum the tile sums, so that only one tile of values
-    is held at a time. With N <= _TILE the one tile is the whole matrix,
-    and the sum is np.sum(fn(gram)) bit for bit.
+    For a float code it is points[rows] @ points[cols].T, written into buf
+    (at least _TILE**2 floats, reused across tiles) and returned as a view
+    of it; a diagonal tile gets 1.0 on its diagonal, and every entry is
+    clipped to [-1, 1]. numpy computes a diagonal tile, the product of a
+    C-ordered block with its own transpose, as one symmetric rank-k update,
+    so that tile is exactly symmetric. A built-in code's tile is a slice of
+    its exact table in floats, which has at most 24 points.
     """
+    if code.exact_products is not None:
+        return code.gram()[rows, cols]
+    A, B = code.points[rows], code.points[cols]
+    tile = np.matmul(A, B.T, out=buf[:A.shape[0] * B.shape[0]].reshape(A.shape[0], B.shape[0]))
+    if rows == cols:
+        np.fill_diagonal(tile, 1.0)
+    np.clip(tile, -1.0, 1.0, out=tile)
+    return tile
+
+
+def _pair_sum(code: SphericalCode, fn) -> float:
+    """Sum of fn over every entry of the code's inner-product matrix.
+
+    The matrix is never built: each tile on and above the diagonal is
+    computed from the points (_gram_tile) into one buffer, fn sees it once,
+    and a tile above the diagonal counts twice, for itself and its
+    transposed copy below, which fn must allow by acting entrywise. np.sum
+    adds each tile and math.fsum the tile sums, so only one tile of
+    products and one of values are held at a time. The tiles are those
+    gram() is built from, so the sum is that over the tiles of gram(), bit
+    for bit; with N <= _TILE the one tile is the whole matrix, and the sum
+    is np.sum(fn(code.gram())).
+    """
+    buf = np.empty(min(code.size, _TILE) ** 2)
     return math.fsum(
-        (1.0 if rows == cols else 2.0) * float(np.sum(fn(gram[rows, cols])))
-        for rows, cols in _tiles(gram.shape[0])
+        (1.0 if rows == cols else 2.0) * float(np.sum(fn(_gram_tile(code, rows, cols, buf))))
+        for rows, cols in _tiles(code.size)
     )
+
+
+def _exact_gram(table, pts: np.ndarray) -> np.ndarray:
+    """An exact product table as a read-only float matrix, after checking
+    that it is N x N, exactly symmetric with a unit diagonal, and within
+    UNIT_NORM_TOL of the points' float products."""
+    N = pts.shape[0]
+    if len(table) != N or any(len(row) != N for row in table):
+        raise ParameterError(f"exact_products must be {N} x {N}, one row per point")
+    for i in range(N):
+        if table[i][i] != 1:
+            raise ParameterError(f"exact product ({i}, {i}) is {table[i][i]}, not 1")
+        for j in range(i):
+            if table[i][j] != table[j][i]:
+                raise ParameterError(f"exact products ({i}, {j}) and ({j}, {i}) differ")
+    g = np.array([[float(v) for v in row] for row in table])
+    err = np.abs(g - pts @ pts.T)
+    bad = np.argwhere(err > UNIT_NORM_TOL)
+    if bad.size:
+        i, j = bad[0]
+        raise ParameterError(
+            f"exact product ({i}, {j}) = {table[i][j]} is {err[i, j]:.3g} "
+            "away from the points' product"
+        )
+    g.setflags(write=False)
+    return g
 
 
 @dataclass(eq=False)
@@ -73,14 +125,15 @@ class SphericalCode:
     caller's array stays writable and later writes to it do not reach the
     code. Built-in codes carry an exact rational inner-product table, which
     makes their distance distributions exact and removes clustering
-    ambiguity.
+    ambiguity; the table is checked against the points on construction
+    and kept in floats as the code's gram().
     """
 
     n: int
     points: np.ndarray
     exact_products: tuple | None = None  # tuple of tuples of Fraction, N x N
     name: str = "custom"
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.n = integer("code dimension", self.n)
@@ -99,6 +152,8 @@ class SphericalCode:
             raise ParameterError(
                 f"point {bad[0]} is not unit length (|x|^2 = {norms[bad[0]]!r})"
             )
+        if self.exact_products is not None:
+            self._gram = _exact_gram(self.exact_products, pts)
         pts.setflags(write=False)
         self.points = pts
 
@@ -108,19 +163,23 @@ class SphericalCode:
 
     def gram(self) -> np.ndarray:
         """Float inner-product matrix, exactly symmetric with an exactly
-        unit diagonal; read-only.
+        unit diagonal; read-only and cached.
 
-        For float codes it is points @ points.T: numpy computes the product
-        of a C-ordered matrix with its own transpose as one symmetric
-        rank-k update and copies one triangle onto the other.
+        A built-in code's is its exact table in floats, made when the table
+        is checked on construction. A float code's is assembled from the
+        tiles the pair sums compute (_gram_tile): each tile on and above the
+        diagonal, mirrored into the lower triangle. Only
+        distance_distribution and triple_sum, which need every product at
+        once, build it. With N <= _TILE the one tile is points @ points.T.
         """
         if self._gram is None:
-            if self.exact_products is not None:
-                g = np.array([[float(v) for v in row] for row in self.exact_products])
-            else:
-                g = self.points @ self.points.T
-                np.fill_diagonal(g, 1.0)
-                np.clip(g, -1.0, 1.0, out=g)
+            N = self.size
+            g = np.empty((N, N))
+            buf = np.empty(min(N, _TILE) ** 2)
+            for rows, cols in _tiles(N):
+                tile = _gram_tile(self, rows, cols, buf)
+                g[rows, cols] = tile
+                g[cols, rows] = tile.T
             g.setflags(write=False)
             self._gram = g
         return self._gram
@@ -202,29 +261,31 @@ def moment(code: SphericalCode, k: int) -> float:
     """k-th moment: sum of G_k(x.y) over all ordered pairs, diagonal included.
 
     Nonnegative for every code by positive-definiteness of the basis.
-    G_k is evaluated once per unordered pair, one tile of the symmetric
-    Gram matrix at a time, and the tile sums are added (see _pair_sum): up
-    to 128 points the value is np.sum of G_k over every entry, bit for bit.
+    G_k is evaluated once per unordered pair, on one tile of products at a
+    time computed from the points, and the tile sums are added (see
+    _pair_sum); no N x N matrix is built. Up to 128 points the value is
+    np.sum of G_k over every entry of code.gram(), bit for bit.
     """
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    return _pair_sum(code.gram(), lambda t: gegenbauer_eval(code.n, k, t))
+    return _pair_sum(code, lambda t: gegenbauer_eval(code.n, k, t))
 
 
 def energy(code: SphericalCode, g: GegenbauerExpansion) -> float:
     """E_g: sum of g(x.y) over ordered pairs of distinct points.
 
-    g is evaluated once per unordered pair, one tile of the symmetric Gram
-    matrix at a time, and the tile sums are added (see _pair_sum); g at the
-    diagonal is then summed and taken away. Up to 128 points the value is
-    the same, bit for bit, as evaluating g at every entry.
+    g is evaluated once per unordered pair, on one tile of products at a
+    time computed from the points, and the tile sums are added (see
+    _pair_sum); no N x N matrix is built. g at the diagonal, where every
+    product is exactly 1.0, is then summed and taken away. Up to 128 points
+    the value is the same, bit for bit, as evaluating g at every entry of
+    code.gram().
     """
     if g.n != code.n:
         raise ParameterError(
             f"expansion dimension {g.n} does not match code dimension {code.n}"
         )
-    gram = code.gram()
-    return _pair_sum(gram, g.eval) - float(np.sum(g.eval(np.diagonal(gram))))
+    return _pair_sum(code, g.eval) - float(np.sum(g.eval(np.ones(code.size))))
 
 
 def s_sum(code: SphericalCode, f: GegenbauerExpansion) -> float:

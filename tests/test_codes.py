@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -182,6 +183,29 @@ def test_validation():
         SphericalCode(2, np.array([[1.0, 0.0], [np.nan, 0.0]]))
 
 
+def test_gram_cache_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        SphericalCode(3, np.eye(3), _gram=np.ones((3, 3)))
+    assert "_gram" not in repr(SphericalCode(3, np.eye(3)))
+
+
+def test_exact_products_are_checked_against_the_points():
+    one, zero, half = Q(1), Q(0), Q(1, 2)
+    eye = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    assert distance_distribution(SphericalCode(3, np.eye(3), exact_products=eye)).entries == {zero: 2}
+    ones = tuple((one,) * 3 for _ in range(3))
+    skew = ((one, half, zero), (zero, one, zero), (zero, zero, one))
+    diag = tuple(tuple(half if i == j else zero for j in range(3)) for i in range(3))
+    for table, match in ((ones, "away from"), (((one,),), "3 x 3"),
+                         (eye[:2] + ((zero, one),), "3 x 3"), (skew, "differ"),
+                         (diag, "not 1")):
+        with pytest.raises(ParameterError, match=match):
+            SphericalCode(3, np.eye(3), exact_products=table)
+    # the float products of the built-ins' points are within the tolerance
+    for c in all_builtins():
+        assert SphericalCode(c.n, c.points, exact_products=c.exact_products).size == c.size
+
+
 def test_json_round_trip():
     c = make_simplex(3)
     c2 = SphericalCode.from_dict(c.to_dict())
@@ -218,14 +242,50 @@ def test_pair_sums_are_bit_identical_to_whole_matrix_sums():
         assert np.array_equal(gram, before)
 
 
+def _sum_over_gram_tiles(code, fn) -> float:
+    """fn summed over the _TILE-square tiles of code.gram() on and above
+    the diagonal, a tile above it counted twice, the tile sums added by
+    math.fsum."""
+    gram, T = code.gram(), codes._TILE
+    return math.fsum(
+        (1.0 if i == j else 2.0) * float(np.sum(fn(gram[i:i + T, j:j + T])))
+        for i in range(0, code.size, T) for j in range(i, code.size, T)
+    )
+
+
+def test_streamed_pair_sums_match_gram_tiles_bit_for_bit():
+    # energy and moment compute their tiles from the points; gram() is
+    # built from the same tiles, so the sums over its tiles agree in every
+    # bit. At (129, 4) and (300, 3) a whole-matrix points @ points.T
+    # differs from the tile products in some entries.
+    rng = np.random.default_rng(48)
+    floats = []
+    for N, n in ((129, 4), (300, 3), (389, 5)):
+        X = rng.normal(size=(N, n))
+        floats.append(SphericalCode(n, X / np.linalg.norm(X, axis=1, keepdims=True)))
+    for code in floats + all_builtins():
+        g = GegenbauerExpansion(code.n, rng.normal(size=23))
+        streamed = [energy(code, g)] + [moment(code, k) for k in range(7)]
+        # a built-in's float table is made on construction, a float code's
+        # Gram matrix only on demand
+        assert (code._gram is None) == (code.exact_products is None)
+        gram = code.gram()
+        assert np.array_equal(gram, gram.T)
+        assert np.all(np.diagonal(gram) == 1.0)
+        via_gram = [_sum_over_gram_tiles(code, g.eval) - float(np.sum(g.eval(np.diagonal(gram))))]
+        via_gram += [_sum_over_gram_tiles(code, lambda t, k=k: gegenbauer.gegenbauer_eval(code.n, k, t))
+                     for k in range(7)]
+        assert [v.hex() for v in streamed] == [v.hex() for v in via_gram]
+
+
 def test_pair_sums_hold_one_tile():
-    # beyond the cached Gram matrix, energy and moment hold one tile of
-    # values at a time, far below a quarter of an N x N float array
+    # energy and moment compute one tile of products at a time from the
+    # points and build no N x N matrix: the whole call stays far below a
+    # quarter of an N x N float array
     rng = np.random.default_rng(47)
-    N = 1000
+    N = 3000
     X = rng.normal(size=(N, 5))
     code = SphericalCode(5, X / np.linalg.norm(X, axis=1, keepdims=True))
-    code.gram()
     g = GegenbauerExpansion(5, rng.normal(size=23))
     tracemalloc.start()
     try:
@@ -235,6 +295,7 @@ def test_pair_sums_hold_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < N * N * 8 / 4
+    assert code._gram is None
 
 
 @pytest.mark.parametrize("N", [255, 257])
