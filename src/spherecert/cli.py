@@ -200,13 +200,14 @@ def _cmd_verify_cert(args) -> tuple[dict, int]:
             triple_cells(cert.T, spec3.grid_step)
         intervals = args.interval or [cert.T]
         for iv in intervals:
-            rep = check_sign(cert.g, iv, spec)
+            rep = check_sign(cert.g, iv, spec, refute=args.tol)
             checks.append({**rep.to_dict(), "interval": list(iv),
                            "pass": rep.worst_violation <= args.tol})
         if cert.mode == "full":
-            rep = check_dd_pair_condition(cert.h, cert.h0, cert.F, cert.g, cert.T, spec)
+            rep = check_dd_pair_condition(cert.h, cert.h0, cert.F, cert.g, cert.T, spec,
+                                          refute=args.tol)
             checks.append({**rep.to_dict(), "pass": rep.worst_violation <= args.tol})
-            rep = check_triple_condition(cert.F, cert.g, cert.T, spec3)
+            rep = check_triple_condition(cert.F, cert.g, cert.T, spec3, refute=args.tol)
             checks.append({**rep.to_dict(), "pass": rep.worst_violation <= args.tol})
             if cert.F.form == "matrix":
                 psd = certificate_valid(cert.F, tol=args.psd_tol)

@@ -240,20 +240,24 @@ def distance_distribution(
 
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol}")
-    g = code.gram()
-    off = g[~np.eye(N, dtype=bool)]
-    if off.size == 0:
+    order = np.sort(code.gram()[~np.eye(N, dtype=bool)])
+    if order.size == 0:
         return DistanceDistribution({})
-    order = np.sort(off)
-    splits = np.where(np.diff(order) > tol)[0]
-    clusters = np.split(order, splits + 1)
-    reps = [float(np.mean(c)) for c in clusters]
-    for a, b in itertools.pairwise(reps):
+    # each cluster is the slice of order up to the next edge, read one at a
+    # time and never held as an array of its own, so that the first
+    # ambiguous pair raises before the rest are read
+    edges = np.flatnonzero(np.diff(order) > tol)
+    edges += 1
+    entries: dict[float, float] = {}
+    a, start = -np.inf, 0
+    for stop in map(int, itertools.chain(edges, [order.size])):
+        b = float(np.mean(order[start:stop]))
         if b - a < 2 * tol:
             raise AmbiguityError(
                 f"clusters at {a} and {b} are closer than 2*tol; rerun with tol < {(b - a) / 2:g}"
             )
-    entries = {rep: len(c) / N for rep, c in zip(reps, clusters)}
+        entries[b] = (stop - start) / N
+        a, start = b, stop
     return DistanceDistribution(entries)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, fsum
+from math import comb, fsum, lcm
 
 import numpy as np
 
@@ -47,18 +47,26 @@ def _kernel_tensor(n: int, k: int) -> np.ndarray:
     """Q_k(t, u, v) as a (k+1)^3 coefficient tensor.
 
     Expands sum_m a_m (t - uv)^m ((1-u^2)(1-v^2))^((k-m)/2) by the binomial
-    theorem in exact arithmetic; parity of G_k makes k - m even whenever
-    a_m != 0.
+    theorem; parity of G_k makes k - m even whenever a_m != 0. The sums run
+    in Python integers over one denominator D, the lcm of the a_m's, and
+    each is divided by D once: int / int rounds correctly, so every entry
+    is its exact rational coefficient correctly rounded.
     """
+    a = monomial_coeffs(n - 1, k)
+    D = lcm(*(am.denominator for am in a))
     exact = np.zeros((k + 1,) * 3, dtype=object)
-    for m, am in enumerate(monomial_coeffs(n - 1, k)):
+    for m, am in enumerate(a):
         if am == 0:
             continue
         r = (k - m) // 2
-        for p, q, s in itertools.product(range(m + 1), range(r + 1), range(r + 1)):
-            term = (-1) ** (p + q + s) * comb(m, p) * comb(r, q) * comb(r, s)
-            exact[m - p, p + 2 * q, p + 2 * s] += am * term
-    return exact.astype(float)
+        w = np.array([(-1) ** q * comb(r, q) for q in range(r + 1)], dtype=object)
+        ww = np.multiply.outer(w, w)
+        num = am.numerator * (D // am.denominator)
+        # the terms (t^(m-p) (-uv)^p) (-u^2)^q (-v^2)^s, for every q and s at once
+        for p in range(m + 1):
+            exact[m - p, p : p + 2 * r + 1 : 2, p : p + 2 * r + 1 : 2] += (
+                (-1) ** p * comb(m, p) * num * ww)
+    return np.array([x / D for x in exact.ravel().tolist()]).reshape(exact.shape)
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -157,13 +165,21 @@ class TripleCertificate:
         """F as its symmetric coefficient tensor C[i, j, k] (cached)."""
         if self._poly is None:
             if self.form == "matrix":
-                # sum_k P_k(u, v) Q_k(t, u, v) with P_k(u, v) = sum_ij (H_k)_ij u^i v^j,
-                # built as shifted copies of Q_k
+                # sum_k P_k(u, v) Q_k(t, u, v) with P_k(u, v) = sum_ij (H_k)_ij u^i v^j:
+                # (H_k)_ij times Q_k shifted by (i, j), added per (i, j) or, when q
+                # has fewer offsets, per offset (di, dj) of q as q[:, di, dj] times
+                # H_k; running the offsets down adds every entry's products in the
+                # same (i, j) order, so both loops give the same bits
                 a = np.zeros((self.d + 1,) * 3)
                 for k, h in enumerate(self.H):
                     q = _kernel_tensor(self.n, k)
-                    for (i, j), hij in np.ndenumerate(h):
-                        a[: k + 1, i : i + k + 1, j : j + k + 1] += hij * q
+                    s = self.d + 1 - k
+                    if k + 1 < s:
+                        for di, dj in itertools.product(range(k, -1, -1), repeat=2):
+                            a[: k + 1, di : di + s, dj : dj + s] += q[:, di, dj, None, None] * h
+                    else:
+                        for (i, j), hij in np.ndenumerate(h):
+                            a[: k + 1, i : i + k + 1, j : j + k + 1] += hij * q
             else:
                 deg = max((max(i, j, k) for i, j, k, _ in self.terms), default=0)
                 a = np.zeros((deg + 1,) * 3)

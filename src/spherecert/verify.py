@@ -10,11 +10,17 @@ the triple check, a coefficient tensor of F - g - g - g.
 
 One bisection loop, _bisect, runs every sweep: over cells of an interval
 for the 1-D checks, over boxes of the wedge t <= u <= v for the triple
-check, and over sorted boxes of cap heights for capopt.kissing_check. Two
-modes: 'sampled' reports the best sample and is labeled non-rigorous;
-'lipschitz-certified' reports an upper bound, max(best sample, largest
-bound of a cell or box not dropped) plus an a-priori rounding term and
-the slack.
+check, and over sorted boxes of cap heights for capopt.kissing_check. The
+loop decides the sign rather than chase the maximum: a cell or box whose
+bound is at most 0 is dropped, and a caller's refutation level stops the
+sweep at the first sample above it. Two modes: 'sampled' reports the best
+sample and is labeled non-rigorous; 'lipschitz-certified' reports an upper
+bound, max(best sample, largest bound of a cell or box dropped or left)
+plus an a-priori rounding term and the slack. It is tight, up to the
+grid step and that term, only for a positive maximum at most the
+refutation level: where every bound is at most 0 it is an upper bound at
+most the rounding term, not the maximum, and a refuted sweep's is sound
+but loose.
 """
 
 from __future__ import annotations
@@ -186,10 +192,11 @@ def _pair_expansion(n: int, F: TripleCertificate, parts) -> tuple[GegenbauerExpa
 
 
 def _bisect(level, a: float, width: float, cells: int, levels: int, dim: int, r: float,
-            spec: DomainSpec, condition: str, start=(-np.inf, None, 0), drop: float = -np.inf,
+            spec: DomainSpec, condition: str, start=(-np.inf, None, 0), drop: float = 0.0,
             stop: float = np.inf, budget: float = np.inf) -> ViolationReport:
     """The sweep of every check: bisect the cells (dim = 1) or the boxes of
-    the sorted wedge t_1 <= ... <= t_dim that could hold the maximum.
+    the sorted wedge t_1 <= ... <= t_dim that could hold a value above
+    max(best sample, drop).
 
     level(mids, rho, idx) gets the centres of a level's live cells, their
     half-width, widened by _MID_SLACK, and their integer cell indices, and
@@ -200,8 +207,14 @@ def _bisect(level, a: float, width: float, cells: int, levels: int, dim: int, r:
     early after a level whose best sample exceeds stop, or before a level
     of more than budget cells. In certified mode worst_violation is
     max(best sample, the largest bound dropped, the largest bound not
-    dropped) + r, the charged rounding and slack; with the default drop
-    every bound dropped is at most the best sample.
+    dropped) + r, the charged rounding and slack.
+
+    With the default drop of 0 the sweep decides the sign: where every
+    bound is at most 0, worst_violation is the largest of them plus r, an
+    upper bound at most r, not the maximum. A refuted sweep, one stopped
+    by stop, ends at the first level with a sample above stop: the best
+    sample then is its sample_max, and its worst_violation keeps the
+    bounds it had, sound but loose.
     """
     best_val, best_loc, evaluations = start
     settled = -np.inf
@@ -260,11 +273,11 @@ def _taylor(f: GegenbauerExpansion, rho: float):
 
 
 def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str,
-              slack: float = 0.0) -> ViolationReport:
-    """Maximum of f on the interval by _bisect, starting from both ends,
-    with the _taylor bound on each cell; r is _taylor's for the widest
-    cell plus slack, how far the function checked may lie from f on
-    [-1, 1]."""
+              slack: float = 0.0, refute: float = np.inf) -> ViolationReport:
+    """Sign of f on the interval by _bisect, starting from both ends, with
+    the _taylor bound on each cell and refute as its stop; r is _taylor's
+    for the widest cell plus slack, how far the function checked may lie
+    from f on [-1, 1]."""
     a, b = float(interval[0]), float(interval[1])
     if not a <= b:
         raise ParameterError(f"empty interval [{a}, {b}]")
@@ -279,20 +292,26 @@ def _sweep_1d(f: GegenbauerExpansion, interval, spec: DomainSpec, condition: str
     best = int(np.argmax(vals))
     return _bisect(lambda mids, rho, idx: (mids, *taylor(mids[:, 0], rho)), a, width, cells,
                    levels, 1, r + slack, spec, condition,
-                   (float(vals[best]), (float(ends[best]),), 2))
+                   (float(vals[best]), (float(ends[best]),), 2), stop=refute)
 
 
 def check_sign(g: GegenbauerExpansion, S, spec: DomainSpec | None = None,
-               ) -> ViolationReport:
-    """Worst violation of g <= 0 on the interval S (i.e. the maximum of g)."""
+               refute: float = np.inf) -> ViolationReport:
+    """Worst violation of g <= 0 on the interval S: the maximum of g as far
+    as a verdict needs it (see _bisect). Where g <= 0, a certified
+    worst_violation is an upper bound, not the maximum: cells bounded at
+    or below 0 are not refined. The sweep stops at the first level with a sample above
+    refute; the best sample then is its sample_max, and worst_violation is
+    sound but loose."""
     spec = spec or DomainSpec()
-    return _sweep_1d(g, S, spec, "sign:g<=0")
+    return _sweep_1d(g, S, spec, "sign:g<=0", refute=refute)
 
 
 def check_pair_condition(F: TripleCertificate, f: GegenbauerExpansion, T,
                          spec: DomainSpec | None = None) -> ViolationReport:
     """Worst violation of F(1, t, t) <= f(t) over t in T: a sign check of
-    F(1, t, t) - f(t) built by _pair_expansion in f's dimension."""
+    F(1, t, t) - f(t) built by _pair_expansion in f's dimension, with
+    check_sign's bound, swept without a refutation level."""
     spec = spec or DomainSpec()
     e, slack = _pair_expansion(f.n, F, [(-1, f)])
     return _sweep_1d(e, T, spec, "pair:F(1,t,t)<=f", slack)
@@ -300,12 +319,14 @@ def check_pair_condition(F: TripleCertificate, f: GegenbauerExpansion, T,
 
 def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertificate,
                             g: GegenbauerExpansion, T,
-                            spec: DomainSpec | None = None) -> ViolationReport:
+                            spec: DomainSpec | None = None,
+                            refute: float = np.inf) -> ViolationReport:
     """Worst violation of h(t) + h0 + F(1, t, t) <= 2 g(t) over t in T, as
-    check_pair_condition; h must have g's dimension (ParameterError)."""
+    check_pair_condition but with check_sign's refute; h must have g's
+    dimension (ParameterError)."""
     spec = spec or DomainSpec()
     e, slack = _pair_expansion(g.n, F, [(1, h), (1, GegenbauerExpansion(g.n, [h0])), (-2, g)])
-    return _sweep_1d(e, T, spec, "pair:h+h0+F(1,t,t)<=2g", slack)
+    return _sweep_1d(e, T, spec, "pair:h+h0+F(1,t,t)<=2g", slack, refute)
 
 
 def triple_cells(T, grid_step: float) -> tuple[int, int]:
@@ -409,31 +430,41 @@ def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
 
 
 def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
-                           spec: DomainSpec | None = None) -> ViolationReport:
-    """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T).
+                           spec: DomainSpec | None = None,
+                           refute: float = np.inf) -> ViolationReport:
+    """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T), with
+    check_sign's bound and refute.
 
     _bisect over the boxes of the wedge t <= u <= v cut by triple_cells. A
     box is ruled out when the _upper bound of its Gram determinant is
     negative; the others get the _upper bound of phi (_triple_expansion),
     whose slack is r, and F - g - g - g is sampled at their centres in
-    D3(T). Raises ParameterError when no centre lies in D3(T).
+    D3(T). Until a level samples a centre in D3(T), which the report's
+    location needs, every box the determinant leaves is kept (bound +inf)
+    rather than dropped at 0, so a thin D3(T) is refined as far as the
+    grid step allows. Raises ParameterError when no centre sampled lies in
+    D3(T).
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
+    sampled = False
 
     def level(mids, rho, idx):
+        nonlocal sampled
         bound = np.full(len(mids), -np.inf)
         keep = _upper(_DET, mids, rho) >= 0.0
         mids = mids[keep]
-        bound[keep] = _upper(phi, mids, rho)
         points = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL]
+        sampled = sampled or len(points) > 0
+        bound[keep] = _upper(phi, mids, rho) if sampled else np.inf
         t, u, v = points.T
         vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)) if t.size else t
         return points, vals, bound
 
-    report = _bisect(level, a, (b - a) / cells, cells, levels, 3, slack, spec, "triple:F<=g+g+g")
+    report = _bisect(level, a, (b - a) / cells, cells, levels, 3, slack, spec, "triple:F<=g+g+g",
+                     stop=refute)
     if report.location is None:
         raise ParameterError(
             f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")

@@ -12,8 +12,12 @@ iterate and left eval for Python-float Clenshaw, and as it stood before
 it drove scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The 1-D sweep and the triple sweep are kept
-as they stood before they shared one bisection loop. The maximum of an
-expansion on a cell comes from mpmath interval arithmetic. Full
+as loops of their own, as they stood before they shared one bisection
+loop but with its rule to drop at 0 and stop at a refutation level. The
+S_k kernel tensor and a matrix certificate's coefficient tensor are kept
+as they stood before the kernel was summed in integers and the shifted
+copies were added per offset: in Fractions, one copy per entry. The
+maximum of an expansion on a cell comes from mpmath interval arithmetic. Full
 certificates with known margins are built as the benchmark builds its
 triple workload's.
 """
@@ -38,8 +42,14 @@ from spherecert.capopt import (
     _value,
 )
 from spherecert.errors import CapabilityError, DomainError, ParameterError
-from spherecert.gegenbauer import _EDGE_SLACK, _check_dimension, _eval_floats, gegenbauer_eval
-from spherecert.threepoint import _eval_tensor, _kernel_tensor
+from spherecert.gegenbauer import (
+    _EDGE_SLACK,
+    _check_dimension,
+    _eval_floats,
+    gegenbauer_eval,
+    monomial_coeffs,
+)
+from spherecert.threepoint import _eval_tensor, _kernel_tensor, _symmetrize
 from spherecert.verify import (
     _DET,
     _MID_SLACK,
@@ -143,6 +153,32 @@ def bv_matrix(n: int, k: int, d: int, t: float, u: float, v: float) -> np.ndarra
     tp, up, vp = (float(x) ** np.arange(d + 1 - k) for x in (t, u, v))
     m = q_t * np.outer(up, vp) + q_u * np.outer(tp, vp) + q_v * np.outer(tp, up)
     return (m + m.T) / 6.0
+
+
+def kernel_tensor_fraction(n: int, k: int) -> np.ndarray:
+    """threepoint._kernel_tensor summed term by term in Fractions and each
+    entry rounded by float(Fraction)."""
+    exact = np.zeros((k + 1,) * 3, dtype=object)
+    for m, am in enumerate(monomial_coeffs(n - 1, k)):
+        if am == 0:
+            continue
+        r = (k - m) // 2
+        for p, q, s in itertools.product(range(m + 1), range(r + 1), range(r + 1)):
+            term = (-1) ** (p + q + s) * math.comb(m, p) * math.comb(r, q) * math.comb(r, s)
+            exact[m - p, p + 2 * q, p + 2 * s] += am * term
+    return exact.astype(float)
+
+
+def poly_per_entry(F) -> np.ndarray:
+    """TripleCertificate.poly() of a matrix certificate with one shifted
+    copy of kernel_tensor_fraction's Q_k per entry of H_k, in
+    np.ndenumerate order."""
+    a = np.zeros((F.d + 1,) * 3)
+    for k, h in enumerate(F.H):
+        q = kernel_tensor_fraction(F.n, k)
+        for (i, j), hij in np.ndenumerate(h):
+            a[: k + 1, i : i + k + 1, j : j + k + 1] += hij * q
+    return _symmetrize(a)
 
 
 def _clamp_whole_array(t) -> np.ndarray:
@@ -395,10 +431,13 @@ def upper_per_box(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0):
-    """verify._sweep_1d as it stood before the 1-D and triple checks shared
-    one bisection loop: the same cells, bounds and ViolationReport from a
-    loop of its own."""
+def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0,
+                  refute: float = np.inf):
+    """verify._sweep_1d from a loop of its own, as it stood before the 1-D
+    and triple checks shared one bisection loop, with that loop's rule: a
+    cell is dropped when its bound is at most max(best sample, 0), the
+    largest bound dropped above the best sample counts in the result, and
+    the sweep ends after a level whose best sample is above refute."""
     df = f.derivative()
     size = float(np.sum(np.abs(f.coeffs)))
     slope_size = f.derivative_bound()
@@ -414,7 +453,7 @@ def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0):
     vals = f.eval(ends)
     best = int(np.argmax(vals))
     best_val, best_x = float(vals[best]), float(ends[best])
-    evaluations = 2
+    evaluations, settled = 2, -np.inf
     idx = np.arange(cells)
     for _ in range(levels + 1):
         mids = a + (2 * idx + 1) * (width / 2.0)
@@ -425,26 +464,31 @@ def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0):
             best_val, best_x = float(vals[j]), float(mids[j])
         rho = width / 2.0 + _MID_SLACK
         bound = vals + np.abs(df.eval(mids)) * rho + curvature * (rho * rho / 2.0)
-        live = bound > best_val
+        live = bound > max(best_val, 0.0)
+        if best_val < 0.0:
+            settled = max(settled, float(np.max(bound[~live], initial=-np.inf)))
+        if best_val > refute:
+            break
         idx = (2 * idx[live][:, None] + np.array([0, 1])).ravel()
         if idx.size == 0:
             break
         width /= 2.0
-    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + r
+    worst = max(best_val, settled, float(np.max(bound[live], initial=-np.inf))) + r
     return ViolationReport(condition, spec.mode, worst if spec.certified else best_val,
                            (best_x,), spec.grid_step, spec.certified, best_val, evaluations)
 
 
-def triple_sweep_loop(F, g, T, spec):
-    """verify.check_triple_condition as it stood before the 1-D and triple
-    checks shared one bisection loop: the same boxes, bounds and
-    ViolationReport from a loop of its own."""
+def triple_sweep_loop(F, g, T, spec, refute: float = np.inf):
+    """verify.check_triple_condition from a loop of its own, as it stood
+    before the 1-D and triple checks shared one bisection loop, with
+    sweep_1d_loop's rule to drop at 0 and stop above refute, from the
+    first level that samples a centre in D3(T)."""
     a, b = float(T[0]), float(T[1])
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
     width = (b - a) / cells
     idx = np.array(list(itertools.combinations_with_replacement(range(cells), 3)))
-    best_val, best_loc, evaluations = -np.inf, None, 0
+    best_val, best_loc, evaluations, settled = -np.inf, None, 0, -np.inf
     for _ in range(levels + 1):
         rho = width / 2.0 + _MID_SLACK
         mids = a + (2 * idx + 1) * (width / 2.0)
@@ -457,14 +501,21 @@ def triple_sweep_loop(F, g, T, spec):
             j = int(np.argmax(vals))
             if vals[j] > best_val:
                 best_val, best_loc = float(vals[j]), (float(t[j]), float(u[j]), float(v[j]))
-        bound = _upper(phi, mids, rho)
-        live = bound > best_val
+        if best_loc is None:  # nothing sampled in D3(T) yet: refine every box left
+            bound = np.full(len(mids), np.inf)
+        else:
+            bound = _upper(phi, mids, rho)
+        live = bound > max(best_val, 0.0)
+        if best_val < 0.0:
+            settled = max(settled, float(np.max(bound[~live], initial=-np.inf)))
+        if best_val > refute:
+            break
         kids = (2 * idx[live][:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
         idx = kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])]
         width /= 2.0
     if best_loc is None:
         raise ParameterError(
             f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
-    worst = max(best_val, float(np.max(bound[live], initial=-np.inf))) + slack
+    worst = max(best_val, settled, float(np.max(bound[live], initial=-np.inf))) + slack
     return ViolationReport("triple:F<=g+g+g", spec.mode, worst if spec.certified else best_val,
                            best_loc, spec.grid_step, spec.certified, best_val, evaluations)

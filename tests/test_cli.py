@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dd_certificate
 from spherecert.bounds import DDCertificate, dd_bound_general, yudin_energy_lower
 from spherecert import cli
 from spherecert.cli import main, manifest_to_argv
@@ -199,6 +200,24 @@ def test_too_fine_triple_step_is_refused_before_any_sweep(tmp_path, capsys, monk
     code, rep = run(capsys, "verify-cert", str(f), "--triple-grid-step", "0.001")
     assert code == 2
     assert "too fine" in rep["error"]
+
+
+def test_verify_cert_decides_the_d22_certificates(tmp_path, capsys):
+    # certified at the default steps: the valid certificate passes on boxes
+    # bounded at or below 0 (a triple sweep that chased the maximum made
+    # 590,614 evaluations), and its invalid twin fails, each of its sweeps
+    # refuted at a sample above --tol
+    for valid, exit_code in ((True, 0), (False, 3)):
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(dd_certificate(22, valid)))
+        code, rep = run(capsys, "verify-cert", str(f), "--mode", "certified")
+        assert code == exit_code
+        by = {c["condition"].split(":")[0]: c for c in rep["checks"]}
+        for name in ("pair", "triple"):
+            assert by[name]["pass"] == valid
+            assert (by[name]["sample_max"] > 5e-3) == (not valid)
+            assert (by[name]["worst_violation"] <= 0.0) == valid
+        assert by["triple"]["evaluations"] <= (100 if valid else 50)
 
 
 def test_full_certificate_with_two_f0_exits_2(tmp_path, capsys):

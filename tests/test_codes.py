@@ -170,6 +170,25 @@ def test_cluster_ambiguity():
     assert len(d.entries) == 3
 
 
+def test_distance_distribution_memory_before_ambiguity():
+    # nearly every ordered pair of a random code is a cluster of its own;
+    # clusters are read as slices of the sorted products, not held as one
+    # array each, and the first ambiguous pair raises before the rest are
+    # read
+    rng = np.random.default_rng(0)
+    N = 1000
+    X = rng.normal(size=(N, 5))
+    code = SphericalCode(5, X / np.linalg.norm(X, axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmbiguityError):
+            distance_distribution(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * code.gram().nbytes
+
+
 def test_validation():
     with pytest.raises(ParameterError, match="point 1"):
         SphericalCode(3, np.array([[1.0, 0, 0], [0.5, 0.5, 0.5]]))

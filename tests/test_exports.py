@@ -15,7 +15,8 @@ MODULES = ["bounds", "capopt", "cli", "codes", "data", "errors", "gegenbauer",
 # test-only reference code, kept in tests/oracles.py
 ORACLES = ["orthogonality_oracle", "monomial_oracle", "_monomial_oracle_exact",
            "_poly_weighted_inner", "_monomial_inner", "_weighted_even_moment",
-           "MONOMIAL_ORACLE_MAX_DEGREE", "bv_matrix", "sweep_1d_loop", "triple_sweep_loop"]
+           "MONOMIAL_ORACLE_MAX_DEGREE", "bv_matrix", "sweep_1d_loop", "triple_sweep_loop",
+           "kernel_tensor_fraction", "poly_per_entry"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,13 +7,14 @@ from spherecert.codes import SphericalCode, builtin_code, make_24cell
 from spherecert.errors import CapabilityError, ParameterError
 from spherecert.threepoint import (
     TripleCertificate,
+    _kernel_tensor,
     certificate_valid,
     psd_check,
     triple_sum,
     triple_sum_parts,
 )
 
-from oracles import bv_matrix
+from oracles import bv_matrix, dd_certificate, kernel_tensor_fraction, poly_per_entry
 
 CODES = ["simplex3", "simplex4", "cross3", "cross4", "24cell"]
 
@@ -137,6 +138,23 @@ def test_poly_is_exactly_symmetric():
         c = cert.poly()
         for perm in itertools.permutations(range(3)):
             assert c.transpose(perm).tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_kernel_tensor_matches_the_fraction_oracle(n):
+    # summed in integers over one denominator, every entry keeps the bits
+    # of its Fraction sum rounded once
+    for k in range(23):
+        assert _kernel_tensor(n, k).tobytes() == kernel_tensor_fraction(n, k).tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 8, 12, 22])
+def test_poly_matches_the_per_entry_oracle(d):
+    # adding the shifted copies of Q_k per offset of Q_k where that is the
+    # shorter loop keeps every entry's order of additions
+    for valid in (True, False):
+        F = TripleCertificate.from_dict(dd_certificate(d, valid)["F"])
+        assert F.poly().tobytes() == poly_per_entry(F).tobytes()
 
 
 def test_explicit_eval_frozen():

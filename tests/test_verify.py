@@ -189,9 +189,28 @@ def test_triple_condition_empty_region():
             check_triple_condition(F, g, (-1.0, -0.9), spec)
 
 
+@pytest.mark.parametrize("T, steps", [((-0.69, -0.49), (0.01,)), ((-1.0, -0.49), (0.01,)),
+                                      ((-1.0, -0.48), (0.01, 0.04)),
+                                      ((-1.0, -0.47), (0.01, 0.04))])
+def test_triple_condition_thin_region_reports(T, steps):
+    # F - g - g - g = -3 bounds every first-level box below 0, before any
+    # centre of these thin D3(T) is sampled; the sweep refines down to one
+    # and reports that the condition holds
+    F = TripleCertificate.from_terms([(0, 0, 0, 0.0)])
+    g = GegenbauerExpansion(4, [1.0])
+    for step in steps:
+        for mode in (verify.SAMPLED, CERTIFIED):
+            rep = check_triple_condition(F, g, T, DomainSpec(step, mode))
+            assert in_d3(*rep.location, T)
+            assert rep.sample_max == -3.0
+            assert rep.sample_max <= rep.worst_violation <= 0.0
+            assert rep.to_dict() == triple_sweep_loop(F, g, T, DomainSpec(step, mode)).to_dict()
+
+
 def test_one_loop_keeps_every_report():
-    # the checks share one bisection loop; each report keeps the bits of
-    # the loop of its own it had before (tests/oracles.py), in both modes
+    # the checks share one bisection loop; each report keeps the bits of a
+    # loop of its own with the same rule (tests/oracles.py), in both modes,
+    # swept to the end and with verify-cert's default refutation level
     g1, g2 = load_expansion("g1"), load_expansion("g2")
     rng = np.random.default_rng(19)
     seeded = []
@@ -206,21 +225,32 @@ def test_one_loop_keeps_every_report():
              for d in (4, 8, 12) for valid in (True, False)]
     for mode in (verify.SAMPLED, CERTIFIED):
         fine, spec = DomainSpec(1e-6, mode), DomainSpec(1e-5, mode)
-        pairs = [(check_sign(e, S, fine), sweep_1d_loop(e, S, fine, "sign:g<=0"))
-                 for e, S in ((g1, (T0, 0.5)), (g2, (-0.73, 0.5)))]
-        pairs += [(check_sign(e, S, spec), sweep_1d_loop(e, S, spec, "sign:g<=0"))
-                  for e, S in seeded]
-        e, slack = verify._pair_expansion(4, F, [(-1, g)])
-        pairs.append((check_pair_condition(F, g, T_HALF, spec),
-                      sweep_1d_loop(e, T_HALF, spec, "pair:F(1,t,t)<=f", slack)))
-        e, slack = verify._pair_expansion(4, F, [(1, h), (1, GegenbauerExpansion(4, [h0])), (-2, g)])
-        pairs.append((check_dd_pair_condition(h, h0, F, g, T_HALF, spec),
-                      sweep_1d_loop(e, T_HALF, spec, "pair:h+h0+F(1,t,t)<=2g", slack)))
-        for step in (0.01, 0.02, 0.04):
-            pairs += [(check_triple_condition(c.F, c.g, c.T, DomainSpec(step, mode)),
-                       triple_sweep_loop(c.F, c.g, c.T, DomainSpec(step, mode))) for c in certs]
+        pairs = []
+        for refute in (np.inf, 5e-3):
+            pairs += [(check_sign(e, S, fine, refute), sweep_1d_loop(e, S, fine, "sign:g<=0",
+                                                                     refute=refute))
+                      for e, S in ((g1, (T0, 0.5)), (g2, (-0.73, 0.5)))]
+            pairs += [(check_sign(e, S, spec, refute), sweep_1d_loop(e, S, spec, "sign:g<=0",
+                                                                     refute=refute))
+                      for e, S in seeded]
+            if refute == np.inf:  # check_pair_condition takes no refutation level
+                e, slack = verify._pair_expansion(4, F, [(-1, g)])
+                pairs.append((check_pair_condition(F, g, T_HALF, spec),
+                              sweep_1d_loop(e, T_HALF, spec, "pair:F(1,t,t)<=f", slack)))
+            e, slack = verify._pair_expansion(
+                4, F, [(1, h), (1, GegenbauerExpansion(4, [h0])), (-2, g)])
+            pairs.append((check_dd_pair_condition(h, h0, F, g, T_HALF, spec, refute),
+                          sweep_1d_loop(e, T_HALF, spec, "pair:h+h0+F(1,t,t)<=2g", slack, refute)))
+            for step in (0.01, 0.02, 0.04):
+                pairs += [(check_triple_condition(c.F, c.g, c.T, DomainSpec(step, mode), refute),
+                           triple_sweep_loop(c.F, c.g, c.T, DomainSpec(step, mode), refute))
+                          for c in certs]
         for got, want in pairs:
             assert got.to_dict() == want.to_dict()
+        # every kind of ending is covered: proven <= 0, refuted, and a
+        # positive maximum swept to the grid step
+        assert {(p.sample_max > 5e-3, p.worst_violation <= 0.0) for p, _ in pairs} == {
+            (False, True), (True, False), (False, False)}
         one, zero = TripleCertificate.from_terms([(0, 0, 0, 1.0)]), GegenbauerExpansion(4, [0.0])
         for check in (check_triple_condition, triple_sweep_loop):
             with pytest.raises(ParameterError) as err:
@@ -265,13 +295,34 @@ def test_triple_condition_certifies_valid_certificates(d):
 
 
 def test_triple_condition_certifies_the_d24_certificate():
-    # phi has 25 coefficients per axis here; the invalid twin is rejected
+    # phi has 25 coefficients per axis here; the valid certificate's bound
+    # is that of boxes dropped at 0, not the maximum, and the invalid twin
+    # is rejected with its maximum
     spec = DomainSpec(grid_step=0.04, mode=CERTIFIED)
-    for valid, bound in ((True, -12.32), (False, 30.87)):
+    for valid, bound in ((True, -0.0345), (False, 30.87)):
         cert = DDCertificate.from_dict(dd_certificate(24, valid))
         rep = check_triple_condition(cert.F, cert.g, cert.T, spec)
-        assert rep.worst_violation == pytest.approx(bound, abs=0.01)
+        assert rep.worst_violation == pytest.approx(bound, abs=0.01 if bound > 0 else 1e-4)
         assert rep.sample_max <= rep.worst_violation
+        assert (rep.worst_violation <= 0.0) == valid
+
+
+@pytest.mark.parametrize("d", [4, 8, 12, 22])
+def test_decided_triple_bounds_dominate_a_dense_maximum(d):
+    # a bound settled at 0 or left by a refutation is still an upper bound:
+    # at least the maximum of F - g - g - g over random points of D3(T)
+    rng = np.random.default_rng([48, d])
+    p = rng.uniform(-1.0, 0.5, size=(40_000, 3))
+    t, u, v = p[d3_determinant(*p.T) >= 0.0].T
+    for valid in (True, False):
+        cert = DDCertificate.from_dict(dd_certificate(d, valid))
+        dense = float(np.max(cert.F.eval(t, u, v) - cert.g.eval(t) - cert.g.eval(u)
+                             - cert.g.eval(v)))
+        assert (dense <= 0.0) == valid
+        for step, refute in ((0.01, 5e-3), (0.04, np.inf)):
+            rep = check_triple_condition(cert.F, cert.g, cert.T, DomainSpec(step, CERTIFIED),
+                                         refute)
+            assert rep.worst_violation >= dense
 
 
 def _symmetric_tensor(rng, m):
@@ -618,9 +669,9 @@ def _captured_expansion(monkeypatch, check, *args):
     seen = []
     sweep = verify._sweep_1d
 
-    def capture(e, interval, spec, condition, slack=0.0):
+    def capture(e, interval, spec, condition, slack=0.0, refute=np.inf):
         seen.append((e, slack))
-        return sweep(e, interval, spec, condition, slack)
+        return sweep(e, interval, spec, condition, slack, refute)
 
     monkeypatch.setattr(verify, "_sweep_1d", capture)
     check(*args, T_HALF, DomainSpec(grid_step=1e-3, mode=CERTIFIED))
