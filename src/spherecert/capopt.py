@@ -489,8 +489,10 @@ def _cap_sweep(g: GegenbauerExpansion, envelope: list[np.ndarray], t0: float, m:
                      drop=threshold, stop=threshold, budget=_CAP_BUDGET)
     if report.sample_max > threshold:
         counts["ended"] = "refuted"
+    elif left:
+        counts["ended"] = "finest" if counts["levels"] > _CAP_LEVELS else "budget"
     else:
-        counts["ended"] = "budget" if left else "decided"
+        counts["ended"] = "decided"
     return report, counts
 
 
@@ -515,7 +517,9 @@ class KissingReport:
     sweep, cap_values and M_max are sound but show only where the sweep
     stopped. sweeps gives each m's boxes, levels, PSD and value prunes, its
     best witness (lower; null if none) and how it ended: decided (every box
-    pruned), refuted (a witness above the threshold) or budget. cap_lower
+    pruned), refuted (a witness above the threshold), budget (the next level
+    would hold over _CAP_BUDGET boxes) or finest (boxes of the finest level
+    are still bounded above the threshold). cap_lower
     is the witness, m >= 1, with the largest charged value: its m, value
     and heights, or null.
 

@@ -85,7 +85,7 @@ def _manifest(args) -> dict:
         "inputs": [params[k] for k in _POSITIONAL_PARAMS if k in params],
         "parameters": params,
         "outputs": args.out or "stdout",
-        "seed": getattr(args, "seed", None),
+        "seed": None,  # no verb draws random numbers
         "tool_version": __version__,
     }
 
@@ -321,8 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="hypothetical code size")
     p.add_argument("--mu", type=int,
                    help="ignored; the cap capacity is n, since t0 <= -1/sqrt(2)")
-    for flag in ("--starts", "--seed"):
-        p.add_argument(flag, type=int, help="ignored; seeded the former multistart search")
+    p.add_argument("--starts", type=int, help="ignored; sized the former multistart search")
     p.add_argument("--margin", type=float, default=1e-3)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_kissing_check)

@@ -4,9 +4,9 @@ Checks sign conditions of expansions on intervals, membership of triples
 in the realizable set D3(T), and the two inequalities coupling a triple
 function F to single-variable functions over T and D3(T).
 
-Every check sweeps one function built exactly and rounded once: a
-GegenbauerExpansion (g, or a pair check's left minus right side) or, for
-the triple check, a coefficient tensor of F - g - g - g.
+Every check samples and bounds one function built exactly and rounded
+once: a GegenbauerExpansion, or the triple check's tensor of F - g - g - g.
+Its sweep starts from the interval's ends or from D3(T)'s corner (b, b, b).
 
 One bisection loop, _bisect, runs every sweep: over cells of an interval
 for the 1-D checks, over boxes of the wedge t <= u <= v for the triple
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .gegenbauer import GegenbauerExpansion, monomial_coeffs, monomial_to_gegenbauer
-from .threepoint import TripleCertificate
+from .threepoint import TripleCertificate, _eval_tensor
 
 __all__ = [
     "DomainSpec",
@@ -104,9 +104,9 @@ class ViolationReport:
     """Worst violation of a <=-condition: positive means violated.
 
     evaluations counts the points where the checked function was
-    evaluated: ends and cell midpoints for the 1-D checks, box centres in
-    D3(T) for the triple check. location is the best of those points and
-    sample_max the value there.
+    evaluated: ends and cell midpoints for the 1-D checks, the corner
+    (b, b, b) and box centres in D3(T) for the triple check. location is
+    the best of those points and sample_max the value there.
     """
 
     condition: str
@@ -331,11 +331,17 @@ def check_dd_pair_condition(h: GegenbauerExpansion, h0: float, F: TripleCertific
 
 def triple_cells(T, grid_step: float) -> tuple[int, int]:
     """_levels of the triple sweep of T^3 down to boxes at most grid_step
-    wide; ParameterError unless -1 <= a <= b <= 1 and its finest wedge holds
-    at most 2^24 boxes (steps from about 0.0034 on [-1, 1/2])."""
+    wide; ParameterError unless -1 <= a <= b <= 1, b >= -1/2 and the finest
+    wedge holds at most 2^24 boxes (steps from about 0.0034 on [-1, 1/2]).
+    D3(T) is empty exactly when b < -1/2; else it holds (b, b, b), whose
+    Gram determinant is (1 - b)^2 (1 + 2b) >= 0."""
     a, b = float(T[0]), float(T[1])
     if not -1.0 <= a <= b <= 1.0:
         raise ParameterError(f"triple domain T must satisfy -1 <= a <= b <= 1, got {T}")
+    if b < -0.5:
+        raise ParameterError(
+            f"D3(T) is empty for T = [{a}, {b}]: b < -1/2, but realizable triples have "
+            f"t + u + v >= -3/2, since |x + y + z|^2 = 3 + 2(t + u + v) >= 0")
     count = max(1, math.ceil(min((b - a) / grid_step, _MAX_AXIS_3D + 1)))
     cells, levels = _levels(count, _START_CELLS_3D)
     if cells << levels > _MAX_AXIS_3D:
@@ -435,37 +441,25 @@ def check_triple_condition(F: TripleCertificate, g: GegenbauerExpansion, T,
     """Worst violation of F(t, u, v) <= g(t) + g(u) + g(v) over D3(T), with
     check_sign's bound and refute.
 
-    _bisect over the boxes of the wedge t <= u <= v cut by triple_cells. A
-    box is ruled out when the _upper bound of its Gram determinant is
-    negative; the others get the _upper bound of phi (_triple_expansion),
-    whose slack is r, and F - g - g - g is sampled at their centres in
-    D3(T). Until a level samples a centre in D3(T), which the report's
-    location needs, every box the determinant leaves is kept (bound +inf)
-    rather than dropped at 0, so a thin D3(T) is refined as far as the
-    grid step allows. Raises ParameterError when no centre sampled lies in
-    D3(T).
+    _bisect over the boxes of the wedge t <= u <= v cut by triple_cells,
+    starting from the corner (b, b, b) of D3(T). A box is ruled out when
+    the _upper bound of its Gram determinant is negative; the others get
+    the _upper bound of phi (_triple_expansion), whose slack is r, and phi
+    itself is sampled at their centres in D3(T).
     """
     spec = spec or DomainSpec(grid_step=DEFAULT_STEP_3D)
     a, b = float(T[0]), float(T[1])
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
-    sampled = False
 
     def level(mids, rho, idx):
-        nonlocal sampled
         bound = np.full(len(mids), -np.inf)
         keep = _upper(_DET, mids, rho) >= 0.0
         mids = mids[keep]
+        bound[keep] = _upper(phi, mids, rho)
         points = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL]
-        sampled = sampled or len(points) > 0
-        bound[keep] = _upper(phi, mids, rho) if sampled else np.inf
-        t, u, v = points.T
-        vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v)) if t.size else t
-        return points, vals, bound
+        return points, _eval_tensor(phi, *points.T), bound
 
-    report = _bisect(level, a, (b - a) / cells, cells, levels, 3, slack, spec, "triple:F<=g+g+g",
-                     stop=refute)
-    if report.location is None:
-        raise ParameterError(
-            f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
-    return report
+    corner = (float(_eval_tensor(phi, b, b, b)), (b, b, b), 1)
+    return _bisect(level, a, (b - a) / cells, cells, levels, 3, slack, spec, "triple:F<=g+g+g",
+                   corner, stop=refute)

@@ -13,7 +13,8 @@ it drove scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The 1-D sweep and the triple sweep are kept
 as loops of their own, as they stood before they shared one bisection
-loop but with its rule to drop at 0 and stop at a refutation level. The
+loop but with its rule to drop at 0 and stop at a refutation level,
+and the triple sweep with its start at the corner (b, b, b). The
 S_k kernel tensor and a matrix certificate's coefficient tensor are kept
 as they stood before the kernel was summed in integers and the shifted
 copies were added per offset: in Fractions, one copy per entry. The
@@ -481,14 +482,15 @@ def sweep_1d_loop(f, interval, spec, condition: str, slack: float = 0.0,
 def triple_sweep_loop(F, g, T, spec, refute: float = np.inf):
     """verify.check_triple_condition from a loop of its own, as it stood
     before the 1-D and triple checks shared one bisection loop, with
-    sweep_1d_loop's rule to drop at 0 and stop above refute, from the
-    first level that samples a centre in D3(T)."""
+    sweep_1d_loop's rule to drop at 0 and stop above refute, started from
+    phi at the corner (b, b, b)."""
     a, b = float(T[0]), float(T[1])
     cells, levels = triple_cells((a, b), spec.grid_step)
     phi, slack = _triple_expansion(F, g)
     width = (b - a) / cells
     idx = np.array(list(itertools.combinations_with_replacement(range(cells), 3)))
-    best_val, best_loc, evaluations, settled = -np.inf, None, 0, -np.inf
+    best_val, best_loc = float(_eval_tensor(phi, b, b, b)), (b, b, b)
+    evaluations, settled = 1, -np.inf
     for _ in range(levels + 1):
         rho = width / 2.0 + _MID_SLACK
         mids = a + (2 * idx + 1) * (width / 2.0)
@@ -496,15 +498,12 @@ def triple_sweep_loop(F, g, T, spec, refute: float = np.inf):
         idx, mids = idx[keep], mids[keep]
         t, u, v = mids[d3_determinant(*mids.T) >= -D3_MEMBERSHIP_TOL].T
         if t.size:
-            vals = F.eval(t, u, v) - (g.eval(t) + g.eval(u) + g.eval(v))
+            vals = _eval_tensor(phi, t, u, v)
             evaluations += t.size
             j = int(np.argmax(vals))
             if vals[j] > best_val:
                 best_val, best_loc = float(vals[j]), (float(t[j]), float(u[j]), float(v[j]))
-        if best_loc is None:  # nothing sampled in D3(T) yet: refine every box left
-            bound = np.full(len(mids), np.inf)
-        else:
-            bound = _upper(phi, mids, rho)
+        bound = _upper(phi, mids, rho)
         live = bound > max(best_val, 0.0)
         if best_val < 0.0:
             settled = max(settled, float(np.max(bound[~live], initial=-np.inf)))
@@ -513,9 +512,6 @@ def triple_sweep_loop(F, g, T, spec, refute: float = np.inf):
         kids = (2 * idx[live][:, None] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
         idx = kids[(kids[:, 0] <= kids[:, 1]) & (kids[:, 1] <= kids[:, 2])]
         width /= 2.0
-    if best_loc is None:
-        raise ParameterError(
-            f"D3(T) holds no grid point (box centre) for T = [{a}, {b}] at step {spec.grid_step:g}")
     worst = max(best_val, settled, float(np.max(bound[live], initial=-np.inf))) + slack
     return ViolationReport("triple:F<=g+g+g", spec.mode, worst if spec.certified else best_val,
                            best_loc, spec.grid_step, spec.certified, best_val, evaluations)

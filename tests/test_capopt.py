@@ -498,6 +498,19 @@ def test_sweep_stops_at_its_box_budget():
     assert rep.verdict == "INCONCLUSIVE"
 
 
+def test_sweep_that_runs_out_of_levels_ends_finest():
+    # g = 0.01 with a threshold just under it: every box's bound stays
+    # above the threshold and every witness, lowered by its rounding, below
+    # it. At m = 1 no level comes near the budget, so all 14 levels run
+    g = GegenbauerExpansion(4, [0.01])
+    threshold = 0.00999999999999996
+    rep, counts = capopt._cap_sweep(g, capopt._envelope(g, T0), T0, 1, threshold)
+    assert counts["ended"] == "finest"
+    assert counts["levels"] == capopt._CAP_LEVELS + 1
+    assert counts["boxes"] == 2 ** (capopt._CAP_LEVELS + 1) - 1 < capopt._CAP_BUDGET
+    assert rep.sample_max <= threshold < rep.worst_violation
+
+
 def test_caps_above_n_are_empty():
     # t0 <= -1/sqrt(2) leaves room for at most n points in the open cap, so
     # the report ends at m = n, in dimension 5 as in 4; at t0 = -0.99 no two

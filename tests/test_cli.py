@@ -120,8 +120,8 @@ def test_verify_cert_schema_error(tmp_path, capsys):
 
 
 def test_verify_cert_empty_d3_exits_2(tmp_path, capsys):
-    # no triple of products in [-1, -0.9] is realizable, so D3(T) holds no
-    # grid point; the triple check must not pass with a maximum of -inf
+    # no triple of products in [-1, -0.9] is realizable: D3(T) is empty, and
+    # the triple check must not pass with a maximum of -inf
     f = tmp_path / "cert.json"
     f.write_text(json.dumps({
         "g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, -0.9],
@@ -132,7 +132,7 @@ def test_verify_cert_empty_d3_exits_2(tmp_path, capsys):
         code, rep = run(capsys, "verify-cert", str(f), "--triple-grid-step", "0.01",
                         "--mode", mode)
         assert code == 2
-        assert "no grid point" in rep["error"]
+        assert rep["error"].startswith("ParameterError: D3(T) is empty for T = [-1.0, -0.9]: b < -1/2")
 
 
 def test_bound_g2(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from oracles import (
     triple_sweep_loop,
     upper_per_box,
 )
-from spherecert import verify
+from spherecert import cli, threepoint, verify
 from spherecert.bounds import DDCertificate
 from spherecert.data import load_expansion
 from spherecert.errors import ParameterError
@@ -180,22 +181,27 @@ def test_triple_condition_certified_bound_dominates_full_grid():
     assert rep.sample_max <= rep.worst_violation
 
 
+EMPTY_D3 = ("D3(T) is empty for T = [-1.0, -0.9]: b < -1/2, but realizable triples have "
+            "t + u + v >= -3/2, since |x + y + z|^2 = 3 + 2(t + u + v) >= 0")
+
+
 def test_triple_condition_empty_region():
     # triples of nearly antipodal values are never realizable
     F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
     g = GegenbauerExpansion(4, [0.0])
     for spec in (DomainSpec(grid_step=0.01), DomainSpec(grid_step=0.01, mode=CERTIFIED)):
-        with pytest.raises(ParameterError, match="no grid point"):
+        with pytest.raises(ParameterError) as err:
             check_triple_condition(F, g, (-1.0, -0.9), spec)
+        assert str(err.value) == EMPTY_D3
 
 
 @pytest.mark.parametrize("T, steps", [((-0.69, -0.49), (0.01,)), ((-1.0, -0.49), (0.01,)),
                                       ((-1.0, -0.48), (0.01, 0.04)),
                                       ((-1.0, -0.47), (0.01, 0.04))])
 def test_triple_condition_thin_region_reports(T, steps):
-    # F - g - g - g = -3 bounds every first-level box below 0, before any
-    # centre of these thin D3(T) is sampled; the sweep refines down to one
-    # and reports that the condition holds
+    # F - g - g - g = -3 bounds every first-level box below 0, where these
+    # thin D3(T) may hold no centre; the sweep starts from the corner
+    # (b, b, b) and reports that the condition holds
     F = TripleCertificate.from_terms([(0, 0, 0, 0.0)])
     g = GegenbauerExpansion(4, [1.0])
     for step in steps:
@@ -255,8 +261,7 @@ def test_one_loop_keeps_every_report():
         for check in (check_triple_condition, triple_sweep_loop):
             with pytest.raises(ParameterError) as err:
                 check(one, zero, (-1.0, -0.9), DomainSpec(0.01, mode))
-            assert str(err.value) == ("D3(T) holds no grid point (box centre) "
-                                      "for T = [-1.0, -0.9] at step 0.01")
+            assert str(err.value) == EMPTY_D3
 
 
 def test_triple_condition_certified_pads():
@@ -581,17 +586,18 @@ def test_triple_condition_counts_evaluations():
 
 
 def test_triple_condition_counts_the_points_it_evaluates(monkeypatch):
-    # evaluations is the number of points TripleCertificate.eval receives
+    # evaluations is the number of points where phi is sampled, the corner
+    # (b, b, b) included
     F = TripleCertificate.from_terms([(1, 1, 0, 0.5), (0, 0, 0, 0.2)])
     g = GegenbauerExpansion(4, [0.1, 0.3])
     points = []
-    orig = TripleCertificate.eval
+    orig = verify._eval_tensor
 
-    def counted(self, t, u, v):
+    def counted(c, t, u, v):
         points.append(np.broadcast(np.asarray(t), np.asarray(u), np.asarray(v)).size)
-        return orig(self, t, u, v)
+        return orig(c, t, u, v)
 
-    monkeypatch.setattr(TripleCertificate, "eval", counted)
+    monkeypatch.setattr(verify, "_eval_tensor", counted)
     for mode in ("sampled", CERTIFIED):
         points.clear()
         rep = check_triple_condition(F, g, T_HALF, DomainSpec(grid_step=0.05, mode=mode))
@@ -616,6 +622,55 @@ def test_triple_step_too_fine_is_refused_before_evaluating(monkeypatch):
     cells, levels = verify.triple_cells(T_HALF, finest)
     assert cells << levels <= m
     assert np.ceil((b - a) / verify.DEFAULT_STEP_3D) + 1 <= m
+
+
+def test_empty_d3_is_refused_before_evaluating(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a function evaluated")
+
+    for owner, name in ((verify, "_eval_tensor"), (threepoint, "_eval_tensor"),
+                        (verify, "check_sign"), (cli, "check_sign")):
+        monkeypatch.setattr(owner, name, refuse)
+    F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
+    g = GegenbauerExpansion(4, [0.0])
+    with pytest.raises(ParameterError) as err:
+        check_triple_condition(F, g, (-1.0, -0.9), DomainSpec(0.01, CERTIFIED))
+    assert str(err.value) == EMPTY_D3
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps({
+        "g": {"n": 4, "coeffs": [-1.0]}, "T": [-1, -0.9],
+        "h": {"n": 4, "coeffs": [0.0]}, "h0": -4.0,
+        "F": {"terms": [{"i": 0, "j": 0, "k": 0, "a": 1.0}]},
+    }))
+    assert cli.main(["verify-cert", str(f), "--mode", "certified"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ParameterError: " + EMPTY_D3}
+
+
+def test_triple_condition_reports_a_point_of_d3_or_refuses():
+    # D3(T) is empty exactly when b < -1/2; otherwise every sweep reports a
+    # sample of phi at a point of D3(T), also where D3(T) is a thin sliver
+    # that the first level's centres miss
+    rng = np.random.default_rng(25)
+    Ts = [(-1.0, -0.5), (-0.5, -0.5), (-0.69, -0.49), (-1.0, -0.49), (-1.0, -0.48),
+          (-1.0, -0.47), (-1.0, -0.5000001), (-0.6, -0.6)]
+    Ts += [tuple(sorted(rng.uniform(-1.0, 1.0, 2))) for _ in range(12)]
+    pairs = [(TripleCertificate.from_terms([]), GegenbauerExpansion(4, [1.0])),
+             (TripleCertificate.from_terms([(2, 0, 0, 3.0), (1, 1, 1, -0.5)]),
+              GegenbauerExpansion(4, [0.1, -0.2, 0.3]))]
+    for T in Ts:
+        for F, g in pairs:
+            phi, _ = verify._triple_expansion(F, g)
+            for step in (0.01, 0.04):
+                for mode in (verify.SAMPLED, CERTIFIED):
+                    spec = DomainSpec(step, mode)
+                    if T[1] < -0.5:
+                        with pytest.raises(ParameterError, match="D3\\(T\\) is empty"):
+                            check_triple_condition(F, g, T, spec, refute=5e-3)
+                        continue
+                    rep = check_triple_condition(F, g, T, spec, refute=5e-3)
+                    assert in_d3(*rep.location, T)
+                    assert rep.sample_max == verify._eval_tensor(phi, *rep.location)
+                    assert rep.sample_max <= rep.worst_violation
 
 
 def _vanishing_tensor(rng, degree=3):
