@@ -17,19 +17,20 @@ every t_j; so a box of heights is empty when C at its upper corner is
 certified not PSD, and a box centre whose C is certified positive
 definite is a feasible configuration, a lower witness.
 
-cap_max is a multistart search: batched penalty ascent, then an SLSQP
-polish that writes the constraints of _residuals, from the same Gram
-product, in place into the buffers of scipy's compiled SLSQP core, which
-minimize drives without scipy's per-iterate wrappers. Its maxima are
-lower estimates of the true cap optimum; no verb runs it, and the tests
-compare it with the sweep's bounds.
+cap_max is a multistart search over the heights alone, which decide
+feasibility by q(t) <= 1 (_q): batched penalty ascent, then an SLSQP
+polish of the m heights under bounds [-1, t0] and the one row 1 - q(t) >=
+0, which minimize drives through scipy's compiled SLSQP core without
+scipy's per-iterate wrappers; scipy is imported on the first polish. A
+configuration in R^n is then built from the polished heights and checked.
+Its maxima are lower estimates of the true cap optimum; no verb runs it,
+and the tests compare it with the sweep's bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,12 +99,13 @@ class CapResult:
     m: int
 
 
-def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
-             meq: int, maxiter: int, ftol: float) -> SimpleNamespace:
-    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) from x0 under d[:meq] == 0 and
-    d[meq:] >= 0: the loop scipy.optimize's _minimize_slsqp runs around
-    the compiled core, with its state, workspace sizes and NaN (absent)
-    bounds, but without its per-iterate wrappers.
+def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray, meq: int,
+             maxiter: int, ftol: float, bounds: tuple[float, float]) -> SimpleNamespace:
+    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) from x0 under d[:meq] == 0,
+    d[meq:] >= 0 and bounds[0] <= x_i <= bounds[1]: the loop
+    scipy.optimize's _minimize_slsqp runs around the compiled core for
+    bounds=[bounds] * x0.size, with its state, workspace sizes and clipped
+    start, but without its per-iterate wrappers.
 
     values(x) writes the constraint values into d and returns the
     objective; normals(x) writes the constraint rows into C (Fortran order,
@@ -117,11 +119,12 @@ def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
     imported on the first call: the polish is its only user in the package.
     The core, scipy.optimize._slsqplib.slsqp, is private and has this
     signature from scipy 1.16 on; tests compare runs of this loop on
-    seeded cap problems with scipy.optimize.minimize, bit for bit.
+    seeded height problems with scipy.optimize.minimize, bit for bit.
     """
     from scipy.optimize._slsqplib import slsqp
-    x = np.array(x0, dtype=float)  # the core iterates in place
-    n, m = x.size, d.size
+    n, m = np.size(x0), d.size
+    xl, xu = np.full(n, float(bounds[0])), np.full(n, float(bounds[1]))
+    x = np.clip(np.asarray(x0, dtype=float), xl, xu)  # a copy: the core iterates in place
     state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
              "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0,
              "inconsistent": 0, "reset": 0, "iter": 0, "itermax": maxiter, "line": 0,
@@ -131,8 +134,6 @@ def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
     buffer = np.zeros(max(size, 1))
     indices = np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32)
     mult = np.zeros(max(1, m + 2 * n + 2))
-    xl = np.full(n, np.nan)
-    xu = np.full(n, np.nan)
     fx, grad = values(x), normals(x)
     nfev, seen, f_fresh, g_at = 1, x.tolist(), True, x.tolist()
     while True:
@@ -152,29 +153,26 @@ def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray,
                            nfev=nfev)
 
 
-@lru_cache(maxsize=None)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), cached: building it costs more than _residuals."""
-    return np.triu_indices(m, 1)
+def _q(t: np.ndarray) -> np.ndarray:
+    """q(t) = 2(sum_j t_j^2 - (sum_j t_j)^2/(m + 1)) over the last axis.
 
-
-def _residuals(Y: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cap constraints of (..., m, n) configurations as SLSQP residuals:
-    eq == 0 is the unit norms (Gram diagonal minus 1); ineq >= 0 is cap
-    membership t0 - y_j[0], then 1/2 - y_i . y_j over _pairs(m). The Gram
-    matrix is a BLAS product: SLSQP at ftol=1e-14 amplifies last-bit changes."""
-    gram = Y @ np.swapaxes(Y, -1, -2)
-    iu, ju = _pairs(Y.shape[-2])
-    eq = np.diagonal(gram, axis1=-2, axis2=-1) - 1.0
-    ineq = np.concatenate([t0 - Y[..., 0], 0.5 - gram[..., iu, ju]], axis=-1)
-    return eq, ineq
+    C(t) of _cap_matrix is D^-1 A D^-1 with D = diag(s_j) and A = (I + J)/2
+    - t t^T; (I + J)/2 is positive definite with inverse 2(I - J/(m + 1)),
+    so A, and C, is PSD exactly when t^T 2(I - J/(m + 1)) t = q(t) <= 1.
+    For t in [-1, t0]^m, t0 <= -1/sqrt(2) and m <= n, that decides whether
+    t are the heights of a cap configuration (see _cap_sweep)."""
+    s = np.sum(t, axis=-1)
+    return 2.0 * (np.sum(t * t, axis=-1) - s * s / (t.shape[-1] + 1))
 
 
 def _constraint_violation(Y: np.ndarray, t0: float) -> np.ndarray:
-    """Worst cap-constraint violation of each (..., m, n) configuration, >= 0."""
-    eq, ineq = _residuals(Y, t0)
-    return np.maximum(np.max(np.abs(eq), axis=-1, initial=0.0),
-                      np.max(-ineq, axis=-1, initial=0.0))
+    """Worst cap-constraint violation of each (..., m, n) configuration, >= 0:
+    of unit norm, of cap membership y_j[0] <= t0 and of y_i . y_j <= 1/2."""
+    gram = Y @ np.swapaxes(Y, -1, -2)
+    norm = np.abs(np.diagonal(gram, axis1=-2, axis2=-1) - 1.0)
+    return np.maximum.reduce([np.max(norm, axis=-1, initial=0.0),
+                              np.max(Y[..., 0] - t0, axis=-1, initial=0.0),
+                              np.max(np.triu(gram - 0.5, 1), axis=(-2, -1), initial=0.0)])
 
 
 def _project_cap(Y: np.ndarray, t0: float) -> np.ndarray:
@@ -197,139 +195,128 @@ def _value(Y: np.ndarray, g: GegenbauerExpansion) -> np.ndarray:
     return np.sum(g.eval(np.clip(Y[..., 0], -1.0, 1.0)), axis=-1)
 
 
-def _penalty_ascent(Y: np.ndarray, g: GegenbauerExpansion, t0: float,
-                    rho: float, iters: int, step: float) -> np.ndarray:
-    """Batched projected gradient ascent with a quadratic pairwise penalty.
-
-    Y has shape (batch, m, n); the cap and norm constraints are kept by
-    projection after every step.
-    """
+def _ascent(t: np.ndarray, g: GegenbauerExpansion, t0: float, rho: float, iters: int,
+            step: float) -> np.ndarray:
+    """Batched projected gradient ascent of sum_j g(t_j) - rho max(q(t) - 1,
+    0)^2 over a (batch, m) array of heights, clipped to [-1, t0] after
+    every step."""
     dg = g.derivative()
-    m = Y.shape[1]
+    m = t.shape[1]
     for _ in range(iters):
-        grad = np.zeros_like(Y)
-        grad[:, :, 0] = dg.eval(np.clip(Y[:, :, 0], -1.0, 1.0))
-        if m > 1:
-            gram = np.einsum("bik,bjk->bij", Y, Y)
-            excess = np.maximum(gram - 0.5, 0.0)
-            excess[:, np.arange(m), np.arange(m)] = 0.0
-            grad -= 2.0 * rho * np.einsum("bij,bjk->bik", excess, Y)
-        grad -= np.sum(grad * Y, axis=2, keepdims=True) * Y  # tangent part
-        Y = _project_cap(Y + step * grad, t0)
-    return Y
+        excess = np.maximum(_q(t) - 1.0, 0.0)[:, None]
+        grad = dg.eval(t) - 8.0 * rho * excess * (t - np.sum(t, axis=1, keepdims=True) / (m + 1))
+        t = np.clip(t + step * grad, -1.0, t0)
+    return t
 
 
-def _polish(Y: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray | None:
-    """SLSQP refinement of one (m, n) configuration under the constraints
-    of _residuals. Returns the configuration, or None unless feasible to
-    FEASIBILITY_TOL.
+def _polish(t: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray:
+    """SLSQP refinement of m heights in [-1, t0], passed to the core as its
+    bounds so that every iterate stays in g's domain, under the one row
+    1 - q(t) >= 0, whose normal is -4(t - sum_j t_j/(m + 1)).
 
-    minimize drives the core with two callbacks that write its buffers in
-    place. values fills d with _residuals' entries, from the same Gram
-    product, and returns -sum_j g(h_j), summed left to right as np.sum
-    sums fewer than 8 values. normals returns the gradient and rewrites
-    only the 2 y and -y entries of C: the cap rows' -1 and the zeros are
-    set once per polish. Both evaluate g or g' by one Python-float
-    Clenshaw pass over the m heights, the same values, bit for bit, as
-    _value and eval on arrays, so SLSQP takes the same path."""
-    shape = Y.shape
-    m, n = shape
+    Both callbacks evaluate g or g' by one Python-float Clenshaw pass over
+    the heights, the objective being -sum_j g(t_j)."""
+    m = t.size
     dg = g.derivative()
-    iu, ju = _pairs(m)
-    rows = 2 * m + iu.size
-    d = np.empty(rows)
-    eq, cap, pair = d[:m], d[m:2 * m], d[2 * m:]
-    C = np.zeros((rows, m * n), order="F")
-    C[m + np.arange(m), np.arange(m) * n] = -1.0
-    # the entries normals rewrites, at C_flat[at] = x[src] * scale: eq row j
-    # holds 2 y_j in block j, pair row (i, j) holds -y_j in block i and -y_i
-    # in block j; C is Fortran-ordered, so row r, column c is at r + c rows
-    block = np.arange(m * n).reshape(m, n)
-    pair_rows = np.repeat(np.arange(2 * m, rows), n)
-    at = np.concatenate([np.repeat(np.arange(m), n) + block.ravel() * rows,
-                         pair_rows + block[iu].ravel() * rows,
-                         pair_rows + block[ju].ravel() * rows])
-    src = np.concatenate([block.ravel(), block[ju].ravel(), block[iu].ravel()])
-    scale = np.repeat([2.0, -1.0], [m * n, 2 * iu.size * n])
-    C_flat = C.reshape(-1, order="F")
-    grad = np.zeros(m * n)
-
-    def heights(x):
-        # np.clip(x[0::n], -1, 1) in Python floats; a NaN stays NaN
-        return [min(max(h, -1.0), 1.0) for h in x[0::n].tolist()]
+    d = np.empty(1)
+    C = np.empty((1, m), order="F")
 
     def values(x):
-        cfg = x.reshape(shape)
-        gram = cfg @ cfg.T
-        np.subtract(gram.diagonal(), 1.0, out=eq)
-        np.subtract(t0, x[0::n], out=cap)
-        np.subtract(0.5, gram[iu, ju], out=pair)
-        total = 0.0
-        for v in _eval_floats(g, heights(x)):
-            total += v
-        return -total
+        d[0] = 1.0 - _q(x)
+        return -sum(_eval_floats(g, x.tolist()))
 
     def normals(x):
-        grad[0::n] = [-v for v in _eval_floats(dg, heights(x))]
-        C_flat[at] = x[src] * scale
-        return grad
+        C[0] = -4.0 * (x - np.sum(x) / (m + 1))
+        return np.array([-v for v in _eval_floats(dg, x.tolist())])
 
-    res = minimize(values, normals, Y.ravel(), C, d, m, maxiter=300, ftol=1e-14)
-    out = res.x.reshape(shape)
-    out = out / np.linalg.norm(out, axis=1, keepdims=True)
-    # pull marginal cap violations (rounding scale) back onto the boundary
-    if _constraint_violation(out, t0) <= 1e-7:
-        out = _project_cap(out, t0)
-    return out if _constraint_violation(out, t0) <= FEASIBILITY_TOL else None
+    return minimize(values, normals, t, C, d, 0, maxiter=300, ftol=1e-14, bounds=(-1.0, t0)).x
 
 
-def _sample_cap(rng: np.random.Generator, count: int, m: int, n: int,
-                t0: float) -> np.ndarray:
-    """Random configurations in the cap: height uniform on [-1, t0],
-    direction uniform on the equatorial sphere."""
-    s = rng.uniform(-1.0, t0, size=(count, m, 1))
-    w = rng.normal(size=(count, m, n - 1))
-    w /= np.linalg.norm(w, axis=2, keepdims=True)
-    return np.concatenate([s, np.sqrt(1.0 - s * s) * w], axis=2)
+def _configuration(t: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) points y_j = (t_j, s_j w_j), s_j^2 = 1 - t_j^2, with heights
+    t in [-1, t0]^m, q(t) <= 1 and m <= n.
+
+    The directions' Gram matrix W is C(t) for m < n, of rank at most n - 1;
+    for m = n it is (C - lam I)/(1 - lam), lam the smallest eigenvalue of
+    C, which has rank n - 1, a unit diagonal and off-diagonal entries
+    at most c_ij <= 0. Either way s_i s_j w_i . w_j <= 1/2 - t_i t_j, that
+    is y_i . y_j <= 1/2. The vectors s_j w_j are factored (_psd_factor)
+    from D W D = (A - lam D^2)/(1 - lam) (see _q), which needs no division
+    by s_j, 0 at t_j = -1. A - lam D^2 is B - t t^T, B = diag(e) + J/2
+    with e_j = 1/2 - lam s_j^2 > 0 for lam < 1, as s_j^2 <= 1/2; it is PSD
+    while t^T B^-1 t = sum t_j^2/e_j - (sum t_j/e_j)^2/(2 + sum 1/e_j)
+    (Sherman-Morrison) is at most 1, which grows with lam from q(t) at
+    lam = 0. lam is its crossing, found by bisection on [0, 1).
+    """
+    m = t.size
+    s2 = (1.0 - t) * (1.0 + t)
+    lo, hi = 0.0, 1.0
+    for _ in range(60 if m == n else 0):
+        lam = (lo + hi) / 2
+        e = 0.5 - lam * s2
+        if np.sum(t * t / e) - np.sum(t / e) ** 2 / (2.0 + np.sum(1.0 / e)) <= 1.0:
+            lo = lam
+        else:
+            hi = lam
+    G = (0.5 - np.outer(t, t)) / (1.0 - lo)
+    np.fill_diagonal(G, s2)
+    return np.column_stack([t, _psd_factor(G, n - 1)])
+
+
+def _psd_factor(G: np.ndarray, k: int) -> np.ndarray:
+    """V, m by k, with V V^T = G for a PSD m x m G of rank at most k, by
+    Cholesky in elementwise numpy (no LAPACK), stopped after k pivots or
+    at one below 1e-12. A PSD remainder is bounded entrywise by its
+    largest pivot, so leaving it out moves no entry of G by more.
+
+    The zero pivot comes last: the G of _configuration is 1/2 - t_i t_j
+    < 0 off the diagonal, and a singular PSD matrix of that sign pattern
+    has a positive null vector, so its proper leading blocks are PD."""
+    S = G.copy()
+    V = np.zeros((len(G), k))
+    for j in range(min(k, len(G))):
+        if not S[j, j] > 1e-12:
+            break
+        V[:, j] = S[:, j] / np.sqrt(S[j, j])
+        S -= np.outer(V[:, j], V[:, j])
+    return V
 
 
 def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
             seed: int = 0) -> CapResult:
     """Best found value of sum_j g(e1 . y_j) over feasible configurations.
 
-    Multistart: batched penalty-ramped projected gradient ascent from
-    seeded random starts, then constrained polish of the leading
-    candidates, ranked by value minus 1e3 times constraint violation.
-    Deterministic for fixed (problem, starts, seed). The result is a lower
-    estimate of the true cap optimum.
+    Multistart over the heights, which decide feasibility by q(t) <= 1
+    (_q): batched penalty-ramped projected gradient ascent from seeded
+    uniform heights, then _polish of the leading candidates, ranked by
+    value minus 1e3 times the excess of q over 1. The polished heights are
+    tried by value, best first, until one's _configuration is feasible to
+    FEASIBILITY_TOL in R^n. Deterministic for fixed (problem, starts,
+    seed). The result is a lower estimate of the true cap optimum.
+
+    Refuses t0 above -1/sqrt(2), decided by _rankin_capacity_applies, and m
+    above n: there the heights do not decide feasibility.
     """
     if starts < 1:
         raise ParameterError("starts must be >= 1")
-    m, n = problem.m, problem.n
+    m, n, g, t0 = problem.m, problem.n, problem.g, problem.t0
+    if not _rankin_capacity_applies(t0) or m > n:
+        raise ParameterError(
+            f"cap_max needs t0 <= -1/sqrt(2) and m <= n, got t0 = {t0}, m = {m}, n = {n}: "
+            f"elsewhere the heights do not decide feasibility")
     if m == 0:
         return CapResult(0.0, np.zeros((0, n)), 0)
-    g, t0 = problem.g, problem.t0
-    rng = np.random.default_rng(seed)
-    Y = _sample_cap(rng, starts, m, n, t0)
-    for rho, iters, step in ((50.0, 60, 0.02), (500.0, 60, 0.004), (5e3, 80, 5e-4)):
-        Y = _penalty_ascent(Y, g, t0, rho, iters, step)
-    scores = _value(Y, g) - 1e3 * _constraint_violation(Y, t0)
-    order = np.argsort(-scores, kind="stable")
-    candidates = order[: max(10, starts // 10)]
-    best_val = -np.inf
-    best_cfg = None
-    for idx in candidates:
-        cfg = _polish(Y[idx], g, t0)
-        if cfg is None:
-            continue
-        val = float(_value(cfg, g))
-        if val > best_val:
-            best_val, best_cfg = val, cfg
-    if best_cfg is None:
-        raise CapabilityError(
-            f"no feasible configuration found for m={m}; try more starts"
-        )
-    return CapResult(best_val, best_cfg, m)
+    t = np.random.default_rng(seed).uniform(-1.0, t0, size=(starts, m))
+    for rho, iters, step in ((50.0, 30, 0.02), (500.0, 30, 0.004), (5e3, 40, 5e-4)):
+        t = _ascent(t, g, t0, rho, iters, step)
+    scores = np.sum(g.eval(t), axis=1) - 1e3 * np.maximum(_q(t) - 1.0, 0.0)
+    order = np.argsort(-scores, kind="stable")[: max(10, starts // 10)]
+    polished = [_polish(t[i], g, t0) for i in order]
+    for heights in sorted(polished, key=lambda h: -sum(_eval_floats(g, h.tolist()))):
+        cfg = _project_cap(_configuration(heights, n), t0)
+        if _constraint_violation(cfg, t0) <= FEASIBILITY_TOL:
+            return CapResult(float(_value(cfg, g)), cfg, m)
+    raise CapabilityError(f"no feasible configuration found for m={m}; try more starts")
 
 
 def _cap_matrix(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AmbiguityError, ParameterError, integer
-from .gegenbauer import GegenbauerExpansion, gegenbauer_eval
+from .gegenbauer import GegenbauerExpansion, _check_dimension, gegenbauer_eval, monomial_coeffs
 
 __all__ = [
     "SphericalCode",
@@ -265,14 +265,23 @@ def moment(code: SphericalCode, k: int) -> float:
     """k-th moment: sum of G_k(x.y) over all ordered pairs, diagonal included.
 
     Nonnegative for every code by positive-definiteness of the basis.
-    G_k is evaluated once per unordered pair, on one tile of products at a
-    time computed from the points, and the tile sums are added (see
-    _pair_sum); no N x N matrix is built. Up to 128 points the value is
-    np.sum of G_k over every entry of code.gram(), bit for bit.
+    For a float code G_k is evaluated once per unordered pair, on one tile
+    of products at a time computed from the points, and the tile sums are
+    added (see _pair_sum); no N x N matrix is built. Up to 128 points the
+    value is np.sum of G_k over every entry of code.gram(), bit for bit.
+    A code with an exact product table gets N (G_k(1) + sum_t A_t G_k(t))
+    over its exact distance distribution, G_k(1) = 1, in Fractions from
+    monomial_coeffs, rounded once: a spherical k-design's moment k is 0.0.
     """
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    return _pair_sum(code, lambda t: gegenbauer_eval(code.n, k, t))
+    if code.exact_products is None:
+        return _pair_sum(code, lambda t: gegenbauer_eval(code.n, k, t))
+    _check_dimension(code.n)
+    coeffs = monomial_coeffs(code.n, integer("moment order", k))
+    masses = distance_distribution(code).entries
+    return float(code.size * (1 + sum(mass * sum(c * t ** i for i, c in enumerate(coeffs))
+                                      for t, mass in masses.items())))
 
 
 def energy(code: SphericalCode, g: GegenbauerExpansion) -> float:

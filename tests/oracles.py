@@ -6,10 +6,11 @@ coefficients, and the kernel matrix S_k assembled entry by entry from the
 production Q_k tensors. The whole-array loops are the evaluation
 algorithms as they stood before blocking, kept to check the blocked
 production paths against bit for bit; the whole-matrix pair sums are
-energy and moment as they stood before tiling. The SLSQP cap polish is
-kept twice: as it stood before its callbacks shared one residual per
-iterate and left eval for Python-float Clenshaw, and as it stood before
-it drove scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
+energy and moment as they stood before tiling. The cap problem is kept
+in its m*n configuration coordinates, as capopt.cap_max searched it before
+it searched the heights alone, through scipy's public SLSQP; the height
+polish is kept as scipy.optimize.minimize runs it, before capopt drove
+scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The 1-D sweep and the triple sweep are kept
 as loops of their own, as they stood before they shared one bisection
@@ -34,14 +35,7 @@ from mpmath import iv, mp
 from scipy.optimize import minimize
 from scipy.special import roots_gegenbauer
 
-from spherecert.capopt import (
-    FEASIBILITY_TOL,
-    _constraint_violation,
-    _pairs,
-    _project_cap,
-    _residuals,
-    _value,
-)
+from spherecert.capopt import _q
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
     _EDGE_SLACK,
@@ -288,13 +282,22 @@ def cell_max_exact(n: int, coeffs, lo: float, hi: float, samples: int = 16):
         iv.prec = old
 
 
+def _residuals(Y: np.ndarray, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cap constraints of one (m, n) configuration as SLSQP residuals: eq ==
+    0 is the unit norms (Gram diagonal minus 1); ineq >= 0 is cap
+    membership t0 - y_j[0], then 1/2 - y_i . y_j over the pairs i < j."""
+    gram = Y @ Y.T
+    iu, ju = np.triu_indices(len(Y), 1)
+    return np.diagonal(gram) - 1.0, np.concatenate([t0 - Y[:, 0], 0.5 - gram[iu, ju]])
+
+
 def _residual_jacobians(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of both parts of capopt._residuals for one (m, n)
-    configuration, with respect to its flattened coordinates: (m, m*n) and
+    """Jacobians of both parts of _residuals for one (m, n) configuration,
+    with respect to its flattened coordinates: (m, m*n) and
     (m + m(m-1)/2, m*n)."""
     m, n = Y.shape
     rows = np.arange(m)
-    iu, ju = _pairs(m)
+    iu, ju = np.triu_indices(m, 1)
     pair_rows = np.arange(m, m + iu.size)
     eq = np.zeros((m, m, n))
     eq[rows, rows] = 2.0 * Y
@@ -305,75 +308,55 @@ def _residual_jacobians(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eq.reshape(m, m * n), ineq.reshape(-1, m * n)
 
 
-def _last_iterate(fun, shape):
-    """fun(x.reshape(shape)), recomputed only when the bytes of x change.
-
-    SLSQP asks for the eq and the ineq part at the same x one after the
-    other, and writes its iterates into one reused buffer, so the key is a
-    copy of x's bytes, never the array's identity."""
-    key = value = None
-
-    def call(x):
-        nonlocal key, value
-        if (k := x.tobytes()) != key:
-            key, value = k, fun(x.reshape(shape))
-        return value
-
-    return call
-
-
-def slsqp_scipy_minimize(Y: np.ndarray, g, t0: float):
-    """The SLSQP run of capopt._polish through scipy.optimize.minimize, as it
-    stood before the polish drove scipy's compiled core itself: the eq and
-    ineq constraints as two dicts sharing one _residuals and one
-    _residual_jacobians per iterate, and Python-float Clenshaw callbacks.
-    Returns scipy's OptimizeResult."""
-    shape = Y.shape
-    n = shape[1]
+def cap_max_configurations(g, t0: float, m: int, n: int, starts: int, seed: int):
+    """Best sum_j g(y_j[0]) found for the cap problem in its m*n coordinates
+    under the m(m+3)/2 constraints of _residuals, the problem capopt.cap_max
+    solved before it searched the heights alone: scipy.optimize.minimize's
+    SLSQP from seeded random configurations in the cap, keeping the runs
+    that end within 1e-9 of feasible. Returns the value and its (m, n)
+    configuration, or (-inf, None)."""
+    rng = np.random.default_rng(seed)
     dg = g.derivative()
 
     def heights(x):
-        return [min(max(h, -1.0), 1.0) for h in x[0::n].tolist()]
+        return np.clip(x[0::n], -1.0, 1.0)
 
     def neg_obj_grad(x):
-        out = np.zeros(shape)
-        out[:, 0] = [-v for v in _eval_floats(dg, heights(x))]
-        return out.ravel()
+        out = np.zeros(m * n)
+        out[0::n] = -dg.eval(heights(x))
+        return out
 
-    residuals = _last_iterate(lambda cfg: _residuals(cfg, t0), shape)
-    jacobians = _last_iterate(_residual_jacobians, shape)
-    cons = [{"type": "eq", "fun": lambda x: residuals(x)[0],
-             "jac": lambda x: jacobians(x)[0]},
-            {"type": "ineq", "fun": lambda x: residuals(x)[1],
-             "jac": lambda x: jacobians(x)[1]}]
-    return minimize(lambda x: -float(np.sum(_eval_floats(g, heights(x)))), Y.ravel(),
-                    jac=neg_obj_grad, method="SLSQP", constraints=cons,
-                    options={"maxiter": 300, "ftol": 1e-14})
+    cons = [{"type": "eq", "fun": lambda x: _residuals(x.reshape(m, n), t0)[0],
+             "jac": lambda x: _residual_jacobians(x.reshape(m, n))[0]},
+            {"type": "ineq", "fun": lambda x: _residuals(x.reshape(m, n), t0)[1],
+             "jac": lambda x: _residual_jacobians(x.reshape(m, n))[1]}]
+    best, best_cfg = -np.inf, None
+    for _ in range(starts):
+        s = rng.uniform(-1.0, t0, size=(m, 1))
+        w = rng.normal(size=(m, n - 1))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        res = minimize(lambda x: -float(np.sum(g.eval(heights(x)))),
+                       np.hstack([s, np.sqrt(1.0 - s * s) * w]).ravel(), jac=neg_obj_grad,
+                       method="SLSQP", constraints=cons, options={"maxiter": 300, "ftol": 1e-14})
+        eq, ineq = _residuals(res.x.reshape(m, n), t0)
+        value = float(np.sum(g.eval(heights(res.x))))
+        if max(np.max(np.abs(eq)), np.max(-ineq)) <= 1e-9 and value > best:
+            best, best_cfg = value, res.x.reshape(m, n)
+    return best, best_cfg
 
 
-def polish_whole_array(Y: np.ndarray, g, t0: float) -> np.ndarray | None:
-    """capopt._polish with each callback computed afresh through eval on
-    arrays: the eq and ineq parts each rebuild the Gram matrix at the same x."""
-    shape = Y.shape
+def slsqp_scipy_minimize(t: np.ndarray, g, t0: float):
+    """The SLSQP run of capopt._polish through scipy.optimize.minimize: the
+    m heights bounded to [-1, t0] under the one constraint 1 - q(t) >= 0,
+    with Python-float Clenshaw callbacks. Returns scipy's OptimizeResult."""
+    m = t.size
     dg = g.derivative()
-
-    def neg_obj_grad(x):
-        out = np.zeros(shape)
-        out[:, 0] = -dg.eval(np.clip(x.reshape(shape)[:, 0], -1.0, 1.0))
-        return out.ravel()
-
-    cons = [{"type": "eq", "fun": lambda x: _residuals(x.reshape(shape), t0)[0],
-             "jac": lambda x: _residual_jacobians(x.reshape(shape))[0]},
-            {"type": "ineq", "fun": lambda x: _residuals(x.reshape(shape), t0)[1],
-             "jac": lambda x: _residual_jacobians(x.reshape(shape))[1]}]
-    res = minimize(lambda x: -float(_value(x.reshape(shape), g)), Y.ravel(),
-                   jac=neg_obj_grad, method="SLSQP", constraints=cons,
-                   options={"maxiter": 300, "ftol": 1e-14})
-    out = res.x.reshape(shape)
-    out = out / np.linalg.norm(out, axis=1, keepdims=True)
-    if _constraint_violation(out, t0) <= 1e-7:
-        out = _project_cap(out, t0)
-    return out if _constraint_violation(out, t0) <= FEASIBILITY_TOL else None
+    con = {"type": "ineq", "fun": lambda x: np.array([1.0 - _q(x)]),
+           "jac": lambda x: (-4.0 * (x - np.sum(x) / (m + 1)))[None, :]}
+    return minimize(lambda x: -sum(_eval_floats(g, x.tolist())), t,
+                    jac=lambda x: np.array([-v for v in _eval_floats(dg, x.tolist())]),
+                    method="SLSQP", bounds=[(-1.0, t0)] * m, constraints=[con],
+                    options={"maxiter": 300, "ftol": 1e-14})
 
 
 def dd_certificate(d: int, valid: bool) -> dict:

@@ -1,7 +1,9 @@
 import inspect
 import json
 import math
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from spherecert.capopt import (
     CapProblem,
     _constraint_violation,
     _project_cap,
-    _residuals,
     cap_max,
     kissing_check,
 )
@@ -20,12 +21,7 @@ from spherecert.data import load_expansion
 from spherecert.errors import DomainError, ParameterError, PreconditionError
 from spherecert.gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
 
-from oracles import (
-    _residual_jacobians,
-    cell_max_exact,
-    polish_whole_array,
-    slsqp_scipy_minimize,
-)
+from oracles import cap_max_configurations, cell_max_exact, slsqp_scipy_minimize
 
 T0 = -np.sqrt(2) / 2
 
@@ -90,34 +86,26 @@ def test_pinned_g1_cap_values(g1_caps):
         assert res.value == pytest.approx(expected, abs=1e-10)
 
 
-def test_polish_matches_reference(monkeypatch):
-    # the polish keeps every bit of the reference on the penalty-ascent
-    # outputs cap_max hands it, so SLSQP takes the same path
-    polish = capopt._polish
-    compared = []
-
-    def against_reference(Y, g, t0):
-        cfg = polish(Y, g, t0)
-        ref_cfg = polish_whole_array(Y, g, t0)
-        assert (cfg is None) == (ref_cfg is None)
-        assert cfg is None or cfg.tobytes() == ref_cfg.tobytes()
-        compared.append(cfg is not None)
-        return cfg
-
-    monkeypatch.setattr(capopt, "_polish", against_reference)
+def test_cap_max_reaches_the_configuration_space_oracle():
+    # the heights decide feasibility, so searching them finds what SLSQP
+    # finds over all m * n coordinates under the m(m+3)/2 constraints, and
+    # the configuration built from them is feasible in R^n
     for name, t0 in (("g1", T0), ("g2", -0.73)):
         g = load_expansion(name)
         for m in (1, 2, 3, 4):
-            for seed in (0, 1):
-                cap_max(CapProblem(4, g, t0, m, 4), starts=3, seed=seed)
-    assert len(compared) == 48 and sum(compared) >= 40
+            best, cfg = cap_max_configurations(g, t0, m, 4, starts=10, seed=0)
+            assert feasibility_violation(cfg, t0) <= 1e-9
+            for seed in (0, 1, 2):
+                res = cap_max(CapProblem(4, g, t0, m, 4), starts=40, seed=seed)
+                assert res.value >= best - 1e-10
+                assert feasibility_violation(res.configuration, t0) <= 1e-9
 
 
 def test_polish_evaluates_each_iterate_once(g1, monkeypatch):
-    # values writes every constraint of an iterate from one Gram product
-    # and runs once per objective evaluation nfev counts; neither callback
-    # runs twice in a row at the same x, not even when SLSQP comes back to
-    # its iterate after a failed line search and asks for rows again
+    # values writes the q row of an iterate and runs once per objective
+    # evaluation nfev counts; neither callback runs twice in a row at the
+    # same x, not even when SLSQP comes back to its iterate after a failed
+    # line search and asks for rows again
     seen = {"values": [], "normals": []}
     runs = []
     minimize = capopt.minimize
@@ -144,12 +132,13 @@ def test_polish_evaluates_each_iterate_once(g1, monkeypatch):
         assert all(a != b for a, b in zip(keys, keys[1:]))
 
 
-def test_minimize_matches_scipy_minimize(g1, monkeypatch):
+def test_minimize_matches_scipy_minimize(monkeypatch):
     # the driver hands scipy's compiled SLSQP core the numbers scipy's own
-    # minimize hands it, so each run ends on the same bits after the same
-    # iterations and objective evaluations; a change in the core's contract
-    # shows here. m = 3 ends runs in status 8 (positive directional
-    # derivative in the line search) and 9 (iteration limit)
+    # minimize hands it, bounds included, so each run ends on the same bits
+    # after the same iterations and objective evaluations; a change in the
+    # core's contract shows here. The polishes of cap_max start near an
+    # optimum, the random heights anywhere in the box, for m >= 2 mostly
+    # outside q <= 1
     runs = []
     minimize = capopt.minimize
 
@@ -160,24 +149,63 @@ def test_minimize_matches_scipy_minimize(g1, monkeypatch):
         return res
 
     monkeypatch.setattr(capopt, "minimize", recording)
+    rng = np.random.default_rng(3)
     statuses = set()
-    for m in (1, 2, 3, 4):
-        runs.clear()
-        cap_max(CapProblem(4, g1, T0, m, 4), starts=200, seed=3)
-        assert len(runs) == 20
-        for start, res in runs:
-            ref = slsqp_scipy_minimize(start.reshape(m, 4), g1, T0)
-            assert res.x.tobytes() == ref.x.tobytes()
-            assert (res.success, res.status, res.nit, res.nfev) == (
-                ref.success, ref.status, ref.nit, ref.nfev)
-            statuses.add(res.status)
-    assert statuses == {0, 8, 9}
+    for name, t0 in (("g1", T0), ("g2", -0.73)):
+        g = load_expansion(name)
+        for m in (1, 2, 3, 4):
+            runs.clear()
+            cap_max(CapProblem(4, g, t0, m, 4), starts=100, seed=3)
+            for t in rng.uniform(-1.0, t0, size=(10, m)):
+                capopt._polish(t, g, t0)
+            assert len(runs) == 20
+            for start, res in runs:
+                ref = slsqp_scipy_minimize(start, g, t0)
+                assert res.x.tobytes() == ref.x.tobytes()
+                assert (res.success, res.status, res.nit, res.nfev) == (
+                    ref.success, ref.status, ref.nit, ref.nfev)
+                statuses.add(res.status)
+    # status 8: a positive directional derivative in the line search
+    assert statuses == {0, 8}
 
 
 def test_polish_rejects_nan_height(g1):
-    Y = np.array([[T0, np.sqrt(1 - T0 * T0), 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0]])
     with pytest.raises(DomainError, match=r"argument outside \[-1, 1\]: nan"):
-        capopt._polish(Y, g1, T0)
+        capopt._polish(np.array([T0, np.nan]), g1, T0)
+
+
+def test_configuration_from_heights_is_feasible():
+    # heights with q(t) <= 1 hold a configuration, built without LAPACK:
+    # for m = n the directions' Gram matrix is C shifted down to rank n - 1
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3, 4):
+        t = rng.uniform(-1.0, T0, size=(20_000, m))
+        t = t[capopt._q(t) <= 1.0][:50]
+        assert len(t) == 50
+        for heights in t:
+            cfg = capopt._configuration(heights, 4)
+            assert np.array_equal(cfg[:, 0], heights)
+            assert feasibility_violation(cfg, T0) <= 1e-12
+
+
+def test_cap_at_the_pole_has_no_direction():
+    # g = -t peaks at t = -1, the point -e1, whose direction part s = 0:
+    # its configuration is built without dividing by s
+    g = GegenbauerExpansion(4, [0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cap_max(CapProblem(4, g, T0, 1, 4), starts=5)
+    assert res.value == 1.0
+    assert np.array_equal(res.configuration, [[-1.0, 0.0, 0.0, 0.0]])
+
+
+def test_cap_max_refuses_where_heights_do_not_decide(g1):
+    # above -1/sqrt(2), or with more than n points, q(t) <= 1 no longer
+    # decides whether heights hold a configuration
+    just_above = math.nextafter(-0.7071067811865476, 0.0)
+    for t0, m, mu in ((just_above, 2, 4), (-0.6058, 3, 6), (-0.51, 1, 4), (T0, 5, 6)):
+        with pytest.raises(ParameterError, match="heights do not decide"):
+            cap_max(CapProblem(4, g1, t0, m, mu), starts=2)
 
 
 def test_batched_projection_and_violation_match_per_configuration():
@@ -198,23 +226,29 @@ def test_batched_projection_and_violation_match_per_configuration():
             assert np.allclose(batched, oracle, rtol=1e-14, atol=1e-15)
 
 
-def test_residual_jacobians_match_central_differences(g1_caps):
+def test_q_row_normal_matches_central_differences(g1, monkeypatch):
+    # the row normals writes into C is the gradient of the 1 - q(t) that
+    # values writes into d, and the gradient it returns is the objective's
+    calls = []
+
+    def capture(values, normals, x0, C, d, *args, **kwargs):
+        calls.append((values, normals, C, d))
+        return SimpleNamespace(x=x0)
+
+    monkeypatch.setattr(capopt, "minimize", capture)
     rng = np.random.default_rng(6)
     h = 1e-6
-    for res in g1_caps:
-        m = res.m
-        for Y in (res.configuration, rng.normal(size=(m, 4))):
-            jac_eq, jac_ineq = _residual_jacobians(Y)
-            assert jac_eq.shape == (m, 4 * m)
-            assert jac_ineq.shape == (m + m * (m - 1) // 2, 4 * m)
-            x = Y.ravel()
-            for col in range(x.size):
-                dx = np.zeros_like(x)
-                dx[col] = h
-                hi = _residuals((x + dx).reshape(m, 4), T0)
-                lo = _residuals((x - dx).reshape(m, 4), T0)
-                for jac, up, down in zip((jac_eq, jac_ineq), hi, lo):
-                    assert np.allclose(jac[:, col], (up - down) / (2 * h), rtol=0, atol=1e-8)
+    for m in (1, 2, 3, 4):
+        capopt._polish(np.full(m, T0), g1, T0)
+        values, normals, C, d = calls[-1]
+        for t in rng.uniform(-0.99, T0, size=(5, m)):
+            grad, row = normals(t), C[0].copy()
+            for j in range(m):
+                dx = np.eye(m)[j] * h
+                up, q_up = values(t + dx), d[0]
+                down, q_down = values(t - dx), d[0]
+                assert row[j] == pytest.approx((q_up - q_down) / (2 * h), rel=0, abs=1e-8)
+                assert grad[j] == pytest.approx((up - down) / (2 * h), rel=0, abs=1e-7)
 
 
 def test_determinism(g1):

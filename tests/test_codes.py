@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from oracles import energy_whole_matrix, moment_whole_matrix
+from oracles import _monomial_oracle_exact, energy_whole_matrix, moment_whole_matrix
 from spherecert import codes, gegenbauer
 from spherecert.codes import (
     BUILTIN_NAMES,
@@ -100,6 +100,22 @@ def test_24cell_third_moment_direct_sum_oracle():
     oracle = float(np.sum(2 * g**3 - g))
     assert moment(c, 3) == pytest.approx(oracle, abs=1e-9)
     assert moment(c, 3) >= -1e-9
+
+
+def test_builtin_moments_are_exact():
+    # a built-in code's moment is its exact pair sum rounded once: summed
+    # here over every ordered pair of its product table, with G_k from
+    # Gram-Schmidt, and 0.0 for every k up to the code's design strength
+    for name, strength in (("simplex3", 2), ("simplex4", 2), ("cross3", 3), ("cross4", 3),
+                           ("24cell", 5)):
+        code = builtin_code(name)
+        for k in range(9):
+            coeffs = _monomial_oracle_exact(code.n, k)
+            exact = sum(sum(c * t ** i for i, c in enumerate(coeffs))
+                        for row in code.exact_products for t in row)
+            assert moment(code, k) == float(exact)
+            if 1 <= k <= strength:
+                assert moment(code, k) == 0.0
 
 
 def test_energy_values():
@@ -255,7 +271,8 @@ def test_pair_sums_are_bit_identical_to_whole_matrix_sums():
         if g is not None:
             err = abs(energy(code, g) - energy_whole_matrix(code, g))
             assert err <= rel * np.sum(np.abs(g.eval(gram)))
-        for k in (0, 1, 5):
+        # a built-in's moments are exact (test_builtin_moments_are_exact)
+        for k in (0, 1, 5) if code.exact_products is None else ():
             err = abs(moment(code, k) - moment_whole_matrix(code, k))
             assert err <= rel * np.sum(np.abs(gegenbauer.gegenbauer_eval(code.n, k, gram)))
         assert np.array_equal(gram, before)
@@ -284,7 +301,9 @@ def test_streamed_pair_sums_match_gram_tiles_bit_for_bit():
         floats.append(SphericalCode(n, X / np.linalg.norm(X, axis=1, keepdims=True)))
     for code in floats + all_builtins():
         g = GegenbauerExpansion(code.n, rng.normal(size=23))
-        streamed = [energy(code, g)] + [moment(code, k) for k in range(7)]
+        # a built-in's moments are exact (test_builtin_moments_are_exact)
+        orders = range(7) if code.exact_products is None else ()
+        streamed = [energy(code, g)] + [moment(code, k) for k in orders]
         # a built-in's float table is made on construction, a float code's
         # Gram matrix only on demand
         assert (code._gram is None) == (code.exact_products is None)
@@ -293,7 +312,7 @@ def test_streamed_pair_sums_match_gram_tiles_bit_for_bit():
         assert np.all(np.diagonal(gram) == 1.0)
         via_gram = [_sum_over_gram_tiles(code, g.eval) - float(np.sum(g.eval(np.diagonal(gram))))]
         via_gram += [_sum_over_gram_tiles(code, lambda t, k=k: gegenbauer.gegenbauer_eval(code.n, k, t))
-                     for k in range(7)]
+                     for k in orders]
         assert [v.hex() for v in streamed] == [v.hex() for v in via_gram]
 
 

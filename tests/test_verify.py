@@ -606,9 +606,9 @@ def test_triple_condition_counts_the_points_it_evaluates(monkeypatch):
 
 def test_triple_step_too_fine_is_refused_before_evaluating(monkeypatch):
     def refuse(*args):
-        raise AssertionError("F evaluated")
+        raise AssertionError("phi evaluated")
 
-    monkeypatch.setattr(TripleCertificate, "eval", refuse)
+    monkeypatch.setattr(verify, "_eval_tensor", refuse)
     F = TripleCertificate.from_terms([(0, 0, 0, 1.0)])
     g = GegenbauerExpansion(4, [1.0])
     a, b = T_HALF
