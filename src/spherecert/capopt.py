@@ -10,21 +10,21 @@ N - 1 - m others contributes at most epsilon to the energy seen from u,
 and an average never exceeds a maximum.
 
 kissing_check bounds each cap maximum by a certified sweep over the
-heights t_j = e1 . y_j alone (_cap_sweep). For t0 <= -1/sqrt(2), heights
-t_1..t_m are those of a configuration if and only if the matrix C(t) of
-_cap_matrix is positive semidefinite (m <= n), and C grows entrywise in
-every t_j; so a box of heights is empty when C at its upper corner is
-certified not PSD, and a box centre whose C is certified positive
-definite is a feasible configuration, a lower witness.
+heights t_j = e1 . y_j alone (_cap_sweep). For t0 <= -1/sqrt(2) and m <=
+n, heights t_1..t_m are those of a configuration if and only if q(t) <= 1
+(_q), a set upward closed in [-1, t0]^m; so a box of heights is empty when
+q > 1 at its upper corner, and a box centre with q < 1 is a feasible
+configuration, a lower witness. _q_sign decides both exactly, in floats
+and Fractions, so no report depends on the BLAS thread count.
 
-cap_max is a multistart search over the heights alone, which decide
-feasibility by q(t) <= 1 (_q): batched penalty ascent, then an SLSQP
-polish of the m heights under bounds [-1, t0] and the one row 1 - q(t) >=
-0, which minimize drives through scipy's compiled SLSQP core without
-scipy's per-iterate wrappers; scipy is imported on the first polish. A
-configuration in R^n is then built from the polished heights and checked.
-Its maxima are lower estimates of the true cap optimum; no verb runs it,
-and the tests compare it with the sweep's bounds.
+cap_max is a multistart search over the heights alone: batched penalty
+ascent, then an SLSQP polish of the m heights under bounds [-1, t0] and
+the one row 1 - q(t) >= 0, which minimize drives through scipy's compiled
+SLSQP core without scipy's per-iterate wrappers; scipy is imported on the
+first polish. The polished heights are lifted until q <= 1 holds exactly,
+and a configuration in R^n is built from them and checked. Its maxima
+are lower estimates of the true cap optimum; no verb runs it, and the
+tests compare it with the sweep's bounds.
 """
 
 from __future__ import annotations
@@ -156,13 +156,36 @@ def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray, meq:
 def _q(t: np.ndarray) -> np.ndarray:
     """q(t) = 2(sum_j t_j^2 - (sum_j t_j)^2/(m + 1)) over the last axis.
 
-    C(t) of _cap_matrix is D^-1 A D^-1 with D = diag(s_j) and A = (I + J)/2
-    - t t^T; (I + J)/2 is positive definite with inverse 2(I - J/(m + 1)),
-    so A, and C, is PSD exactly when t^T 2(I - J/(m + 1)) t = q(t) <= 1.
-    For t in [-1, t0]^m, t0 <= -1/sqrt(2) and m <= n, that decides whether
-    t are the heights of a cap configuration (see _cap_sweep)."""
+    Points y_j = (t_j, s_j w_j), s_j^2 = 1 - t_j^2, have y_i . y_j <= 1/2
+    exactly when s_i s_j w_i . w_j <= 1/2 - t_i t_j, an entry of K(t) = (I +
+    J)/2 - t t^T, whose diagonal is s_j^2; C(t) = D^-1 K D^-1, D = diag(s_j).
+    (I + J)/2 has inverse 2(I - J/(m + 1)), so K is PSD exactly when q(t) =
+    t^T 2(I - J/(m + 1)) t <= 1 (a Schur complement), and PD when q(t) < 1:
+    for t0 <= -1/sqrt(2) and m <= n, whether t are cap heights (_cap_sweep)."""
     s = np.sum(t, axis=-1)
     return 2.0 * (np.sum(t * t, axis=-1) - s * s / (t.shape[-1] + 1))
+
+
+def _q_sign(t: np.ndarray) -> np.ndarray:
+    """The exact sign (-1, 0 or 1) of q(t) - 1 for each row of a (batch, m)
+    array of heights in [-1, -1/2]: _q's floats decide the rows farther than
+    E = 8(m + 1)^2 u from 1, Fractions of the same floats the others.
+
+    E bounds |fl(q) - q|. With gamma_k = ku/(1 - ku) <= 1.01ku: sum t_j^2,
+    m rounded squares summed in any order, errs by gamma_m m; sum t_j by
+    gamma_(m-1) m, so its square over m + 1, with two more roundings, by
+    (2 gamma_(m-1) + gamma_2)(1 + gamma_m)^2 m^2/(m + 1) <= 2.1m^2 u; their
+    difference, of size at most 1.01m, rounds by 1.01mu; doubling is exact.
+    So |fl(q) - q| <= 2(3.11m^2 + 1.01m)u < 6.3(m + 1)^2 u, and as rounding
+    is monotone and E a float, fl(q) - 1 beyond E is beyond it exactly."""
+    m = t.shape[1]
+    d = _q(t) - 1.0
+    sign = np.sign(d).astype(int)
+    for i in np.flatnonzero(np.abs(d) <= 8.0 * (m + 1) ** 2 * _U):
+        f = [Fraction(x) for x in t[i].tolist()]
+        exact = 2 * ((m + 1) * sum(x * x for x in f) - sum(f) ** 2) - (m + 1)  # (m + 1)(q - 1)
+        sign[i] = (exact > 0) - (exact < 0)
+    return sign
 
 
 def _constraint_violation(Y: np.ndarray, t0: float) -> np.ndarray:
@@ -173,26 +196,6 @@ def _constraint_violation(Y: np.ndarray, t0: float) -> np.ndarray:
     return np.maximum.reduce([np.max(norm, axis=-1, initial=0.0),
                               np.max(Y[..., 0] - t0, axis=-1, initial=0.0),
                               np.max(np.triu(gram - 0.5, 1), axis=(-2, -1), initial=0.0)])
-
-
-def _project_cap(Y: np.ndarray, t0: float) -> np.ndarray:
-    """Renormalize the points of (..., m, n) configurations and pull any
-    point outside the cap to its boundary along its meridian."""
-    Y = Y / np.linalg.norm(Y, axis=-1, keepdims=True)
-    outside = Y[..., 0] > t0
-    rest = Y[outside, 1:]
-    # a point at +-e1 has no meridian; give it a fixed one
-    degenerate = np.linalg.norm(rest, axis=-1) < 1e-14
-    rest[degenerate] = 0.0
-    rest[degenerate, 0] = 1.0
-    Y[outside, 0] = t0
-    Y[outside, 1:] = rest / np.linalg.norm(rest, axis=-1, keepdims=True) * np.sqrt(1.0 - t0 * t0)
-    return Y
-
-
-def _value(Y: np.ndarray, g: GegenbauerExpansion) -> np.ndarray:
-    """sum_j g(e1 . y_j) of each (..., m, n) configuration."""
-    return np.sum(g.eval(np.clip(Y[..., 0], -1.0, 1.0)), axis=-1)
 
 
 def _ascent(t: np.ndarray, g: GegenbauerExpansion, t0: float, rho: float, iters: int,
@@ -232,6 +235,22 @@ def _polish(t: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray:
     return minimize(values, normals, t, C, d, 0, maxiter=300, ftol=1e-14, bounds=(-1.0, t0)).x
 
 
+def _lift(t: np.ndarray, t0: float) -> np.ndarray:
+    """Heights t in [-1, t0]^m moved toward (t0, ..., t0), by bisection on
+    the step, until q <= 1 holds exactly (_q_sign): feasible heights are
+    upward closed in [-1, t0]^m (see _cap_sweep). t comes back as it is
+    where q(t) <= 1 already, or where no point tried is feasible."""
+    lo, hi, lifted = 0.0, 1.0, t
+    for _ in range(60 if _q_sign(t[None])[0] > 0 else 0):
+        mid = (lo + hi) / 2
+        point = np.minimum(t + mid * (t0 - t), t0)
+        if _q_sign(point[None])[0] <= 0:
+            hi, lifted = mid, point
+        else:
+            lo = mid
+    return lifted
+
+
 def _configuration(t: np.ndarray, n: int) -> np.ndarray:
     """(m, n) points y_j = (t_j, s_j w_j), s_j^2 = 1 - t_j^2, with heights
     t in [-1, t0]^m, q(t) <= 1 and m <= n.
@@ -241,8 +260,8 @@ def _configuration(t: np.ndarray, n: int) -> np.ndarray:
     C, which has rank n - 1, a unit diagonal and off-diagonal entries
     at most c_ij <= 0. Either way s_i s_j w_i . w_j <= 1/2 - t_i t_j, that
     is y_i . y_j <= 1/2. The vectors s_j w_j are factored (_psd_factor)
-    from D W D = (A - lam D^2)/(1 - lam) (see _q), which needs no division
-    by s_j, 0 at t_j = -1. A - lam D^2 is B - t t^T, B = diag(e) + J/2
+    from D W D = (K - lam D^2)/(1 - lam) (see _q), which needs no division
+    by s_j, 0 at t_j = -1. K - lam D^2 is B - t t^T, B = diag(e) + J/2
     with e_j = 1/2 - lam s_j^2 > 0 for lam < 1, as s_j^2 <= 1/2; it is PSD
     while t^T B^-1 t = sum t_j^2/e_j - (sum t_j/e_j)^2/(2 + sum 1/e_j)
     (Sherman-Morrison) is at most 1, which grows with lam from q(t) at
@@ -289,10 +308,11 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
     Multistart over the heights, which decide feasibility by q(t) <= 1
     (_q): batched penalty-ramped projected gradient ascent from seeded
     uniform heights, then _polish of the leading candidates, ranked by
-    value minus 1e3 times the excess of q over 1. The polished heights are
-    tried by value, best first, until one's _configuration is feasible to
-    FEASIBILITY_TOL in R^n. Deterministic for fixed (problem, starts,
-    seed). The result is a lower estimate of the true cap optimum.
+    value minus 1e3 times the excess of q over 1. The polished heights,
+    lifted until q <= 1 holds exactly (_lift), are tried by value, best
+    first, until one's _configuration is feasible to FEASIBILITY_TOL in R^n.
+    Deterministic for fixed (problem, starts, seed). The result is a lower
+    estimate of the true cap optimum.
 
     Refuses t0 above -1/sqrt(2), decided by _rankin_capacity_applies, and m
     above n: there the heights do not decide feasibility.
@@ -313,91 +333,10 @@ def cap_max(problem: CapProblem, starts: int = DEFAULT_STARTS,
     order = np.argsort(-scores, kind="stable")[: max(10, starts // 10)]
     polished = [_polish(t[i], g, t0) for i in order]
     for heights in sorted(polished, key=lambda h: -sum(_eval_floats(g, h.tolist()))):
-        cfg = _project_cap(_configuration(heights, n), t0)
+        cfg = _configuration(_lift(heights, t0), n)
         if _constraint_violation(cfg, t0) <= FEASIBILITY_TOL:
-            return CapResult(float(_value(cfg, g)), cfg, m)
+            return CapResult(float(np.sum(g.eval(cfg[:, 0]))), cfg, m)
     raise CapabilityError(f"no feasible configuration found for m={m}; try more starts")
-
-
-def _cap_matrix(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(t) for a (batch, m) array of heights in (-1, t0], t0 <= -1/sqrt(2),
-    and a bound on the rounding error of each of its entries.
-
-    C has unit diagonal and c_ij = (1/2 - t_i t_j)/(s_i s_j), s_j^2 =
-    1 - t_j^2, computed as (1 - t)(1 + t). Rounding: 1 + t is exact
-    (Sterbenz), so s_j^2 carries relative error 2u; the product of two and
-    its square root put s_i s_j within 4u relatively. t_i t_j lies in
-    [1/2, 1], so it errs by at most u and 1/2 minus it is exact (Sterbenz).
-    The quotient then errs by at most u/(s_i s_j) + 6u|c_ij| plus terms of
-    order u^2, which 2u/den + 8u|c| covers, den the computed s_i s_j.
-    """
-    s2 = (1.0 - t) * (1.0 + t)
-    den = np.sqrt(s2[:, :, None] * s2[:, None, :])
-    C = (0.5 - t[:, :, None] * t[:, None, :]) / den
-    err = 2.0 * _U / den + 8.0 * _U * np.abs(C)
-    diag = np.arange(t.shape[1])
-    C[:, diag, diag] = 1.0
-    err[:, diag, diag] = 0.0
-    return C, err
-
-
-def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Floating-point Cholesky A = R^T R of a (batch, m, m) stack, in
-    elementwise numpy (no BLAS or LAPACK, so no thread count changes a
-    bit). Returns R and, per matrix, the first index whose pivot is not
-    positive (m where there is none); such pivots are replaced by 1 in R,
-    which keeps the rest of R finite."""
-    m = A.shape[1]
-    R = np.zeros_like(A)
-    fail = np.full(len(A), m)
-    for j in range(m):
-        pivot = A[:, j, j] - np.sum(R[:, :j, j] ** 2, axis=1)
-        fail[(fail == m) & ~(pivot > 0.0)] = j
-        R[:, j, j] = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
-        R[:, j, j + 1:] = (A[:, j, j + 1:] - np.sum(R[:, :j, j, None] * R[:, :j, j + 1:], axis=1)
-                           ) / R[:, j, j, None]
-    return R, fail
-
-
-def _certified_pd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Whether each exact matrix within err of the unit-diagonal C is
-    positive definite.
-
-    The shift tau = u + 2 sum err bounds ||exact - C||_2 <= ||.||_F <=
-    sum err, plus the u of rounding 1 - tau, so H, C with diagonal
-    fl(1 - tau), is PD only if the exact matrix is. H is proven PD by S.
-    M. Rump's test (BIT 46, 2006): floating-point Cholesky of fl(H - cI)
-    runs to completion, with c = gamma_{m+1}/(1 - 2 gamma_{m+1}) tr(H) +
-    4(m+1)(2(m+2) + max h_ii) eta, eta the smallest subnormal; tr(H) <= m
-    and h_ii <= 1, so 2(m+1) m u exceeds it."""
-    m = C.shape[1]
-    tau = _U + 2.0 * np.sum(err, axis=(1, 2))
-    H = C.copy()
-    diag = np.arange(m)
-    H[:, diag, diag] = ((1.0 - tau) - 2.0 * (m + 1) * m * _U)[:, None]
-    return _cholesky(H)[1] == m
-
-
-def _certified_not_psd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Whether each exact matrix within err of C is certified not PSD by a
-    vector x with x^T C x < 0.
-
-    Where C's Cholesky stops at pivot k, x = (y, 1, 0, ...) with R y =
-    -R[:k, k] on the leading block minimizes x^T C x to that pivot in
-    exact arithmetic. x is then checked whatever its own rounding: the
-    computed q = sum x_i x_j c_ij errs by at most (m^2 + 2)u sum |x_i x_j
-    c_ij|, and the exact matrix adds at most sum |x_i x_j| err_ij; q plus
-    twice both still below 0 proves it."""
-    m = C.shape[1]
-    R, stop = _cholesky(C)
-    x = (np.arange(m) == stop[:, None]).astype(float)  # e_k; 0 where none stopped
-    for j in reversed(range(m)):
-        y = -np.sum(R[:, j, j + 1:] * x[:, j + 1:], axis=1) / R[:, j, j]
-        x[:, j] = np.where(j < stop, y, x[:, j])
-    xx = x[:, :, None] * x[:, None, :]
-    q = np.sum(C * xx, axis=(1, 2))
-    slack = np.sum(((m * m + 2) * _U * np.abs(C) + err) * np.abs(xx), axis=(1, 2))
-    return q + 2.0 * slack < 0.0
 
 
 def _envelope(g: GegenbauerExpansion, t0: float) -> list[np.ndarray]:
@@ -427,26 +366,27 @@ def _cap_sweep(g: GegenbauerExpansion, envelope: list[np.ndarray], t0: float, m:
     """Decide whether the m-point cap value, m <= n, can exceed threshold,
     by verify._bisect over the sorted boxes t_1 <= ... <= t_m of [-1, t0]^m.
 
-    A box is pruned when C at its upper corner (the centre plus the
-    widened half-width, at most t0: above the exact corner) is
-    _certified_not_psd. On [-1, t0] C is a Z-matrix and grows entrywise in
-    every t_j. Feasible heights t have C(t) entrywise above the PSD Gram
-    matrix W of their directions (W_ij <= c_ij <= 0), and a Z-matrix
-    entrywise above a PSD Z-matrix is PSD; so C(t), and then C at the
-    corner, would be PSD. The other boxes are bounded by the sum of their
-    axes' envelope entries; the sum of m floats errs by at most (m - 1)u
-    times their sum of magnitudes, and r = 2 m^2 u max |envelope| covers
-    that and the final + r in _bisect. A box whose bound is at most
-    threshold is dropped.
+    Feasible heights are upward closed in [-1, t0]^m: y_i . y_j <= 1/2 puts
+    K(t) (see _q), a Z-matrix as 1/2 - t_i t_j <= 0, entrywise above the PSD
+    Z-matrix D W D, W the directions' Gram matrix; K grows in every t_j on
+    [-1, t0], and a Z-matrix above a PSD Z-matrix is PSD (Horn and Johnson,
+    Topics in Matrix Analysis, 2.5). So a box is pruned when q > 1, by
+    _q_sign, at min(centre + rho, t0), rho its half-width widened by
+    _MID_SLACK. That float point is at or above the exact corner -1 + (i +
+    1)w, w = (t0 + 1)/2^k exact (see _envelope): (2i + 1)(w/2) and rho,
+    below 1/2, round by at most u/4 and the two sums, in [-1, -1/2], by u/2
+    each, under the 16u of _MID_SLACK, and the exact corner is at most t0.
+    The other boxes are bounded by the sum of their axes' envelope entries,
+    whose m-term float sum errs by at most (m - 1)u times their sum of
+    magnitudes; r = 2 m^2 u max |envelope| covers that and the final + r in
+    _bisect. Boxes bounded by at most threshold are dropped.
 
-    A centre t with C(t) _certified_pd is a configuration: for m < n, C is
-    itself the Gram matrix, of rank at most n - 1, of directions on
-    S^(n-2); for m = n, lowering its off-diagonal entries together until it
-    first turns singular gives one. Its value sum_j g(t_j) is lowered by
-    m Clenshaw bounds plus the sum's rounding, doubled, and one ulp, so the
-    sample is a certified lower bound. The sweep stops at the first above
-    threshold. It also stops, with its sound upper bound, before a level
-    of over _CAP_BUDGET boxes or after the finest level.
+    A centre with q < 1, decided by _q_sign, holds a configuration, the one
+    _configuration builds. Its value sum_j g(t_j) is lowered by m Clenshaw
+    bounds plus the sum's rounding, doubled, and one ulp, so the sample is a
+    certified lower bound. The sweep stops at the first above threshold. It
+    also stops, with its sound upper bound, before a level of over
+    _CAP_BUDGET boxes or after the finest level.
 
     Returns _bisect's report, whose worst_violation is the certified upper
     bound and sample_max the best witness, and the sweep's counts.
@@ -459,9 +399,9 @@ def _cap_sweep(g: GegenbauerExpansion, envelope: list[np.ndarray], t0: float, m:
     def level(mids, rho, idx):
         nonlocal left
         upper = np.sum(envelope[counts["levels"]][idx], axis=1)
-        pruned = _certified_not_psd(*_cap_matrix(np.minimum(mids + rho, t0)))
+        pruned = _q_sign(np.minimum(mids + rho, t0)) > 0
         bound = np.where(pruned, -np.inf, upper)
-        points = mids[_certified_pd(*_cap_matrix(mids))]
+        points = mids[_q_sign(mids) < 0]
         vals = np.sum(g.eval(points), axis=1)
         counts["boxes"] += len(mids)
         counts["levels"] += 1
@@ -502,13 +442,13 @@ class KissingReport:
     whether cap_m + max(N-1-m, 0) epsilon can reach B(N) - margin, so a
     bound lies anywhere below that threshold, not at cap_m; after a refuted
     sweep, cap_values and M_max are sound but show only where the sweep
-    stopped. sweeps gives each m's boxes, levels, PSD and value prunes, its
-    best witness (lower; null if none) and how it ended: decided (every box
-    pruned), refuted (a witness above the threshold), budget (the next level
-    would hold over _CAP_BUDGET boxes) or finest (boxes of the finest level
-    are still bounded above the threshold). cap_lower
-    is the witness, m >= 1, with the largest charged value: its m, value
-    and heights, or null.
+    stopped. sweeps gives each m's boxes, levels, prunes (psd_prunes where q
+    > 1 at a box's upper corner, value_prunes), its best witness (lower;
+    null if none) and how it ended: decided (every box pruned), refuted (a
+    witness above the threshold), budget (the next level would hold over
+    _CAP_BUDGET boxes) or finest (boxes of the finest level are still
+    bounded above the threshold). cap_lower is the witness, m >= 1, with
+    the largest charged value: its m, value and heights, or null.
 
     verdict CONTRADICTION means U' < B(N) - margin: then no such code
     exists. M_max = N - 3N(U' + margin) is the largest M for which U' <

@@ -10,7 +10,13 @@ energy and moment as they stood before tiling. The cap problem is kept
 in its m*n configuration coordinates, as capopt.cap_max searched it before
 it searched the heights alone, through scipy's public SLSQP; the height
 polish is kept as scipy.optimize.minimize runs it, before capopt drove
-scipy's compiled SLSQP core itself. The Taylor bound of a coefficient
+scipy's compiled SLSQP core itself. The projection of configurations
+onto the cap is kept as cap_max applied it before it lifted its heights
+until q(t) <= 1 held exactly. The PSD decisions on the cap matrix C(t)
+are kept as capopt made them before it decided q(t) <= 1 exactly: C with
+its rounding bounds, floating-point Cholesky in elementwise numpy, Rump's
+shifted Cholesky test for positive definiteness and a checked vector for
+not PSD. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The 1-D sweep and the triple sweep are kept
 as loops of their own, as they stood before they shared one bisection
@@ -343,6 +349,102 @@ def cap_max_configurations(g, t0: float, m: int, n: int, starts: int, seed: int)
         if max(np.max(np.abs(eq)), np.max(-ineq)) <= 1e-9 and value > best:
             best, best_cfg = value, res.x.reshape(m, n)
     return best, best_cfg
+
+
+def _project_cap(Y: np.ndarray, t0: float) -> np.ndarray:
+    """Renormalize the points of (..., m, n) configurations and pull any
+    point outside the cap to its boundary along its meridian."""
+    Y = Y / np.linalg.norm(Y, axis=-1, keepdims=True)
+    outside = Y[..., 0] > t0
+    rest = Y[outside, 1:]
+    # a point at +-e1 has no meridian; give it a fixed one
+    degenerate = np.linalg.norm(rest, axis=-1) < 1e-14
+    rest[degenerate] = 0.0
+    rest[degenerate, 0] = 1.0
+    Y[outside, 0] = t0
+    Y[outside, 1:] = rest / np.linalg.norm(rest, axis=-1, keepdims=True) * np.sqrt(1.0 - t0 * t0)
+    return Y
+
+
+def _cap_matrix(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(t) for a (batch, m) array of heights in (-1, t0], t0 <= -1/sqrt(2),
+    and a bound on the rounding error of each of its entries.
+
+    C has unit diagonal and c_ij = (1/2 - t_i t_j)/(s_i s_j), s_j^2 =
+    1 - t_j^2, computed as (1 - t)(1 + t). Rounding: 1 + t is exact
+    (Sterbenz), so s_j^2 carries relative error 2u; the product of two and
+    its square root put s_i s_j within 4u relatively. t_i t_j lies in
+    [1/2, 1], so it errs by at most u and 1/2 minus it is exact (Sterbenz).
+    The quotient then errs by at most u/(s_i s_j) + 6u|c_ij| plus terms of
+    order u^2, which 2u/den + 8u|c| covers, den the computed s_i s_j.
+    """
+    s2 = (1.0 - t) * (1.0 + t)
+    den = np.sqrt(s2[:, :, None] * s2[:, None, :])
+    C = (0.5 - t[:, :, None] * t[:, None, :]) / den
+    err = 2.0 * _U / den + 8.0 * _U * np.abs(C)
+    diag = np.arange(t.shape[1])
+    C[:, diag, diag] = 1.0
+    err[:, diag, diag] = 0.0
+    return C, err
+
+
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floating-point Cholesky A = R^T R of a (batch, m, m) stack, in
+    elementwise numpy (no BLAS or LAPACK, so no thread count changes a
+    bit). Returns R and, per matrix, the first index whose pivot is not
+    positive (m where there is none); such pivots are replaced by 1 in R,
+    which keeps the rest of R finite."""
+    m = A.shape[1]
+    R = np.zeros_like(A)
+    fail = np.full(len(A), m)
+    for j in range(m):
+        pivot = A[:, j, j] - np.sum(R[:, :j, j] ** 2, axis=1)
+        fail[(fail == m) & ~(pivot > 0.0)] = j
+        R[:, j, j] = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        R[:, j, j + 1:] = (A[:, j, j + 1:] - np.sum(R[:, :j, j, None] * R[:, :j, j + 1:], axis=1)
+                           ) / R[:, j, j, None]
+    return R, fail
+
+
+def _certified_pd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Whether each exact matrix within err of the unit-diagonal C is
+    positive definite.
+
+    The shift tau = u + 2 sum err bounds ||exact - C||_2 <= ||.||_F <=
+    sum err, plus the u of rounding 1 - tau, so H, C with diagonal
+    fl(1 - tau), is PD only if the exact matrix is. H is proven PD by S.
+    M. Rump's test (BIT 46, 2006): floating-point Cholesky of fl(H - cI)
+    runs to completion, with c = gamma_{m+1}/(1 - 2 gamma_{m+1}) tr(H) +
+    4(m+1)(2(m+2) + max h_ii) eta, eta the smallest subnormal; tr(H) <= m
+    and h_ii <= 1, so 2(m+1) m u exceeds it."""
+    m = C.shape[1]
+    tau = _U + 2.0 * np.sum(err, axis=(1, 2))
+    H = C.copy()
+    diag = np.arange(m)
+    H[:, diag, diag] = ((1.0 - tau) - 2.0 * (m + 1) * m * _U)[:, None]
+    return _cholesky(H)[1] == m
+
+
+def _certified_not_psd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Whether each exact matrix within err of C is certified not PSD by a
+    vector x with x^T C x < 0.
+
+    Where C's Cholesky stops at pivot k, x = (y, 1, 0, ...) with R y =
+    -R[:k, k] on the leading block minimizes x^T C x to that pivot in
+    exact arithmetic. x is then checked whatever its own rounding: the
+    computed q = sum x_i x_j c_ij errs by at most (m^2 + 2)u sum |x_i x_j
+    c_ij|, and the exact matrix adds at most sum |x_i x_j| err_ij; q plus
+    twice both still below 0 proves it."""
+    m = C.shape[1]
+    R, stop = _cholesky(C)
+    x = (np.arange(m) == stop[:, None]).astype(float)  # e_k; 0 where none stopped
+    for j in reversed(range(m)):
+        y = -np.sum(R[:, j, j + 1:] * x[:, j + 1:], axis=1) / R[:, j, j]
+        x[:, j] = np.where(j < stop, y, x[:, j])
+    xx = x[:, :, None] * x[:, None, :]
+    q = np.sum(C * xx, axis=(1, 2))
+    slack = np.sum(((m * m + 2) * _U * np.abs(C) + err) * np.abs(xx), axis=(1, 2))
+    return q + 2.0 * slack < 0.0
 
 
 def slsqp_scipy_minimize(t: np.ndarray, g, t0: float):

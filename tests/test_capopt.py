@@ -10,18 +10,20 @@ import pytest
 
 from spherecert import capopt
 from spherecert.bounds import DDCertificate, dd_bound
-from spherecert.capopt import (
-    CapProblem,
-    _constraint_violation,
-    _project_cap,
-    cap_max,
-    kissing_check,
-)
+from spherecert.capopt import CapProblem, _constraint_violation, cap_max, kissing_check
 from spherecert.data import load_expansion
 from spherecert.errors import DomainError, ParameterError, PreconditionError
 from spherecert.gegenbauer import GegenbauerExpansion, monomial_to_gegenbauer
 
-from oracles import cap_max_configurations, cell_max_exact, slsqp_scipy_minimize
+from oracles import (
+    _cap_matrix,
+    _certified_not_psd,
+    _certified_pd,
+    _project_cap,
+    cap_max_configurations,
+    cell_max_exact,
+    slsqp_scipy_minimize,
+)
 
 T0 = -np.sqrt(2) / 2
 
@@ -388,7 +390,7 @@ def test_planted_excess_flips_the_verdict(g1):
 
 
 def test_kissing_check_rejects_bad_n_before_optimizing(g1, monkeypatch):
-    monkeypatch.setattr(capopt, "cap_max", lambda *a, **k: pytest.fail("optimized"))
+    monkeypatch.setattr(capopt, "check_sign", lambda *a, **k: pytest.fail("checked"))
     monkeypatch.setattr(capopt, "_envelope", lambda *a, **k: pytest.fail("swept"))
     with pytest.raises(ParameterError, match="N must be"):
         kissing_check(g1, 22.5689, T0, 0)
@@ -400,7 +402,7 @@ def configuration_from_heights(t, n=4):
     itself for m < n, and for m = n, C with its off-diagonal entries
     lowered together by the largest s that keeps it PSD."""
     m = len(t)
-    C = capopt._cap_matrix(np.array([t]))[0][0]
+    C = _cap_matrix(np.array([t]))[0][0]
     off = np.ones((m, m)) - np.eye(m)
     if m == n:
         lo, hi = 0.0, 1.0
@@ -413,6 +415,61 @@ def configuration_from_heights(t, n=4):
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     s = np.sqrt(1.0 - np.asarray(t) ** 2)
     return np.column_stack([t, s[:, None] * w])
+
+
+def exact_q_sign(t):
+    """sign(q(t) - 1) of each row, in Fractions throughout."""
+    out = []
+    for row in t.tolist():
+        f = [Fraction(x) for x in row]
+        q = 2 * (sum(x * x for x in f) - sum(f) ** 2 / (len(f) + 1))
+        out.append((q > 1) - (q < 1))
+    return np.array(out)
+
+
+def test_q_sign_is_exact_at_the_boundary():
+    # rows within a few ulps of q = 1, where the floats of _q alone decide
+    # some of them wrongly: m = 2 around both heights at -sqrt(3)/2, rows
+    # of m = 3 and 4 whose last height solves q = 1, nudged by ulps, and
+    # rows with q = 1 exactly
+    a = -math.sqrt(3) / 2
+    near = [a]
+    for _ in range(4):
+        near = [math.nextafter(near[0], -1.0)] + near + [math.nextafter(near[-1], 0.0)]
+    rows = {2: [[x, y] for x in near for y in near] + [[-1.0, -0.5]]}
+    rng = np.random.default_rng(13)
+    for m in (3, 4):
+        rows[m] = []
+        while len(rows[m]) < 200:
+            head = rng.uniform(-1.0, T0, size=m - 1)
+            # 2(A + x^2 - (B + x)^2/(m + 1)) = 1 for the last height x
+            A, B = float(np.sum(head * head)), float(np.sum(head))
+            qa, qb, qc = m / (m + 1), -2.0 * B / (m + 1), A - B * B / (m + 1) - 0.5
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0:
+                continue
+            x = (-qb - math.sqrt(disc)) / (2.0 * qa)
+            if not -1.0 < x < T0:
+                continue
+            for k in range(-3, 4):
+                rows[m].append(list(head) + [x + k * math.ulp(x)])
+    wrong = 0
+    for m, r in [(1, [[-1.0]]), *rows.items()]:
+        t = np.array(r)
+        exact = exact_q_sign(t)
+        assert np.array_equal(capopt._q_sign(t), exact)
+        wrong += int(np.sum(np.sign(capopt._q(t) - 1.0) != exact))
+    assert wrong > 0  # the floats alone do not decide these rows
+
+
+def test_cap_max_heights_hold_q_exactly():
+    # the polish may end with q just above 1; cap_max lifts its heights
+    # until q <= 1 holds exactly, so the configuration keeps its products
+    # at most 1/2 to rounding, not to the polish's tolerance
+    g2, t0 = load_expansion("g2"), -0.73
+    res = cap_max(CapProblem(4, g2, t0, 3, 4), starts=60, seed=0)
+    assert capopt._q_sign(res.configuration[:, :1].T)[0] <= 0
+    assert _constraint_violation(res.configuration, t0) <= 1e-14
 
 
 def test_envelope_bounds_g_on_every_level(g1):
@@ -456,9 +513,12 @@ def test_cap_max_below_the_certified_upper_bound():
 def test_corner_psd_decision_agrees_with_random_configurations():
     # a feasible configuration's heights are never certified not PSD, heights
     # certified PD hold a configuration, and the two decisions leave only
-    # heights within 1e-9 of the PSD boundary undecided. The directions are
-    # a randomly turned regular tetrahedron's, perturbed, and half the
-    # heights lie in [-0.85, t0], so that four points fit often enough.
+    # heights within 1e-9 of the PSD boundary undecided. The exact q decision
+    # the sweep makes never calls a feasible configuration infeasible, agrees
+    # with eigvalsh away from that boundary, and decides every row the
+    # Cholesky oracles decide, the same way. The directions are a randomly
+    # turned regular tetrahedron's, perturbed, and half the heights lie in
+    # [-0.85, t0], so that four points fit often enough.
     rng = np.random.default_rng(11)
     tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
     for m in (2, 3, 4):
@@ -469,14 +529,19 @@ def test_corner_psd_decision_agrees_with_random_configurations():
         Y = np.concatenate([t[:, :, None], np.sqrt(1.0 - t * t)[:, :, None] * w], axis=2)
         iu, ju = np.triu_indices(m, 1)
         feasible = np.all(np.einsum("bik,bjk->bij", Y, Y)[:, iu, ju] <= 0.5, axis=1)
-        C, err = capopt._cap_matrix(t)
-        pd = capopt._certified_pd(C, err)
-        not_psd = capopt._certified_not_psd(C, err)
+        C, err = _cap_matrix(t)
+        pd = _certified_pd(C, err)
+        not_psd = _certified_not_psd(C, err)
         lam = np.linalg.eigvalsh(C)[:, 0]
         assert feasible.sum() >= 100 and not_psd.sum() >= 1000
         assert not np.any(feasible & not_psd)
         assert np.all(lam[pd] > 0) and np.all(lam[not_psd] < 0)
         assert np.all((pd | not_psd)[np.abs(lam) > 1e-9])
+        sign = capopt._q_sign(t)
+        assert not np.any(feasible & (sign > 0))
+        clear = np.abs(lam) > 1e-9
+        assert np.array_equal(sign[clear] < 0, lam[clear] > 0)
+        assert np.all(sign[pd] < 0) and np.all(sign[not_psd] > 0)
         for heights in t[pd][:40]:
             cfg = configuration_from_heights(heights)
             assert feasibility_violation(cfg, T0) <= 1e-12
@@ -543,6 +608,26 @@ def test_sweep_that_runs_out_of_levels_ends_finest():
     assert counts["levels"] == capopt._CAP_LEVELS + 1
     assert counts["boxes"] == 2 ** (capopt._CAP_LEVELS + 1) - 1 < capopt._CAP_BUDGET
     assert rep.sample_max <= threshold < rep.worst_violation
+
+
+def test_sweep_prunes_at_or_above_each_exact_corner(monkeypatch):
+    # the float corner min(centre + rho, t0) the sweep decides q at lies at
+    # or above the exact dyadic corner -1 + (i + 1)w of every cell, at every
+    # level; g = 0.01 against a threshold just under it keeps all cells live
+    seen = []
+    q_sign = capopt._q_sign
+    monkeypatch.setattr(capopt, "_q_sign", lambda t: seen.append(t[:, 0].copy()) or q_sign(t))
+    g = GegenbauerExpansion(4, [0.01])
+    for t0 in (T0, -0.73, -0.99):
+        seen.clear()
+        capopt._cap_sweep(g, capopt._envelope(g, t0), t0, 1, 0.00999999999999996)
+        corners = seen[0::2]  # each level decides its corners, then its centres
+        assert len(corners) == capopt._CAP_LEVELS + 1
+        for k, level in enumerate(corners):
+            w = Fraction(t0 + 1.0) / 2 ** k
+            assert len(level) == 2 ** k
+            assert all(-1 + (i + 1) * w <= Fraction(c) <= Fraction(t0)
+                       for i, c in enumerate(level.tolist()))
 
 
 def test_caps_above_n_are_empty():

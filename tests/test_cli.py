@@ -467,8 +467,8 @@ def test_kissing_manifests_replay_with_one_blas_thread(name, exit_code):
 
 @pytest.mark.parametrize("name, exit_code", [("kissing_N24", 0), ("kissing_N25", 4)])
 def test_kissing_manifests_replay_with_two_blas_threads(name, exit_code):
-    # the sweep's PSD decisions use elementwise numpy only, so no BLAS thread
-    # count moves a bit of the kissing reports
+    # the sweep decides feasibility exactly by q(t), in elementwise floats
+    # and Fractions, so no BLAS thread count moves a bit of the kissing reports
     _replay_kissing(name, exit_code, "2")
 
 
