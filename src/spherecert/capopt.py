@@ -18,10 +18,9 @@ configuration, a lower witness. _q_sign decides both exactly, in floats
 and Fractions, so no report depends on the BLAS thread count.
 
 cap_max is a multistart search over the heights alone: batched penalty
-ascent, then an SLSQP polish of the m heights under bounds [-1, t0] and
-the one row 1 - q(t) >= 0, which minimize drives through scipy's compiled
-SLSQP core without scipy's per-iterate wrappers; scipy is imported on the
-first polish. The polished heights are lifted until q <= 1 holds exactly,
+ascent, then a polish of the m heights by scipy's SLSQP under bounds
+[-1, t0] and the one row 1 - q(t) >= 0; scipy is imported on the first
+polish. The polished heights are lifted until q <= 1 holds exactly,
 and a configuration in R^n is built from them and checked. Its maxima
 are lower estimates of the true cap optimum; no verb runs it, and the
 tests compare it with the sweep's bounds.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,58 +97,15 @@ class CapResult:
     m: int
 
 
-def minimize(values, normals, x0: np.ndarray, C: np.ndarray, d: np.ndarray, meq: int,
-             maxiter: int, ftol: float, bounds: tuple[float, float]) -> SimpleNamespace:
-    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) from x0 under d[:meq] == 0,
-    d[meq:] >= 0 and bounds[0] <= x_i <= bounds[1]: the loop
-    scipy.optimize's _minimize_slsqp runs around the compiled core for
-    bounds=[bounds] * x0.size, with its state, workspace sizes and clipped
-    start, but without its per-iterate wrappers.
+def minimize(fun, x0: np.ndarray, **options):
+    """scipy.optimize.minimize(fun, x0, **options), imported on the first call.
 
-    values(x) writes the constraint values into d and returns the
-    objective; normals(x) writes the constraint rows into C (Fortran order,
-    d.size by x0.size) and returns the objective's gradient. The core reads
-    both buffers and writes neither, so a callback is skipped while its
-    buffers hold the numbers of an x equal in value to the current one.
-    values runs when scipy's ScalarFunction would evaluate the objective,
-    after any move of x, and nfev counts it as scipy does; normals runs
-    when x differs from where it last ran, which saves the rows when the
-    core returns to its iterate after a failed line search. scipy is
-    imported on the first call: the polish is its only user in the package.
-    The core, scipy.optimize._slsqplib.slsqp, is private and has this
-    signature from scipy 1.16 on; tests compare runs of this loop on
-    seeded height problems with scipy.optimize.minimize, bit for bit.
-    """
-    from scipy.optimize._slsqplib import slsqp
-    n, m = np.size(x0), d.size
-    xl, xu = np.full(n, float(bounds[0])), np.full(n, float(bounds[1]))
-    x = np.clip(np.asarray(x0, dtype=float), xl, xu)  # a copy: the core iterates in place
-    state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
-             "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0,
-             "inconsistent": 0, "reset": 0, "iter": 0, "itermax": maxiter, "line": 0,
-             "m": m, "meq": meq, "mode": 0, "n": n}
-    size = (n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * meq + 9 * m + 8 * n * n
-            + 35 * n + meq * meq + 28 + (2 * n * (n + 1) if m == meq else 0))
-    buffer = np.zeros(max(size, 1))
-    indices = np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32)
-    mult = np.zeros(max(1, m + 2 * n + 2))
-    fx, grad = values(x), normals(x)
-    nfev, seen, f_fresh, g_at = 1, x.tolist(), True, x.tolist()
-    while True:
-        slsqp(state, fx, grad, C, d, x, mult, xl, xu, buffer, indices)
-        mode = state["mode"]
-        if abs(mode) != 1:
-            break
-        # list equality is array_equal's: NaN differs from itself, -0.0 == 0.0
-        if (now := x.tolist()) != seen:
-            seen, f_fresh = now, False
-        if mode == 1 and not f_fresh:
-            fx, f_fresh = values(x), True
-            nfev += 1
-        elif mode == -1 and now != g_at:
-            grad, g_at = normals(x), now
-    return SimpleNamespace(x=x, status=mode, success=mode == 0, nit=state["iter"],
-                           nfev=nfev)
+    It is a wrapper for two reasons: no verb may load scipy, which only the
+    multistart polish uses, and the benchmark's tracer wraps capopt.minimize
+    by name to time the polish and read nfev and success from scipy's
+    OptimizeResult."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
 
 
 def _q(t: np.ndarray) -> np.ndarray:
@@ -213,26 +168,20 @@ def _ascent(t: np.ndarray, g: GegenbauerExpansion, t0: float, rho: float, iters:
 
 
 def _polish(t: np.ndarray, g: GegenbauerExpansion, t0: float) -> np.ndarray:
-    """SLSQP refinement of m heights in [-1, t0], passed to the core as its
-    bounds so that every iterate stays in g's domain, under the one row
-    1 - q(t) >= 0, whose normal is -4(t - sum_j t_j/(m + 1)).
+    """SLSQP refinement of m heights in [-1, t0], passed as bounds so that
+    every iterate stays in g's domain, under the one row 1 - q(t) >= 0,
+    whose normal is -4(t - sum_j t_j/(m + 1)).
 
-    Both callbacks evaluate g or g' by one Python-float Clenshaw pass over
-    the heights, the objective being -sum_j g(t_j)."""
+    The objective -sum_j g(t_j) and its gradient each take one
+    Python-float Clenshaw pass over the heights."""
     m = t.size
     dg = g.derivative()
-    d = np.empty(1)
-    C = np.empty((1, m), order="F")
-
-    def values(x):
-        d[0] = 1.0 - _q(x)
-        return -sum(_eval_floats(g, x.tolist()))
-
-    def normals(x):
-        C[0] = -4.0 * (x - np.sum(x) / (m + 1))
-        return np.array([-v for v in _eval_floats(dg, x.tolist())])
-
-    return minimize(values, normals, t, C, d, 0, maxiter=300, ftol=1e-14, bounds=(-1.0, t0)).x
+    row = {"type": "ineq", "fun": lambda x: np.array([1.0 - _q(x)]),
+           "jac": lambda x: (-4.0 * (x - np.sum(x) / (m + 1)))[None, :]}
+    return minimize(lambda x: -sum(_eval_floats(g, x.tolist())), t,
+                    jac=lambda x: np.array([-v for v in _eval_floats(dg, x.tolist())]),
+                    method="SLSQP", bounds=[(-1.0, t0)] * m, constraints=[row],
+                    options={"maxiter": 300, "ftol": 1e-14}).x
 
 
 def _lift(t: np.ndarray, t0: float) -> np.ndarray:

@@ -334,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         report, code = args.func(args)
         report["manifest"] = _manifest(args)
-        text = json.dumps(report, indent=2, sort_keys=True)
+        # a non-finite number is refused: it has no strict JSON form
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         if args.out:  # written first, so a failed write prints only its error
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -59,7 +59,7 @@ def _gram_tile(code: SphericalCode, rows: slice, cols: slice, buf: np.ndarray) -
     clipped to [-1, 1]. numpy computes a diagonal tile, the product of a
     C-ordered block with its own transpose, as one symmetric rank-k update,
     so that tile is exactly symmetric. A built-in code's tile is a slice of
-    its exact table in floats, which has at most 24 points.
+    its exact table in floats.
     """
     if code.exact_products is not None:
         return code.gram()[rows, cols]
@@ -322,9 +322,7 @@ def make_simplex(n: int) -> SphericalCode:
     # Vertices e_i - centroid of R^(n+1) live in the hyperplane orthogonal
     # to the all-ones vector; express them in an orthonormal basis of it.
     m = n + 1
-    basis = np.linalg.qr(
-        np.column_stack([np.ones(m)] + [np.eye(m)[:, i] for i in range(n)])
-    )[0][:, 1:]
+    basis = np.linalg.qr(np.column_stack([np.ones(m), np.eye(m)[:, :n]]))[0][:, 1:]
     centered = np.eye(m) - 1.0 / m
     pts = centered @ basis
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -369,16 +367,33 @@ def make_24cell() -> SphericalCode:
     return SphericalCode(4, pts, exact_products=exact, name="24cell")
 
 
+# Most points of a built-in simplex<n> or cross<n>: see builtin_code.
+MAX_BUILTIN_POINTS = 1024
+
+
 def builtin_code(name: str) -> SphericalCode:
-    """Look up a built-in code: '24cell', 'simplex<n>' or 'cross<n>'."""
+    """Look up a built-in code: '24cell', 'simplex<n>' (n + 1 points) or
+    'cross<n>' (2n points).
+
+    A code of more than MAX_BUILTIN_POINTS = 1024 points is refused before
+    anything is allocated. Its exact product table holds N^2 Python
+    Fractions of about 90 bytes each, built, checked and counted one by
+    one: at 1024 points the table takes about 100 MB and code-stats about
+    200 MB and 15 s, both growing with N^2."""
     if name == "24cell":
         return make_24cell()
-    for prefix, maker in (("simplex", make_simplex), ("cross", make_cross_polytope)):
+    for prefix, maker, points in (("simplex", make_simplex, lambda n: n + 1),
+                                  ("cross", make_cross_polytope, lambda n: 2 * n)):
         if name.startswith(prefix):
             try:
-                return maker(int(name[len(prefix):]))
+                n = int(name[len(prefix):])
             except ValueError:
                 break
+            if points(n) > MAX_BUILTIN_POINTS:
+                raise ParameterError(
+                    f"built-in code {name!r} has {points(n)} points, over the "
+                    f"{MAX_BUILTIN_POINTS} whose exact product table can be built")
+            return maker(n)
     raise ParameterError(f"unknown built-in code {name!r}")
 
 

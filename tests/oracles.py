@@ -8,15 +8,13 @@ algorithms as they stood before blocking, kept to check the blocked
 production paths against bit for bit; the whole-matrix pair sums are
 energy and moment as they stood before tiling. The cap problem is kept
 in its m*n configuration coordinates, as capopt.cap_max searched it before
-it searched the heights alone, through scipy's public SLSQP; the height
-polish is kept as scipy.optimize.minimize runs it, before capopt drove
-scipy's compiled SLSQP core itself. The projection of configurations
-onto the cap is kept as cap_max applied it before it lifted its heights
-until q(t) <= 1 held exactly. The PSD decisions on the cap matrix C(t)
-are kept as capopt made them before it decided q(t) <= 1 exactly: C with
-its rounding bounds, floating-point Cholesky in elementwise numpy, Rump's
-shifted Cholesky test for positive definiteness and a checked vector for
-not PSD. The Taylor bound of a coefficient
+it searched the heights alone, through scipy's SLSQP. The projection
+of configurations onto the cap is kept as cap_max applied it before it
+lifted its heights until q(t) <= 1 held exactly. The PSD decisions on
+the cap matrix C(t) are kept as capopt made them before it decided
+q(t) <= 1 exactly: C with its rounding bounds, floating-point Cholesky
+in elementwise numpy, Rump's shifted Cholesky test for positive
+definiteness and a checked vector for not PSD. The Taylor bound of a coefficient
 tensor on boxes is kept as it stood before its t- and (t, u)-products
 were shared between boxes. The 1-D sweep and the triple sweep are kept
 as loops of their own, as they stood before they shared one bisection
@@ -41,12 +39,10 @@ from mpmath import iv, mp
 from scipy.optimize import minimize
 from scipy.special import roots_gegenbauer
 
-from spherecert.capopt import _q
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
     _EDGE_SLACK,
     _check_dimension,
-    _eval_floats,
     gegenbauer_eval,
     monomial_coeffs,
 )
@@ -445,20 +441,6 @@ def _certified_not_psd(C: np.ndarray, err: np.ndarray) -> np.ndarray:
     q = np.sum(C * xx, axis=(1, 2))
     slack = np.sum(((m * m + 2) * _U * np.abs(C) + err) * np.abs(xx), axis=(1, 2))
     return q + 2.0 * slack < 0.0
-
-
-def slsqp_scipy_minimize(t: np.ndarray, g, t0: float):
-    """The SLSQP run of capopt._polish through scipy.optimize.minimize: the
-    m heights bounded to [-1, t0] under the one constraint 1 - q(t) >= 0,
-    with Python-float Clenshaw callbacks. Returns scipy's OptimizeResult."""
-    m = t.size
-    dg = g.derivative()
-    con = {"type": "ineq", "fun": lambda x: np.array([1.0 - _q(x)]),
-           "jac": lambda x: (-4.0 * (x - np.sum(x) / (m + 1)))[None, :]}
-    return minimize(lambda x: -sum(_eval_floats(g, x.tolist())), t,
-                    jac=lambda x: np.array([-v for v in _eval_floats(dg, x.tolist())]),
-                    method="SLSQP", bounds=[(-1.0, t0)] * m, constraints=[con],
-                    options={"maxiter": 300, "ftol": 1e-14})
 
 
 def dd_certificate(d: int, valid: bool) -> dict:

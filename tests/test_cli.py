@@ -278,13 +278,26 @@ def test_non_positive_step_and_bad_margin_exit_2(capsys):
         assert "NaN" not in out and "margin must be finite" in json.loads(out)["error"]
 
 
+def strict_json(text: str):
+    """text parsed as JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_out_of_range_numbers_exit_2(tmp_path, capsys):
-    # NaN and negative tolerances and a negative moment degree are
+    # NaN and negative tolerances, a negative moment degree, a built-in
+    # code too large to build and a report with a non-finite number are
     # validation failures, never a pass or a traceback
     rng = np.random.default_rng(60)
     points = rng.normal(size=(6, 4))
     code = tmp_path / "code.json"
     code.write_text(json.dumps({"n": 4, "points": points.tolist()}))
+    huge = {"n": 4, "coeffs": [1e308, 1e308]}  # g(1) overflows to inf
+    g = tmp_path / "huge.json"
+    g.write_text(json.dumps(huge))
+    cert = tmp_path / "huge_cert.json"
+    cert.write_text(json.dumps({"g": huge, "T": [-1.0, 0.5], "M": 22.5689}))
     for argv in (["verify-cert", f"{DATA}/g1_cert.json", "--tol", "nan"],
                  ["verify-cert", f"{DATA}/g1_cert.json", "--psd-tol", "nan"],
                  ["verify-cert", f"{DATA}/g1_cert.json", "--tol=-1e-3"],
@@ -292,10 +305,15 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys):
                  ["code-stats", str(code), "--tol", "0"],
                  ["code-stats", "24cell", "--tol=-1"],
                  ["code-stats", "24cell", "--tol", "inf"],
-                 ["code-stats", "24cell", "--degree=-3"]):
-        assert main(argv) == 2, argv
+                 ["code-stats", "24cell", "--degree=-3"],
+                 ["code-stats", "simplex999999999"],
+                 ["code-stats", "cross999999999"],
+                 ["eval", str(g)],
+                 ["bound", str(cert), "--N", "24"]):
+        with np.errstate(over="ignore"):
+            assert main(argv) == 2, argv
         out = capsys.readouterr().out
-        assert "NaN" not in out and "error" in json.loads(out), argv
+        assert "NaN" not in out and "error" in strict_json(out), argv
 
 
 def test_argument_errors_are_json(capsys):

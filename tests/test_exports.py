@@ -70,6 +70,24 @@ def test_modules_use_what_they_import(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_modules_import_no_private_third_party_names(path):
+    # a private module or name of numpy or scipy may change in any release
+    private = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        private += [name for name in dotted
+                    if name.split(".")[0] not in sys.stdlib_module_names | {"spherecert"}
+                    and any(part.startswith("_") for part in name.split("."))]
+    assert not private, f"{path.name} imports private names {private}"
+
+
 def test_oracles_are_not_in_the_package():
     for module in [spherecert] + [importlib.import_module(f"spherecert.{m}") for m in MODULES]:
         for name in ORACLES:
