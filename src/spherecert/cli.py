@@ -6,8 +6,10 @@ that produced the report, writes it to --out and prints it as JSON on
 stdout, so a report can be reproduced byte-for-byte from its own contents.
 
 Exit codes: 0 all requested checks pass; 2 input validation or schema
-failure, or an output path that cannot be written (stdout then holds
-only the JSON error); 3 certificate failure; 4 contradiction found
+failure, a RuntimeWarning while the verb runs (numpy's overflow or
+invalid-value warning, raised as an error whatever the warnings filter),
+or an output path that cannot be written (stdout then holds only the
+JSON error); 3 certificate failure; 4 contradiction found
 (kissing-check's successful mathematical outcome, flagged distinctly for
 scripting).
 """
@@ -18,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -332,7 +335,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # inside the try: argument errors raise SystemExit2
         args = _build_parser().parse_args(argv)
-        report, code = args.func(args)
+        with warnings.catch_warnings():
+            # a number the verb cannot compute is an input error, reported
+            # as JSON and not as a warning on stderr
+            warnings.simplefilter("error", RuntimeWarning)
+            report, code = args.func(args)
         report["manifest"] = _manifest(args)
         # a non-finite number is refused: it has no strict JSON form
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -341,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text + "\n")
     except SystemExit2 as exc:
         error = str(exc)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RuntimeWarning) as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
         print(text)

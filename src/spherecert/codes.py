@@ -36,9 +36,15 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-9
-# Side of the square tiles that pair sums evaluate: 128 x 128 points is
-# one block of gegenbauer._BLOCK, so each tile is one pass of its loop.
+# Side of the square tiles that pair sums compute: 128 x 128 products, so
+# that a full batch of _BATCH tiles is _BATCH / 2 blocks of
+# gegenbauer._BLOCK, which _blockwise spreads over the CPUs.
 _TILE = 128
+# Tiles that a pair sum hands its fn in one call: two blocks, one for each
+# core of a 2-core VM. Eight tiles ran no faster there, and the 3.5 MiB
+# they hold with their values and the blocks' buffers raised the peak
+# memory of a process by up to 3 MB more than four tiles did.
+_BATCH = 4
 
 
 def _tiles(N: int):
@@ -51,20 +57,22 @@ def _tiles(N: int):
 
 def _gram_tile(code: SphericalCode, rows: slice, cols: slice, buf: np.ndarray) -> np.ndarray:
     """The (rows, cols) tile of the code's inner-product matrix, at most
-    _TILE x _TILE.
+    _TILE x _TILE, written into the front of buf (a 1-d float array) and
+    returned as a C-ordered view of it.
 
-    For a float code it is points[rows] @ points[cols].T, written into buf
-    (at least _TILE**2 floats, reused across tiles) and returned as a view
-    of it; a diagonal tile gets 1.0 on its diagonal, and every entry is
-    clipped to [-1, 1]. numpy computes a diagonal tile, the product of a
-    C-ordered block with its own transpose, as one symmetric rank-k update,
-    so that tile is exactly symmetric. A built-in code's tile is a slice of
-    its exact table in floats.
+    For a float code it is points[rows] @ points[cols].T; a diagonal tile
+    gets 1.0 on its diagonal, and every entry is clipped to [-1, 1]. numpy
+    computes a diagonal tile, the product of a C-ordered block with its own
+    transpose, as one symmetric rank-k update, so that tile is exactly
+    symmetric. A built-in code's tile is a copy of a slice of its exact
+    table in floats.
     """
-    if code.exact_products is not None:
-        return code.gram()[rows, cols]
     A, B = code.points[rows], code.points[cols]
-    tile = np.matmul(A, B.T, out=buf[:A.shape[0] * B.shape[0]].reshape(A.shape[0], B.shape[0]))
+    tile = buf[:A.shape[0] * B.shape[0]].reshape(A.shape[0], B.shape[0])
+    if code.exact_products is not None:
+        np.copyto(tile, code.gram()[rows, cols])
+        return tile
+    np.matmul(A, B.T, out=tile)
     if rows == cols:
         np.fill_diagonal(tile, 1.0)
     np.clip(tile, -1.0, 1.0, out=tile)
@@ -74,21 +82,33 @@ def _gram_tile(code: SphericalCode, rows: slice, cols: slice, buf: np.ndarray) -
 def _pair_sum(code: SphericalCode, fn) -> float:
     """Sum of fn over every entry of the code's inner-product matrix.
 
-    The matrix is never built: each tile on and above the diagonal is
-    computed from the points (_gram_tile) into one buffer, fn sees it once,
-    and a tile above the diagonal counts twice, for itself and its
-    transposed copy below, which fn must allow by acting entrywise. np.sum
-    adds each tile and math.fsum the tile sums, so only one tile of
-    products and one of values are held at a time. The tiles are those
-    gram() is built from, so the sum is that over the tiles of gram(), bit
-    for bit; with N <= _TILE the one tile is the whole matrix, and the sum
-    is np.sum(fn(code.gram())).
+    The matrix is never built. The tiles on and above the diagonal are
+    computed from the points (_gram_tile) in batches of _BATCH, laid out
+    one after another in one buffer, and fn sees each batch once, as a 1-d
+    array: so a full batch reaches gegenbauer's evaluation as whole blocks,
+    which it spreads over the CPUs, while fn is still called from this
+    thread only. fn must act entrywise; a tile above the diagonal counts
+    twice, for itself and its transposed copy below. np.sum adds each
+    tile's values, a C-ordered view in the tile's own shape exactly as
+    fn(tile) would return them, and math.fsum, which is exact, the tile
+    sums, so neither the batching nor the thread count moves a bit. The
+    tiles are those gram() is built from, so the sum is that over the tiles
+    of gram(), bit for bit; with N <= _TILE the one tile is the whole
+    matrix, and the sum is np.sum(fn(code.gram())).
     """
-    buf = np.empty(min(code.size, _TILE) ** 2)
-    return math.fsum(
-        (1.0 if rows == cols else 2.0) * float(np.sum(fn(_gram_tile(code, rows, cols, buf))))
-        for rows, cols in _tiles(code.size)
-    )
+    tiles = list(_tiles(code.size))
+    buf = np.empty(min(len(tiles), _BATCH) * min(code.size, _TILE) ** 2)
+    sums = []
+    for start in range(0, len(tiles), _BATCH):
+        shapes, size = [], 0
+        for rows, cols in tiles[start:start + _BATCH]:
+            tile = _gram_tile(code, rows, cols, buf[size:])
+            shapes.append((1.0 if rows == cols else 2.0, size, tile.shape))
+            size += tile.size
+        values = fn(buf[:size])
+        sums += [weight * float(np.sum(values[lo:lo + r * c].reshape(r, c)))
+                 for weight, lo, (r, c) in shapes]
+    return math.fsum(sums)
 
 
 def _exact_gram(table, pts: np.ndarray) -> np.ndarray:
@@ -126,7 +146,8 @@ class SphericalCode:
     code. Built-in codes carry an exact rational inner-product table, which
     makes their distance distributions exact and removes clustering
     ambiguity; the table is checked against the points on construction
-    and kept in floats as the code's gram().
+    and kept in floats as the code's gram(), and its distance distribution
+    is counted once, at first use, and kept beside it.
     """
 
     n: int
@@ -134,6 +155,8 @@ class SphericalCode:
     exact_products: tuple | None = None  # tuple of tuples of Fraction, N x N
     name: str = "custom"
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    # t -> A_t of the exact table, in Fractions (distance_distribution)
+    _exact_entries: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.n = integer("code dimension", self.n)
@@ -228,15 +251,21 @@ def distance_distribution(
 ) -> DistanceDistribution:
     """Cluster the off-diagonal inner products of a code.
 
-    Built-in codes use their exact product table and ignore tol. For float
-    codes, values are merged while consecutive gaps stay within tol; two
-    clusters whose centroids end up closer than 2*tol raise AmbiguityError.
+    Built-in codes use their exact product table and ignore tol; the table
+    is counted at the first call and the count kept with the code. For
+    float codes, values are merged while consecutive gaps stay within tol;
+    two clusters whose centroids end up closer than 2*tol raise
+    AmbiguityError.
     """
     N = code.size
     if code.exact_products is not None:
-        counts = Counter(code.exact_products[i][j] for i in range(N) for j in range(N) if i != j)
-        entries = {t: Fraction(c, N) for t, c in sorted(counts.items())}
-        return DistanceDistribution(entries, exact=True)
+        # counting N^2 Fractions is most of code-stats on a large built-in
+        # code; every caller gets its own copy of the one count
+        if code._exact_entries is None:
+            counts = Counter(code.exact_products[i][j]
+                             for i in range(N) for j in range(N) if i != j)
+            code._exact_entries = {t: Fraction(c, N) for t, c in sorted(counts.items())}
+        return DistanceDistribution(dict(code._exact_entries), exact=True)
 
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol}")
@@ -265,10 +294,11 @@ def moment(code: SphericalCode, k: int) -> float:
     """k-th moment: sum of G_k(x.y) over all ordered pairs, diagonal included.
 
     Nonnegative for every code by positive-definiteness of the basis.
-    For a float code G_k is evaluated once per unordered pair, on one tile
-    of products at a time computed from the points, and the tile sums are
-    added (see _pair_sum); no N x N matrix is built. Up to 128 points the
-    value is np.sum of G_k over every entry of code.gram(), bit for bit.
+    For a float code G_k is evaluated once per unordered pair, on a batch
+    of tiles of products at a time computed from the points, and the tile
+    sums are added (see _pair_sum); no N x N matrix is built. Up to 128
+    points the value is np.sum of G_k over every entry of code.gram(), bit
+    for bit.
     A code with an exact product table gets N (G_k(1) + sum_t A_t G_k(t))
     over its exact distance distribution, G_k(1) = 1, in Fractions from
     monomial_coeffs, rounded once: a spherical k-design's moment k is 0.0.
@@ -287,12 +317,12 @@ def moment(code: SphericalCode, k: int) -> float:
 def energy(code: SphericalCode, g: GegenbauerExpansion) -> float:
     """E_g: sum of g(x.y) over ordered pairs of distinct points.
 
-    g is evaluated once per unordered pair, on one tile of products at a
-    time computed from the points, and the tile sums are added (see
-    _pair_sum); no N x N matrix is built. g at the diagonal, where every
-    product is exactly 1.0, is then summed and taken away. Up to 128 points
-    the value is the same, bit for bit, as evaluating g at every entry of
-    code.gram().
+    g is evaluated once per unordered pair, on a batch of tiles of
+    products at a time computed from the points, and the tile sums are
+    added (see _pair_sum); no N x N matrix is built. g at the diagonal,
+    where every product is exactly 1.0, is then summed and taken away. Up
+    to 128 points the value is the same, bit for bit, as evaluating g at
+    every entry of code.gram().
     """
     if g.n != code.n:
         raise ParameterError(

@@ -6,6 +6,9 @@ respect to the weight (1 - t^2)^((n-3)/2), scaled so that G_k(1) = 1.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -31,14 +34,43 @@ _EDGE_SLACK = 1e-12
 _SMALL_INPUT = 32
 
 # Larger inputs run through the recurrences in blocks of this many points,
-# in place in four preallocated buffers of one block each. The working set,
-# 4 x 128 KiB, stays in a core's L2 (1-2 MiB on current x86) instead of
-# streaming array-sized temporaries through memory at every step. The fixed
-# cost of a block (slicing, domain check and clamp calls, about 16 us on a
-# 2-core Xeon VM) is 1.5 % of a degree-22 block and 0.5 % at degree 60.
-# On that VM 8192 points ran 15-25 % slower from numpy's per-call overhead,
-# and 131072 slower still, its working set spilling out of L2.
-_BLOCK = 16384
+# in place in the block's slice of the output and three preallocated
+# buffers of one block each. The working set, 4 x 256 KiB, stays in a
+# core's L2 (1-2 MiB on current x86) instead of streaming array-sized
+# temporaries through memory at every step. Blocks are spread over the
+# CPUs the process may use (_blockwise), and a thread takes the GIL back
+# after every ufunc call, so a block must be long enough for the calls to
+# outlast the handoffs. Degree-60 Clenshaw on 2e6 points,
+# 2-core Xeon VM, one BLAS thread, median of 9 runs, in ms:
+#     block            1 thread   2 threads
+#     16,384 points       163        144
+#     32,768 points       153         95
+#     65,536 points       189        102
+# At 16,384 points the handoffs eat most of what the second core gains;
+# at 65,536 a thread's working set spills out of L2.
+_BLOCK = 32768
+
+
+# Threads that run the blocks of one call, the calling thread included:
+# the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # (threads, ThreadPoolExecutor), made at the first call that needs it
+_pool_lock = threading.Lock()
+
+
+def _executor(threads: int):
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            # imported here, so that a process that never evaluates more
+            # than a block does not pay for the import
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="spherecert-block"))
+        return _pool[1]
 
 
 def _check_dimension(n: int, lo: int = 3) -> None:
@@ -49,26 +81,62 @@ def _check_dimension(n: int, lo: int = 3) -> None:
 def _blockwise(t, recurrence) -> np.ndarray:
     """Run recurrence(x, b1, b2, q) on the points of t in blocks of _BLOCK.
 
-    Each block is checked against the domain, clamped into x and handed
-    over with three scratch buffers of its size; recurrence returns the
-    buffer holding its values. The buffers are allocated once per call and
-    t is never written. Returns a new float array of t's shape. A DomainError
-    names the first offending value in t's order.
+    t is checked against the domain once, whole, so a DomainError names
+    the first offending value in t's order. Each block is then clamped
+    into its own slice of the output, handed over as x with three scratch
+    buffers of its size, and overwritten by the buffer that recurrence
+    returns, which holds its values. t is never written. Returns a new
+    float array of t's shape.
+
+    With w = min(_WORKERS, blocks) > 1 workers, the calling thread and a
+    thread pool of w - 1 threads each take the next block that no worker
+    has taken until none is left, so a thread that the machine holds up
+    leaves its share to the others. Pool threads run in a copy of the
+    caller's context, so under the caller's numpy error state. The caller
+    allocates every worker's buffers as one (w, 3, _BLOCK) array before
+    any dispatch, and the pool threads allocate nothing. Every block runs
+    the same in-place ufuncs whichever thread runs it, so each value has
+    the same bits for any w. Only the recurrence, a private closure, runs
+    off the calling thread: no public name of the package is called there,
+    and a tracer that wraps them sees one thread.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     out = np.empty(flat.size)
-    bufs = np.empty((4, min(flat.size, _BLOCK)))
+    if flat.size == 0:
+        return out.reshape(t.shape)
     lim = 1.0 + _EDGE_SLACK
-    for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo:lo + _BLOCK]
-        # min and max are NaN when the block holds one, which fails the test
-        if not (-lim <= block.min() and block.max() <= lim):
-            bad = block[~(np.abs(block) <= lim)]
-            raise DomainError(f"argument outside [-1, 1]: {bad[0]}")
-        x, b1, b2, q = (b[:block.size] for b in bufs)
-        np.clip(block, -1.0, 1.0, out=x)
-        out[lo:lo + block.size] = recurrence(x, b1, b2, q)
+    # min and max are NaN when t holds one, which fails the test
+    if not (-lim <= flat.min() and flat.max() <= lim):
+        bad = flat[~(np.abs(flat) <= lim)]
+        raise DomainError(f"argument outside [-1, 1]: {bad[0]}")
+    w = min(_WORKERS, -(-flat.size // _BLOCK))
+    bufs = np.empty((w, 3, min(flat.size, _BLOCK)))
+    starts = iter(range(0, flat.size, _BLOCK))
+    taking = threading.Lock()
+
+    def run(r):
+        while True:
+            with taking:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            x = out[lo:lo + _BLOCK]
+            np.clip(flat[lo:lo + _BLOCK], -1.0, 1.0, out=x)
+            x[...] = recurrence(x, *bufs[r, :, :x.size])
+
+    futures = []
+    if w > 1:
+        pool = _executor(w - 1)
+        futures = [pool.submit(contextvars.copy_context().run, run, r) for r in range(1, w)]
+    try:
+        run(0)
+    finally:
+        # no worker may still write to out once this call has returned or raised
+        for f in futures:
+            f.exception()
+    for f in futures:
+        f.result()
     return out.reshape(t.shape)
 
 
@@ -188,7 +256,8 @@ class GegenbauerExpansion:
           point by point, through _eval_floats, which is cheapest for the
           few points of an optimizer's callback;
         - larger inputs run it in blocks of _BLOCK points, in place in
-          preallocated buffers, through the same helper as gegenbauer_eval.
+          preallocated buffers, spread over the CPUs, through the same
+          helper as gegenbauer_eval (_blockwise).
         Each step computes c_k + (a_k t) b1 + beta_k b2 in that order on
         both paths, so they agree bit for bit.
         """

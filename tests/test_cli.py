@@ -10,7 +10,7 @@ import pytest
 
 from oracles import dd_certificate
 from spherecert.bounds import DDCertificate, dd_bound_general, yudin_energy_lower
-from spherecert import cli
+from spherecert import cli, codes
 from spherecert.cli import main, manifest_to_argv
 
 DATA = str(Path(__file__).resolve().parent.parent / "src" / "spherecert" / "data")
@@ -78,6 +78,23 @@ def test_code_stats_simplex(capsys):
     code, rep = run(capsys, "code-stats", "simplex4")
     assert code == 0
     assert rep["inner_products"] == [-0.25]
+
+
+def test_code_stats_counts_a_builtin_table_once(monkeypatch, capsys):
+    # the report's distance distribution and every moment share one count
+    # of the exact product table, the cost of code-stats on a large code
+    real, builds = codes.Counter, []
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(codes, "Counter", counting)
+    for name in codes.BUILTIN_NAMES:
+        builds.clear()
+        code, rep = run(capsys, "code-stats", name, "--degree", "9", "--interval=-1,0")
+        assert code == 0 and len(rep["moments"]) == 10
+        assert len(builds) == 1, name
 
 
 def test_code_stats_bad_point(tmp_path, capsys):
@@ -314,6 +331,28 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys):
             assert main(argv) == 2, argv
         out = capsys.readouterr().out
         assert "NaN" not in out and "error" in strict_json(out), argv
+
+
+@pytest.mark.parametrize("warnings_filter", ["default", "error::RuntimeWarning"])
+def test_overflow_exits_2_under_any_warnings_filter(tmp_path, warnings_filter):
+    # g(1), the coefficient sum, overflows: main raises numpy's RuntimeWarning
+    # as an error whatever filter the interpreter started with, so the run
+    # exits 2 with a JSON error and prints nothing on stderr
+    root = MANIFESTS.parent.parent
+    huge = {"n": 4, "coeffs": [1e308, 1e308]}
+    g = tmp_path / "huge.json"
+    g.write_text(json.dumps(huge))
+    cert = tmp_path / "huge_cert.json"
+    cert.write_text(json.dumps({"g": huge, "T": [-1, 0.5], "M": 22.5689}))
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for argv in (["eval", str(g)], ["bound", str(cert), "--N", "24"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", warnings_filter, "-m", "spherecert.cli", *argv],
+            cwd=root, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert "RuntimeWarning" in strict_json(proc.stdout.decode())["error"], argv
+        assert proc.stderr == b"", argv
 
 
 def test_argument_errors_are_json(capsys):

@@ -252,8 +252,9 @@ def test_pair_sums_are_bit_identical_to_whole_matrix_sums():
     # energy and moment add one tile of the Gram matrix at a time; up to
     # _TILE points that tile is the whole matrix and no bit of the sums
     # changes. Above it the additions run in another order, so the sums
-    # agree within a multiple of u * sum |values|.
-    assert codes._TILE ** 2 == gegenbauer._BLOCK
+    # agree within a multiple of u * sum |values|. A full batch of tiles
+    # fills whole blocks of the evaluation.
+    assert codes._BATCH * codes._TILE ** 2 % gegenbauer._BLOCK == 0
     rng = np.random.default_rng(46)
     T = codes._TILE
     floats = []
@@ -293,10 +294,12 @@ def test_streamed_pair_sums_match_gram_tiles_bit_for_bit():
     # energy and moment compute their tiles from the points; gram() is
     # built from the same tiles, so the sums over its tiles agree in every
     # bit. At (129, 4) and (300, 3) a whole-matrix points @ points.T
-    # differs from the tile products in some entries.
+    # differs from the tile products in some entries. 1100 points are 45
+    # tiles, handed to the evaluation in several batches.
+    assert len(list(codes._tiles(1100))) > 2 * codes._BATCH
     rng = np.random.default_rng(48)
     floats = []
-    for N, n in ((129, 4), (300, 3), (389, 5)):
+    for N, n in ((129, 4), (300, 3), (389, 5), (1100, 5)):
         X = rng.normal(size=(N, n))
         floats.append(SphericalCode(n, X / np.linalg.norm(X, axis=1, keepdims=True)))
     for code in floats + all_builtins():
@@ -317,9 +320,9 @@ def test_streamed_pair_sums_match_gram_tiles_bit_for_bit():
 
 
 def test_pair_sums_hold_one_tile():
-    # energy and moment compute one tile of products at a time from the
-    # points and build no N x N matrix: the whole call stays far below a
-    # quarter of an N x N float array
+    # energy and moment compute one batch of tiles of products at a time
+    # from the points and build no N x N matrix: the whole call stays far
+    # below a quarter of an N x N float array
     rng = np.random.default_rng(47)
     N = 3000
     X = rng.normal(size=(N, 5))

@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spherecert import codes, gegenbauer
 from spherecert.data import load_expansion
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
@@ -211,6 +214,100 @@ def test_blocked_domain_error_names_first_bad_value():
             with pytest.raises(DomainError) as info:
                 f(ts)
             assert str(info.value) == str(oracle.value)
+
+
+def _pool_inputs():
+    """1, 2, 3 and 7 blocks plus a remainder, with the domain edges and the
+    slack beyond them in the first and the last block; a 0-d array and a
+    2-d shape of three blocks."""
+    rng = np.random.default_rng(17)
+    edges = [-1.0, 1.0, -1.0 - _EDGE_SLACK, 1.0 + _EDGE_SLACK,
+             -1.0 - _EDGE_SLACK / 2, 1.0 + _EDGE_SLACK / 2]
+    for size in (_BLOCK + 3, 2 * _BLOCK + 1, 3 * _BLOCK + 5, 7 * _BLOCK + 2):
+        ts = rng.uniform(-1, 1, size)
+        ts[:len(edges)] = edges
+        ts[-len(edges):] = edges
+        yield ts
+    yield np.array(0.3)
+    yield rng.uniform(-1, 1, (3, _BLOCK))
+
+
+def test_values_do_not_depend_on_the_worker_count(monkeypatch):
+    # blocks run on the calling thread and a pool; each value has the
+    # same bits for one worker, for two, and for more workers than cores
+    # with thread switches forced often
+    rng = np.random.default_rng(18)
+    e = GegenbauerExpansion(4, rng.normal(size=61) * 10.0 ** rng.integers(-3, 4, size=61))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for ts in _pool_inputs():
+            results = []
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(gegenbauer, "_WORKERS", workers)
+                results.append([np.asarray(e.eval(ts)), np.asarray(gegenbauer_eval(6, 40, ts))])
+            for one, *more in zip(*results):
+                assert one.shape == ts.shape
+                assert all(_same_bits(one, other) for other in more)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_domain_error_names_first_bad_value(monkeypatch):
+    # t is checked whole before any block is dispatched, so the first
+    # offender in t's order is named whichever threads would run the
+    # blocks that hold the offenders
+    monkeypatch.setattr(gegenbauer, "_WORKERS", 2)
+    e = GegenbauerExpansion(4, [0.5, -1.0, 2.0])
+    big = 1.0 + 2 * _EDGE_SLACK
+    for (i, first), (j, second) in (((_BLOCK + 7, big), (2 * _BLOCK + 1, np.nan)),
+                                    ((_BLOCK + 7, np.nan), (2 * _BLOCK + 1, -3.0)),
+                                    ((5, -1.5), (_BLOCK + 2, np.nan)),
+                                    ((2 * _BLOCK - 1, np.nan), (2 * _BLOCK, big))):
+        ts = np.zeros(3 * _BLOCK + 5)
+        ts[i], ts[j] = first, second
+        for f in (e.eval, lambda t: gegenbauer_eval(6, 40, t)):
+            with pytest.raises(DomainError) as info:
+                f(ts)
+            assert str(info.value) == f"argument outside [-1, 1]: {np.float64(first)}"
+
+
+def test_public_names_run_on_the_calling_thread_only(monkeypatch):
+    # the pool runs private recurrences only: a tracer that wraps the
+    # public evaluations sees every call on the calling thread
+    monkeypatch.setattr(gegenbauer, "_WORKERS", 2)
+    caller, public, pool_ran = threading.get_ident(), set(), threading.Event()
+
+    def recorded(f):
+        def wrapper(*args, **kwargs):
+            public.add(threading.get_ident())
+            return f(*args, **kwargs)
+        return wrapper
+
+    def block(f):
+        def wrapper(*args):
+            if threading.get_ident() != caller:
+                pool_ran.set()
+            else:
+                # the caller holds its first block until a pool thread has
+                # taken one, so a pool that never runs fails here
+                assert pool_ran.wait(timeout=60)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(GegenbauerExpansion, "eval", recorded(GegenbauerExpansion.eval))
+    for mod in (gegenbauer, codes):
+        monkeypatch.setattr(mod, "gegenbauer_eval", recorded(gegenbauer_eval))
+    for name in ("_clenshaw", "_forward_recurrence"):
+        monkeypatch.setattr(gegenbauer, name, block(getattr(gegenbauer, name)))
+    rng = np.random.default_rng(19)
+    g = GegenbauerExpansion(5, rng.normal(size=23))
+    g.eval(rng.uniform(-1, 1, 3 * _BLOCK))
+    X = rng.normal(size=(600, 5))
+    code = codes.SphericalCode(5, X / np.linalg.norm(X, axis=1, keepdims=True))
+    codes.energy(code, g)
+    codes.moment(code, 5)
+    assert public == {caller}
 
 
 def test_expansion_trivia():
