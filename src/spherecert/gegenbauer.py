@@ -11,7 +11,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -310,18 +310,43 @@ class GegenbauerExpansion:
         return cls(n, coeffs, provenance=str(obj.get("provenance", "")))
 
 
-@lru_cache(maxsize=128)
+# n -> the exact monomial rows of G_0, G_1, ... in dimension n built so
+# far (_monomial_rows); the lock orders the publications, readers take none
+_ROWS: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
+_rows_lock = threading.Lock()
+
+
 def _monomial_rows(n: int, degree: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact monomial coefficients of G_0, ..., G_degree in dimension n,
-    one row each, from one pass of the three-term recurrence (cached)."""
-    rows = [(Fraction(1),), (Fraction(0), Fraction(1))]
-    for j in range(2, degree + 1):
-        prev, cur = rows[-2], rows[-1]
+    """Exact monomial coefficients of G_0, G_1, ... in dimension n, one row
+    each, at least up to G_degree; row k is G_k.
+
+    The process keeps one table per dimension and extends it, by the
+    three-term recurrence from its last two rows, only when a higher degree
+    is asked for: the rows of G_0..G_d cost O(d^2) Fraction operations
+    once, whatever the order of the requests. The table is grown in a local
+    copy and published with one assignment, under a lock that keeps the
+    longer of two tables grown at once, so a caller on another thread sees
+    the old table or a grown one, never a partial one. A call returns the
+    table it read or built, which always reaches degree. Every row is kept
+    for the life of the process, so callers that take a degree from their
+    input bound it (cli.MAX_DEGREE).
+    """
+    rows = _ROWS.get(n, ())
+    if len(rows) > degree:
+        return rows
+    grown = list(rows) or [(Fraction(1),), (Fraction(0), Fraction(1))]
+    for j in range(len(grown), degree + 1):
+        prev, cur = grown[-2], grown[-1]
         nxt = [Fraction(0)] + [(2 * j + n - 4) * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= (j - 1) * c
-        rows.append(tuple(c / (j + n - 3) for c in nxt))
-    return tuple(rows[:degree + 1])
+        grown.append(tuple(c / (j + n - 3) for c in nxt))
+    rows = tuple(grown)
+    with _rows_lock:
+        # a thread that grew the table further meanwhile keeps its table
+        if len(rows) > len(_ROWS.get(n, ())):
+            _ROWS[n] = rows
+    return rows
 
 
 def monomial_coeffs(n: int, k: int) -> list[Fraction]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, fsum, lcm
 
 import numpy as np
@@ -43,14 +44,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Coefficient tensors.
 
+@lru_cache(maxsize=128)
 def _kernel_tensor(n: int, k: int) -> np.ndarray:
-    """Q_k(t, u, v) as a (k+1)^3 coefficient tensor.
+    """Q_k(t, u, v) as a (k+1)^3 coefficient tensor, read-only.
 
     Expands sum_m a_m (t - uv)^m ((1-u^2)(1-v^2))^((k-m)/2) by the binomial
     theorem; parity of G_k makes k - m even whenever a_m != 0. The sums run
     in Python integers over one denominator D, the lcm of the a_m's, and
     each is divided by D once: int / int rounds correctly, so every entry
     is its exact rational coefficient correctly rounded.
+
+    A pure function of (n, k): the process keeps the 128 tensors used
+    last, so every certificate of a dimension shares them, and each is
+    read-only because every caller gets the same array.
     """
     a = monomial_coeffs(n - 1, k)
     D = lcm(*(am.denominator for am in a))
@@ -66,7 +72,9 @@ def _kernel_tensor(n: int, k: int) -> np.ndarray:
         for p in range(m + 1):
             exact[m - p, p : p + 2 * r + 1 : 2, p : p + 2 * r + 1 : 2] += (
                 (-1) ** p * comb(m, p) * num * ww)
-    return np.array([x / D for x in exact.ravel().tolist()]).reshape(exact.shape)
+    out = np.array([x / D for x in exact.ravel().tolist()]).reshape(exact.shape)
+    out.flags.writeable = False
+    return out
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -97,6 +105,12 @@ def _eval_tensor(c: np.ndarray, t, u, v) -> np.ndarray:
 def _require_finite(what: str, x) -> None:
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{what} must be finite")
+
+
+def _symmetric(m: np.ndarray, atol: float) -> bool:
+    """|m - m^T| <= atol entrywise: np.allclose(m, m.T, atol, rtol=0) on a
+    finite matrix, without its overhead."""
+    return bool((np.abs(m - m.T) <= atol).all())
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +152,7 @@ class TripleCertificate:
                         f"H[{k}] must be {size}x{size}, got {h.shape}"
                     )
                 _require_finite(f"H[{k}]", h)
-                if not np.allclose(h, h.T, atol=1e-12, rtol=0.0):
+                if not _symmetric(h, 1e-12):
                     raise ParameterError(f"H[{k}] is not symmetric")
                 mats.append(h)
             self.H = mats
@@ -291,11 +305,13 @@ class PsdResult:
 
 def psd_check(m: np.ndarray, tol: float = 1e-9) -> PsdResult:
     """Decide lambda_min(m) >= -tol; on failure return a witness w with
-    w' m w < -tol."""
+    w' m w < -tol. m must be square, finite and symmetric to within
+    max(tol, 1e-12) entrywise."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError("psd_check needs a square matrix")
-    if not np.allclose(m, m.T, atol=max(tol, 1e-12), rtol=0.0):
+    _require_finite("psd_check's matrix", m)
+    if not _symmetric(m, max(tol, 1e-12)):
         raise ParameterError("psd_check needs a symmetric matrix")
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
     lo = float(vals[0])

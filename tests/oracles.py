@@ -130,6 +130,19 @@ def _monomial_oracle_exact(n: int, k: int) -> list[Fraction]:
     return [c / norm for c in p]
 
 
+def monomial_rows_from_scratch(n: int, degree: int) -> list[list[Fraction]]:
+    """Exact monomial coefficients of G_0, ..., G_degree in dimension n, one
+    list each, from a fresh run of the three-term recurrence
+    G_j = ((2j+n-4) t G_{j-1} - (j-1) G_{j-2}) / (j+n-3) as polynomial
+    arithmetic; nothing is kept between calls."""
+    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for j in range(2, degree + 1):
+        t_cur = [Fraction(0)] + [(2 * j + n - 4) * c for c in rows[j - 1]]
+        prev = rows[j - 2] + [Fraction(0)] * 2
+        rows.append([(a - (j - 1) * b) / (j + n - 3) for a, b in zip(t_cur, prev)])
+    return rows[:degree + 1]
+
+
 def _poly_weighted_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
     total = Fraction(0)
     for a, pa in enumerate(p):

@@ -590,3 +590,71 @@ def test_non_integral_dimensions_and_exponents_exit_2(tmp_path, capsys, verb, ma
     f.write_text(json.dumps(make(good)))
     code, rep = run(capsys, verb, str(f))
     assert code == 0, rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["code-stats", "24cell", "--degree", "100000000"],
+    ["code-stats", "24cell", "--degree", str(cli.MAX_DEGREE + 1)],
+    ["eval", f"{DATA}/g1.json", "--csv-out", "{csv}", "--samples", "10000000000"],
+    ["eval", f"{DATA}/g1.json", "--csv-out", "{csv}", "--samples", str(cli.MAX_SAMPLES + 1)],
+    ["eval", f"{DATA}/g1.json", "--csv-out", "{csv}", "--samples=-1"],
+], ids=["degree-1e8", "degree-above-max", "samples-1e10", "samples-above-max", "samples-negative"])
+def test_extreme_degree_and_samples_exit_2_before_building(tmp_path, capsys, monkeypatch, argv):
+    # refused before the code or the expansion is loaded, so before any
+    # row, moment or sample is built: a JSON error, nothing on stderr
+    def refuse(*args):
+        raise AssertionError("an input was loaded")
+
+    for name in ("_load_code", "_load_json"):
+        monkeypatch.setattr(cli, name, refuse)
+    csv = tmp_path / "x.csv"
+    assert main([arg.format(csv=csv) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert list(strict_json(out)) == ["error"] and "must be in [0, " in out
+    assert err == "" and not csv.exists()
+
+
+def test_degree_and_samples_bounds_are_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DEGREE", 3)
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+    code, rep = run(capsys, "code-stats", "cross4", "--degree", "3")
+    assert code == 0 and len(rep["moments"]) == 4
+    assert run(capsys, "code-stats", "cross4", "--degree", "4")[0] == 2
+    csv = tmp_path / "x.csv"
+    assert run(capsys, "eval", f"{DATA}/g1.json", "--csv-out", str(csv), "--samples", "5")[0] == 0
+    assert len(csv.read_text().splitlines()) == 6
+    assert run(capsys, "eval", f"{DATA}/g1.json", "--samples", "6")[0] == 2
+
+
+def test_main_calls_in_turn_match_fresh_interpreters(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call:
+    # verbs run one after another, with usage errors between them, print
+    # what each prints in a fresh interpreter, and a repeatable flag of one
+    # call does not reach the next
+    cert = tmp_path / "matrix.json"
+    cert.write_text(json.dumps(_MATRIX_CERT))
+    calls = [
+        ["code-stats", "24cell", "--interval=-1,-0.45", "--interval=0.35,0.5", "--degree", "3"],
+        ["code-stats"],
+        ["eval", f"{DATA}/g1.json", "--t", "-1", "--t", "0.5"],
+        ["code-stats", "24cell", "--degree", "3"],
+        ["eval", f"{DATA}/g1.json", "--bogus"],
+        ["verify-cert", str(cert), "--interval=0,0.5"],
+        ["bound", f"{DATA}/g2_cert.json"],
+        ["code-stats", "cross4", "--degree", "x"],
+        ["bound", f"{DATA}/g2_cert.json", "--N", "24"],
+        ["eval", f"{DATA}/g1.json", "--t", "0.25"],
+        ["code-stats", "24cell", "--degree", "3"],
+    ]
+    root = MANIFESTS.parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "spherecert.cli", *argv], cwd=root,
+                               env=env, capture_output=True, timeout=120)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err) == (fresh.returncode, fresh.stdout, ""), argv
+    assert cli._build_parser() is cli._build_parser()
+    _, rep = run(capsys, "code-stats", "24cell", "--degree", "3")
+    assert rep["interval_masses"] == [] and "interval" not in rep["manifest"]["parameters"]

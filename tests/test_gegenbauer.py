@@ -22,6 +22,7 @@ from oracles import (
     clenshaw_whole_array,
     forward_whole_array,
     monomial_oracle,
+    monomial_rows_from_scratch,
     orthogonality_oracle,
 )
 
@@ -380,3 +381,66 @@ def test_monomial_to_gegenbauer_round_trips_exactly():
             assert back == poly
     # floats are taken exactly
     assert monomial_to_gegenbauer(4, [0.1]) == [Fraction(0.1)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+def test_monomial_rows_match_a_from_scratch_recurrence(monkeypatch, order):
+    # the per-dimension table grows on demand; whatever order the degrees
+    # are asked for in, every row is the one a fresh recurrence gives
+    monkeypatch.setattr(gegenbauer, "_ROWS", {})
+    degrees = list(range(61))
+    if order == "descending":
+        degrees.reverse()
+    elif order == "random":
+        np.random.default_rng(51).shuffle(degrees)
+    for n in range(2, 9):
+        expected = monomial_rows_from_scratch(n, 60)
+        for k in degrees:
+            assert monomial_coeffs(n, k) == expected[k], (n, k)
+            rows = gegenbauer._monomial_rows(n, k)
+            assert [list(r) for r in rows[:k + 1]] == expected[:k + 1], (n, k)
+        assert len(gegenbauer._ROWS[n]) == 61
+
+
+def test_monomial_rows_grow_by_extending_the_table(monkeypatch):
+    # a higher degree appends rows to the table the process keeps: the
+    # rows already built are the same objects, not rebuilt
+    monkeypatch.setattr(gegenbauer, "_ROWS", {})
+    low = gegenbauer._monomial_rows(5, 10)
+    assert len(low) == 11
+    assert gegenbauer._monomial_rows(5, 3) is low
+    high = gegenbauer._monomial_rows(5, 20)
+    assert len(high) == 21 and all(a is b for a, b in zip(low, high))
+    assert gegenbauer._ROWS == {5: high}
+
+
+def test_monomial_rows_grown_from_several_threads_at_once(monkeypatch):
+    # threads grow one dimension's table to different degrees at the same
+    # time, more threads than cores; each reads correct rows, and the
+    # table left behind is the longest one grown, never a partial one
+    expected = monomial_rows_from_scratch(5, 80)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(gegenbauer, "_ROWS", {})
+            degrees = (40, 80, 20, 60)
+            start = threading.Barrier(len(degrees))
+            got = {}
+
+            def grow(degree):
+                start.wait(timeout=60)
+                got[degree] = gegenbauer._monomial_rows(5, degree)
+
+            threads = [threading.Thread(target=grow, args=(d,)) for d in degrees]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert sorted(got) == sorted(degrees)
+            for degree, rows in got.items():
+                assert [list(r) for r in rows[:degree + 1]] == expected[:degree + 1]
+            assert [list(r) for r in gegenbauer._ROWS[5]] == expected
+    finally:
+        sys.setswitchinterval(interval)

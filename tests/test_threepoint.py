@@ -8,6 +8,7 @@ from spherecert.errors import CapabilityError, ParameterError
 from spherecert.threepoint import (
     TripleCertificate,
     _kernel_tensor,
+    _symmetric,
     certificate_valid,
     psd_check,
     triple_sum,
@@ -244,6 +245,46 @@ def test_psd_check():
     assert boundary.ok and boundary.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ParameterError):
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("m", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+                               [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["inf-diagonal", "inf-pair", "nan-pair"])
+def test_psd_check_refuses_non_finite_matrices(m):
+    # before, the first gave ok=False with a NaN min_eigenvalue, the second
+    # a NaN witness, and the third was refused as "not symmetric"
+    with pytest.raises(ParameterError, match="must be finite"):
+        psd_check(np.array(m))
+
+
+def test_symmetry_test_agrees_with_allclose():
+    # the entrywise test |m - m^T| <= atol accepts and refuses the same
+    # finite matrices as np.allclose(m, m.T, atol, rtol=0), also at the
+    # boundary, where the asymmetry equals atol
+    rng = np.random.default_rng(29)
+    for size in (1, 2, 5):
+        for scale in (0.0, 1e-13, 1e-12, 1e-9, 1e-3):
+            a = rng.normal(size=(size, size))
+            m = a + a.T + scale * rng.normal(size=(size, size))
+            for atol in (1e-12, 1e-9):
+                assert _symmetric(m, atol) == np.allclose(m, m.T, atol=atol, rtol=0.0)
+    for gap in (1e-12, 1e-9):
+        m = np.array([[1.0, 0.5], [0.5 + gap, 1.0]])
+        atol = abs(m[0, 1] - m[1, 0])
+        for tol in (atol, np.nextafter(atol, 0.0)):
+            assert _symmetric(m, tol) == np.allclose(m, m.T, atol=tol, rtol=0.0)
+
+
+def test_kernel_tensors_are_kept_read_only():
+    # a kernel tensor is built once per (n, k) and shared by every
+    # certificate, so no caller may write to it
+    for n, k in ((3, 0), (4, 5), (6, 8)):
+        q = _kernel_tensor(n, k)
+        assert _kernel_tensor(n, k) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0, 0] = 1.0
+        assert q.tobytes() == _kernel_tensor.__wrapped__(n, k).tobytes()
 
 
 def test_certificate_valid():
