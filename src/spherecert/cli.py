@@ -11,7 +11,8 @@ invalid-value warning, raised as an error whatever the warnings filter),
 or an output path that cannot be written (stdout then holds only the
 JSON error); 3 certificate failure; 4 contradiction found
 (kissing-check's successful mathematical outcome, flagged distinctly for
-scripting).
+scripting). A reader that closes stdout before the report is printed
+whole (`| head`) leaves the exit code as it was, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from functools import cache
@@ -373,10 +375,24 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, TypeError, OSError, RuntimeWarning) as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
-        print(text)
+        _print(text)
         return code
-    print(json.dumps({"error": error}, indent=2))
+    _print(json.dumps({"error": error}, indent=2))
     return EXIT_VALIDATION
+
+
+def _print(text: str) -> None:
+    """Print text and flush stdout. A reader that closes stdout early
+    (`| head`) ends the output quietly: stdout is pointed at os.devnull,
+    so that the interpreter's final flush cannot raise again, and main
+    returns the exit code it would have returned."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def entry() -> None:

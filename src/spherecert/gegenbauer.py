@@ -12,6 +12,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd, lcm
 
 import numpy as np
 
@@ -362,17 +363,88 @@ def monomial_coeffs(n: int, k: int) -> list[Fraction]:
     return list(_monomial_rows(n, k)[k])
 
 
+# n -> (D, rows): row p holds the exact Gegenbauer coefficients of s^p in
+# dimension n, each times D, as Python ints (_power_rows); the lock orders
+# the publications, readers take none
+_POWERS: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+_powers_lock = threading.Lock()
+
+
+def _power_rows(n: int, degree: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows) with rows[p][k] / D the coefficient of G_k in s^p in
+    dimension n, for p = 0.. at least degree; row p has p + 1 entries.
+
+    One table per dimension, grown only when a higher degree is asked for,
+    by multiplying the last row by s:
+
+        s G_0 = G_1,   s G_k = ((k+n-2) G_{k+1} + k G_{k-1}) / (2k+n-2),
+
+    O(p) integer operations for row p. D is the lcm of every row's
+    denominators, so the rows already built are rescaled to the new D when
+    new rows bring new factors. Grown in a local copy and published with
+    one assignment, under a lock that keeps the longer of two tables grown
+    at once, as _monomial_rows does.
+    """
+    table = _POWERS.get(n)
+    if table is not None and len(table[1]) > degree:
+        return table
+    D, rows = table or (1, ((1,),))
+    # row p - 1 is last / den; row p is built over den * W, W the lcm of
+    # the recurrence's divisors, and reduced by the gcd of its entries
+    last, den, new = rows[-1], D, []
+    for p in range(len(rows), degree + 1):
+        W = lcm(*(2 * k + n - 2 for k in range(1, p)))
+        nxt = [0] * (p + 1)
+        nxt[1] = last[0] * W
+        for k in range(1, p):
+            if last[k]:
+                f = W // (2 * k + n - 2) * last[k]
+                nxt[k + 1] += f * (k + n - 2)
+                nxt[k - 1] += f * k
+        g = gcd(den * W, *nxt)
+        den, last = den * W // g, [a // g for a in nxt]
+        new.append((den, last))
+    grown = lcm(D, *(d for d, _ in new))
+    table = (grown, tuple(tuple(a * (grown // D) for a in row) for row in rows)
+             + tuple(tuple(a * (grown // d) for a in row) for d, row in new))
+    with _powers_lock:
+        # a thread that grew the table further meanwhile keeps its table
+        if len(table[1]) > len(_POWERS.get(n, (0, ()))[1]):
+            _POWERS[n] = table
+    return table
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(nums, L) with values[i] = nums[i] / L exactly, L the lcm of their
+    denominators: a power of two for floats. Non-finite floats raise as
+    Fraction does."""
+    ratios = [(c if isinstance(c, float) else Fraction(c)).as_integer_ratio() for c in values]
+    L = lcm(*(den for _, den in ratios))
+    return [num * (L // den) for num, den in ratios], L
+
+
+def _gegenbauer_numerators(n: int, coeffs) -> tuple[list[int], int]:
+    """(nums, den) with nums[k] / den the exact c_k of monomial_to_gegenbauer."""
+    nums, L = _over_lcm(coeffs)
+    D, rows = _power_rows(n, len(nums) - 1)
+    # s^i has the parity of i
+    return [sum(nums[i] * rows[i][k] for i in range(k, len(nums), 2))
+            for k in range(len(nums))], D * L
+
+
 def monomial_to_gegenbauer(n: int, coeffs) -> list[Fraction]:
-    """Exact c_k with sum c_k G_k = sum coeffs[i] s^i in dimension n, by
-    back-substitution through the rows of monomial_coeffs."""
+    """Exact c_k with sum c_k G_k = sum coeffs[i] s^i in dimension n.
+
+    Every coefficient is taken exactly as num_i / L, with L the lcm of
+    their denominators (a power of two for floats), and
+
+        c_k = sum_i num_i rows[i][k] / (D L)
+
+    is one dot product of Python ints over the per-dimension table of
+    _power_rows (grown under its lock), reduced by one gcd. It is the same
+    exact rational as back-substitution through monomial_coeffs gives, so
+    every caller that rounds it gets the same bits.
+    """
     _check_dimension(n, lo=2)
-    rest = [Fraction(c) for c in coeffs]
-    rows = _monomial_rows(n, len(rest) - 1)
-    out = [Fraction(0)] * len(rest)
-    for k in range(len(rest) - 1, -1, -1):
-        c = out[k] = rest[k] / rows[k][k]
-        if c:
-            # G_k has the parity of k
-            for i in range(k - 2, -1, -2):
-                rest[i] -= c * rows[k][i]
-    return out
+    nums, den = _gegenbauer_numerators(n, coeffs)
+    return [Fraction(a, den) for a in nums]

@@ -102,6 +102,10 @@ def _eval_tensor(c: np.ndarray, t, u, v) -> np.ndarray:
     return out.reshape(shape)
 
 
+# Floats held by each of V, X and Z of one block of triple_sum.
+_TRIPLE_BLOCK = 1 << 20
+
+
 def _require_finite(what: str, x) -> None:
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{what} must be finite")
@@ -262,19 +266,44 @@ class TripleSumParts:
 
 
 def triple_sum(code: SphericalCode, F: TripleCertificate) -> float:
-    """S_F: sum of F(x.y, x.z, y.z) over all N^3 ordered triples."""
+    """S_F: sum of F(x.y, x.z, y.z) over all N^3 ordered triples.
+
+    With G the Gram matrix, V[a, b, i] = G_ab^i and C = F.poly(),
+
+        S_F = sum_k sum_{a,b,j} X_k[a, b, j] Z_k[a, b, j],
+        X_k[a] = V[a] @ C[:, :, k],   Z_k[a] = G^k @ V[a],
+
+    G^k taken entrywise: X_k sums over the power i of t = x_a.x_b and Z_k
+    over the third point c. That is O(N^3 m^2 + N^2 m^3) flops for m =
+    degree + 1, in matrix products. The first index a runs in blocks of at
+    most _TRIPLE_BLOCK / (N m) rows, so that V, X and Z of one block hold
+    at most _TRIPLE_BLOCK floats each (one at least), and memory stays
+    O(N^2 + _TRIPLE_BLOCK). Each (block, k) gives one partial sum, the dot
+    product of X_k and Z_k, and math.fsum adds the partial sums, taken
+    block by block and k by k.
+    """
     if F.form == "matrix" and F.n != code.n:
         raise ParameterError(
             f"certificate dimension {F.n} does not match code dimension {code.n}"
         )
     gram = code.gram()
-    total = 0.0
-    # chunk over the first index to keep memory at O(N^2)
-    for a in range(code.size):
-        t = gram[a][:, None]          # t = x_a . x_b
-        u = gram[a][None, :]          # u = x_a . x_c
-        total += float(np.sum(F.eval(t, u, gram)))
-    return total
+    C = F.poly()
+    N, m = code.size, C.shape[0]
+    rows = max(1, _TRIPLE_BLOCK // (N * m))
+    parts = []
+    for lo in range(0, N, rows):
+        B = min(rows, N - lo)
+        # V of the block laid out as (b, a, i), so that one product with
+        # G^k covers the whole block
+        V = np.vander(gram[lo:lo + B].T.ravel(), m, increasing=True)
+        by_row = V.reshape(N, B * m)
+        gk = np.ones((N, N))
+        for k in range(m):
+            X = V @ C[:, :, k]
+            Z = gk @ by_row
+            parts.append(float(np.vdot(X, Z)))
+            gk *= gram
+    return fsum(parts)
 
 
 def triple_sum_parts(code: SphericalCode, F: TripleCertificate) -> TripleSumParts:

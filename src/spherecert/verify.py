@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError
-from .gegenbauer import GegenbauerExpansion, monomial_coeffs, monomial_to_gegenbauer
+from .gegenbauer import GegenbauerExpansion, _gegenbauer_numerators, _over_lcm, monomial_coeffs
 from .threepoint import TripleCertificate, _eval_tensor
 
 __all__ = [
@@ -171,24 +170,35 @@ def _clenshaw_err(d: int, size: float) -> float:
 
 def _pair_expansion(n: int, F: TripleCertificate, parts) -> tuple[GegenbauerExpansion, float]:
     """F(1, t, t) + sum w * e over (w, e) in parts as one dimension-n
-    expansion, computed in exact rationals from the stored floats and
-    rounded once, and a slack bounding its distance to the exact function
-    on [-1, 1]: the coefficient roundings (|G_k| <= 1 there) plus u |a_p|
-    for each correctly rounded diagonal coefficient a_p (the Gegenbauer
-    coefficients of s^p are >= 0 and sum to 1), rounded up by one ulp."""
+    expansion, computed in exact rationals from the stored floats (Python
+    ints over one denominator) and rounded once, and a slack bounding its
+    distance to the exact function on [-1, 1]: the coefficient roundings
+    (|G_k| <= 1 there) plus u |a_p| for each correctly rounded diagonal
+    coefficient a_p (the Gegenbauer coefficients of s^p are >= 0 and sum
+    to 1), rounded up by one ulp."""
     if any(e.n != n for _, e in parts):
         raise ParameterError(
             f"expansions must all have dimension {n}, got {[e.n for _, e in parts]}")
     diag = F.diag_restriction().tolist()
-    exact = monomial_to_gegenbauer(n, diag)
-    exact += [Fraction(0)] * (max(e.coeffs.size for _, e in parts) - len(exact))
+    # exact / den, in Python ints, summed exactly and rounded once
+    exact, den = _gegenbauer_numerators(n, diag)
+    exact += [0] * (max(e.coeffs.size for _, e in parts) - len(exact))
     for w, e in parts:
-        for k, c in enumerate(e.coeffs.tolist()):
-            exact[k] += w * Fraction(c)
-    coeffs = [float(c) for c in exact]
-    err = (sum(abs(c - Fraction(x)) for c, x in zip(exact, coeffs))
-           + Fraction(_U) * sum(abs(Fraction(a)) for a in diag))
-    return GegenbauerExpansion(n, coeffs), math.nextafter(float(err), math.inf)
+        nums, L = _over_lcm(e.coeffs.tolist())
+        M = math.lcm(den, L)
+        exact = [a * (M // den) for a in exact]
+        for k, b in enumerate(nums):
+            exact[k] += w * b * (M // L)
+        den = M
+    coeffs = [a / den for a in exact]  # int / int rounds correctly
+    # sum |exact_k - coeffs_k| + u sum |a_p| over one denominator, with
+    # u = _U = 1 / 2^53; every float's denominator is a power of two
+    rounded, R = _over_lcm(coeffs)
+    an, A = _over_lcm(diag)
+    E = math.lcm(den * R, A << 53)
+    err = (sum(abs(a * R - b * den) for a, b in zip(exact, rounded)) * (E // (den * R))
+           + sum(abs(a) for a in an) * (E // (A << 53)))
+    return GegenbauerExpansion(n, coeffs), math.nextafter(err / E, math.inf)
 
 
 def _bisect(level, a: float, width: float, cells: int, levels: int, dim: int, r: float,
@@ -357,24 +367,37 @@ def triple_cells(T, grid_step: float) -> tuple[int, int]:
 
 def _triple_expansion(F: TripleCertificate, g: GegenbauerExpansion) -> tuple[np.ndarray, float]:
     """phi = F(t, u, v) - g(t) - g(u) - g(v) as one tensor, exact from the
-    stored floats and rounded once, and a slack: the sum of the roundings
-    (monomials are at most 1 on [-1, 1]^3), up one ulp. F's tensor is
+    stored floats (Python ints over one denominator) and rounded once, and
+    a slack: the sum of the roundings (monomials are at most 1 on
+    [-1, 1]^3), up one ulp. F's tensor is
     exactly symmetric, so phi is too, and its value at the wedge point
     sort(t, u, v) is its value at (t, u, v)."""
     c = F.poly()
     phi = np.zeros((max(c.shape[0], g.coeffs.size),) * 3)
     phi[: c.shape[0], : c.shape[1], : c.shape[2]] = c
-    mono = [Fraction(0)] * phi.shape[0]
-    for k, ck in enumerate(g.coeffs.tolist()):
-        for i, x in enumerate(monomial_coeffs(g.n, k)):
-            mono[i] += Fraction(ck) * x
-    err = Fraction(0)
+    # g's monomial coefficients mono[i] / den, in Python ints: g's floats
+    # over their power-of-two lcm L, the rows over the lcm D of theirs
+    gn, L = _over_lcm(g.coeffs.tolist())
+    rows = [monomial_coeffs(g.n, k) for k in range(len(gn))]
+    D = math.lcm(*(x.denominator for row in rows for x in row))
+    mono = [0] * phi.shape[0]
+    for b, row in zip(gn, rows):
+        for i, x in enumerate(row):
+            mono[i] += b * x.numerator * (D // x.denominator)
+    den = D * L
+    # each rounding error is |exact - rounded| = r / (den q) with q a power
+    # of two; the largest q is a multiple of every other
+    errs = []
     for i, x in enumerate(mono):
         for pos in {(i, 0, 0), (0, i, 0), (0, 0, i)}:
-            exact = Fraction(phi[pos]) - (x if i else 3 * x)
-            phi[pos] = float(exact)
-            err += abs(exact - Fraction(phi[pos]))
-    return phi, math.nextafter(float(err), math.inf)
+            yn, yd = float(phi[pos]).as_integer_ratio()
+            num = yn * den - (x if i else 3 * x) * yd
+            phi[pos] = y = num / (yd * den)  # int / int rounds correctly
+            zn, zd = y.as_integer_ratio()
+            errs.append((abs(num * zd - zn * yd * den), yd * zd))
+    Q = max(q for _, q in errs)
+    err = sum(r * (Q // q) for r, q in errs) / (den * Q)
+    return phi, math.nextafter(err, math.inf)
 
 
 def _upper(P: np.ndarray, mids: np.ndarray, rho: float) -> np.ndarray:

@@ -23,6 +23,11 @@ and the triple sweep with its start at the corner (b, b, b). The
 S_k kernel tensor and a matrix certificate's coefficient tensor are kept
 as they stood before the kernel was summed in integers and the shifted
 copies were added per offset: in Fractions, one copy per entry. The
+triple sum is kept as one F.eval per first point, as it stood before it
+became one contraction of the Gram matrix's powers. The basis change from
+monomials is kept as back-substitution through the monomial rows, and the
+pair and triple expansions as sums in Fractions, as they stood before they
+were summed in integers over one denominator. The
 maximum of an expansion on a cell comes from mpmath interval arithmetic. Full
 certificates with known margins are built as the benchmark builds its
 triple workload's.
@@ -42,6 +47,7 @@ from scipy.special import roots_gegenbauer
 from spherecert.errors import CapabilityError, DomainError, ParameterError
 from spherecert.gegenbauer import (
     _EDGE_SLACK,
+    GegenbauerExpansion,
     _check_dimension,
     gegenbauer_eval,
     monomial_coeffs,
@@ -143,6 +149,59 @@ def monomial_rows_from_scratch(n: int, degree: int) -> list[list[Fraction]]:
     return rows[:degree + 1]
 
 
+def monomial_to_gegenbauer_backsub(n: int, coeffs) -> list[Fraction]:
+    """Exact c_k with sum c_k G_k = sum coeffs[i] s^i in dimension n, by
+    back-substitution in Fractions through the rows of monomial_coeffs."""
+    _check_dimension(n, lo=2)
+    rest = [Fraction(c) for c in coeffs]
+    out = [Fraction(0)] * len(rest)
+    for k in range(len(rest) - 1, -1, -1):
+        row = monomial_coeffs(n, k)
+        c = out[k] = rest[k] / row[k]
+        if c:
+            # G_k has the parity of k
+            for i in range(k - 2, -1, -2):
+                rest[i] -= c * row[i]
+    return out
+
+
+def pair_expansion_fractions(n: int, F, parts) -> tuple[GegenbauerExpansion, float]:
+    """verify._pair_expansion summed in Fractions, over the back-substituted
+    diagonal: the same exact rationals, each rounded once."""
+    if any(e.n != n for _, e in parts):
+        raise ParameterError(
+            f"expansions must all have dimension {n}, got {[e.n for _, e in parts]}")
+    diag = F.diag_restriction().tolist()
+    exact = monomial_to_gegenbauer_backsub(n, diag)
+    exact += [Fraction(0)] * (max(e.coeffs.size for _, e in parts) - len(exact))
+    for w, e in parts:
+        for k, c in enumerate(e.coeffs.tolist()):
+            exact[k] += w * Fraction(c)
+    coeffs = [float(c) for c in exact]
+    err = (sum(abs(c - Fraction(x)) for c, x in zip(exact, coeffs))
+           + Fraction(_U) * sum(abs(Fraction(a)) for a in diag))
+    return GegenbauerExpansion(n, coeffs), math.nextafter(float(err), math.inf)
+
+
+def triple_expansion_fractions(F, g) -> tuple[np.ndarray, float]:
+    """verify._triple_expansion summed in Fractions: the same exact
+    rationals, each rounded once."""
+    c = F.poly()
+    phi = np.zeros((max(c.shape[0], g.coeffs.size),) * 3)
+    phi[: c.shape[0], : c.shape[1], : c.shape[2]] = c
+    mono = [Fraction(0)] * phi.shape[0]
+    for k, ck in enumerate(g.coeffs.tolist()):
+        for i, x in enumerate(monomial_coeffs(g.n, k)):
+            mono[i] += Fraction(ck) * x
+    err = Fraction(0)
+    for i, x in enumerate(mono):
+        for pos in {(i, 0, 0), (0, i, 0), (0, 0, i)}:
+            exact = Fraction(phi[pos]) - (x if i else 3 * x)
+            phi[pos] = float(exact)
+            err += abs(exact - Fraction(phi[pos]))
+    return phi, math.nextafter(float(err), math.inf)
+
+
 def _poly_weighted_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
     total = Fraction(0)
     for a, pa in enumerate(p):
@@ -223,6 +282,22 @@ def forward_whole_array(n: int, k: int, t) -> np.ndarray:
     for j in range(2, k + 1):
         prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
     return cur
+
+
+def triple_sum_rows(code, F) -> float:
+    """threepoint.triple_sum as one F.eval on N^2 points per first index a,
+    the row sums added in order."""
+    if F.form == "matrix" and F.n != code.n:
+        raise ParameterError(
+            f"certificate dimension {F.n} does not match code dimension {code.n}"
+        )
+    gram = code.gram()
+    total = 0.0
+    for a in range(code.size):
+        t = gram[a][:, None]          # t = x_a . x_b
+        u = gram[a][None, :]          # u = x_a . x_c
+        total += float(np.sum(F.eval(t, u, gram)))
+    return total
 
 
 def energy_whole_matrix(code, g) -> float:

@@ -355,6 +355,29 @@ def test_overflow_exits_2_under_any_warnings_filter(tmp_path, warnings_filter):
         assert proc.stderr == b"", argv
 
 
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a reader that stops after two lines (`| head -2`) closes the pipe
+    # while a report of several MB is still being written: the run stops
+    # with the verb's exit code and prints nothing on stderr
+    root = MANIFESTS.parent.parent
+    x = np.random.default_rng(33).normal(size=(300, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    code = tmp_path / "code300.json"
+    code.write_text(json.dumps({"n": 4, "points": x.tolist()}))
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.Popen([sys.executable, "-m", "spherecert.cli", "code-stats", str(code)],
+                            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert head == [b"{\n", b'  "N": 300,\n']
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_argument_errors_are_json(capsys):
     # argparse's own errors exit 2 with a JSON error on stdout, like every
     # other validation failure; --help still exits 0

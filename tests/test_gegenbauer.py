@@ -22,6 +22,7 @@ from oracles import (
     clenshaw_whole_array,
     forward_whole_array,
     monomial_oracle,
+    monomial_to_gegenbauer_backsub,
     monomial_rows_from_scratch,
     orthogonality_oracle,
 )
@@ -442,5 +443,70 @@ def test_monomial_rows_grown_from_several_threads_at_once(monkeypatch):
             for degree, rows in got.items():
                 assert [list(r) for r in rows[:degree + 1]] == expected[:degree + 1]
             assert [list(r) for r in gegenbauer._ROWS[5]] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _conversion_inputs(degree: int) -> list[float]:
+    """Seeded floats of degree + 1 coefficients, from 5e-324 to 2^1000 in
+    size, with 5e-324, 0.0 and -2^1000 first."""
+    rng = np.random.default_rng([52, degree])
+    x = rng.uniform(-1.0, 1.0, degree + 1) * np.exp2(rng.integers(-1074, 1001, degree + 1))
+    return ([5e-324, 0.0, -2.0 ** 1000] + x.tolist()[3:])[:degree + 1]
+
+
+def test_monomial_to_gegenbauer_matches_back_substitution(monkeypatch):
+    # the integer dot products over the per-dimension table of powers give
+    # the exact rationals of back-substitution, whatever order the degrees
+    # are asked for in, and so whatever order the table grew in
+    inputs = {degree: _conversion_inputs(degree) for degree in range(61)}
+    expected = {(n, degree): monomial_to_gegenbauer_backsub(n, x)
+                for n in range(2, 9) for degree, x in inputs.items()}
+    for order in ("ascending", "descending", "random"):
+        monkeypatch.setattr(gegenbauer, "_POWERS", {})
+        degrees = list(range(61))
+        if order == "descending":
+            degrees.reverse()
+        elif order == "random":
+            np.random.default_rng(53).shuffle(degrees)
+        for n in range(2, 9):
+            for degree in degrees:
+                got = monomial_to_gegenbauer(n, inputs[degree])
+                assert got == expected[n, degree], (order, n, degree)
+                assert all(type(c) is Fraction for c in got)
+            assert len(gegenbauer._POWERS[n][1]) == 61
+    assert monomial_to_gegenbauer(4, []) == []
+
+
+def test_power_table_grown_from_several_threads_at_once(monkeypatch):
+    # threads convert polynomials of different degrees in one dimension at
+    # the same time, more threads than cores, each growing the table of
+    # powers; each gets exact coefficients, and the table left behind is
+    # the longest one grown, never a partial one
+    degrees = (40, 80, 20, 60)
+    inputs = {degree: _conversion_inputs(degree) for degree in degrees}
+    expected = {degree: monomial_to_gegenbauer_backsub(5, x) for degree, x in inputs.items()}
+    monkeypatch.setattr(gegenbauer, "_POWERS", {})
+    table = gegenbauer._power_rows(5, 80)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(gegenbauer, "_POWERS", {})
+            start = threading.Barrier(len(degrees))
+            got = {}
+
+            def convert(degree):
+                start.wait(timeout=60)
+                got[degree] = monomial_to_gegenbauer(5, inputs[degree])
+
+            threads = [threading.Thread(target=convert, args=(d,)) for d in degrees]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert got == expected
+            assert gegenbauer._POWERS == {5: table}
     finally:
         sys.setswitchinterval(interval)

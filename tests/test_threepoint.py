@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spherecert import threepoint
 from spherecert.codes import SphericalCode, builtin_code, make_24cell
 from spherecert.errors import CapabilityError, ParameterError
 from spherecert.threepoint import (
@@ -15,7 +16,13 @@ from spherecert.threepoint import (
     triple_sum_parts,
 )
 
-from oracles import bv_matrix, dd_certificate, kernel_tensor_fraction, poly_per_entry
+from oracles import (
+    bv_matrix,
+    dd_certificate,
+    kernel_tensor_fraction,
+    poly_per_entry,
+    triple_sum_rows,
+)
 
 CODES = ["simplex3", "simplex4", "cross3", "cross4", "24cell"]
 
@@ -212,6 +219,57 @@ def test_triple_sum_brute_force_oracle():
                 for c in range(N):
                     brute += cert.eval(gram[a, b], gram[a, c], gram[b, c])
         assert got == pytest.approx(brute, rel=1e-12)
+
+
+def _contraction_cases():
+    """(code, certificate) pairs: the five built-in codes and a seeded
+    40-point float code, each with matrix certificates at d = 0..12, two
+    explicit-form certificates and a constant F."""
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(40, 5))
+    codes = [builtin_code(name) for name in CODES]
+    codes.append(SphericalCode(5, x / np.linalg.norm(x, axis=1, keepdims=True)))
+    for code in codes:
+        for d in range(13):
+            yield code, random_valid_matrix_cert(rng, code.n, d)
+        for degree in (3, 7):
+            terms = [(*(int(e) for e in rng.integers(0, degree + 1, 3)), float(rng.normal()))
+                     for _ in range(6)]
+            yield code, TripleCertificate.from_terms(terms)
+        yield code, TripleCertificate.from_terms([(0, 0, 0, float(rng.normal()))])
+
+
+def test_triple_sum_contraction_matches_the_row_loop():
+    # the blocked contraction adds the terms in another order than one
+    # F.eval per row. Each term is at most sum |C| in size, and the random
+    # certificates' sums cancel to a millionth of N^3 sum |C|, so the two
+    # may differ by a few ulps of that scale; the benchmark's certificates
+    # do not cancel, and agree to a relative 1e-12
+    for code, cert in _contraction_cases():
+        scale = code.size ** 3 * float(np.abs(cert.poly()).sum())
+        assert triple_sum(code, cert) == pytest.approx(
+            triple_sum_rows(code, cert), rel=1e-12, abs=1e-14 * scale), (code.name, cert.form)
+    for d in (0, 4, 8, 12):
+        for valid in (True, False):
+            cert = TripleCertificate.from_dict(dd_certificate(d, valid)["F"])
+            for name in ("simplex4", "cross4", "24cell"):
+                code = builtin_code(name)
+                assert triple_sum(code, cert) == pytest.approx(
+                    triple_sum_rows(code, cert), rel=1e-12), (d, valid, name)
+
+
+def test_triple_sum_blocks_add_up_to_one_block(monkeypatch):
+    # a block bound small enough to cut the first index into blocks of 1, 3
+    # and 7 rows, the last one short, gives the sum of one block
+    rng = np.random.default_rng(35)
+    for name in ("cross4", "24cell"):
+        code = builtin_code(name)
+        cert = random_valid_matrix_cert(rng, 4, 5)
+        whole = triple_sum(code, cert)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(threepoint, "_TRIPLE_BLOCK", rows * code.size * 6 + 5)
+            assert triple_sum(code, cert) == pytest.approx(whole, rel=1e-12), (name, rows)
+        monkeypatch.undo()
 
 
 def test_triple_sum_decomposition():

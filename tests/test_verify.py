@@ -10,7 +10,9 @@ from mpmath import mp
 from oracles import (
     cell_max_exact,
     dd_certificate,
+    pair_expansion_fractions,
     sweep_1d_loop,
+    triple_expansion_fractions,
     triple_sweep_loop,
     upper_per_box,
 )
@@ -764,6 +766,24 @@ def test_pair_expansions_are_within_their_slack(monkeypatch):
             # and the slack is of the size of one rounding per coefficient
             size = sum(abs(c) for c in want) + sum(abs(c) for c in _exact_diag(F))
             assert Fraction(slack) <= size * Fraction(2.0 ** -52)
+
+
+def test_expansions_keep_the_bits_of_their_fraction_sums():
+    # the pair and triple expansions, summed in integers over one
+    # denominator, round the same exact rationals as the Fraction sums do:
+    # every coefficient and both slacks keep their bits
+    for d in range(29):
+        for valid in (True, False):
+            cert = DDCertificate.from_dict(dd_certificate(d, valid))
+            F, g, h = cert.F, cert.g, cert.h
+            for parts in ([(-1, g)], [(1, h), (1, GegenbauerExpansion(4, [cert.h0])), (-2, g)]):
+                (e, slack), (want, want_slack) = (verify._pair_expansion(4, F, parts),
+                                                  pair_expansion_fractions(4, F, parts))
+                assert e.coeffs.tobytes() == want.coeffs.tobytes(), (d, valid)
+                assert slack.hex() == want_slack.hex(), (d, valid)
+            (phi, slack), (want, want_slack) = (verify._triple_expansion(F, g),
+                                                triple_expansion_fractions(F, g))
+            assert phi.tobytes() == want.tobytes() and slack.hex() == want_slack.hex(), (d, valid)
 
 
 def test_sign_sweep_charges_no_slack(monkeypatch):
